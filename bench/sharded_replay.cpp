@@ -2,16 +2,18 @@
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
-// Measures the set-sharded replay engine (urcm/sim/ShardedReplay.h) on
-// the single-experiment case the sweep engine's across-experiment
-// parallelism cannot touch: ONE workload's trace replayed over a
-// realistic point grid, sequentially versus sharded across an explicit
-// 4-thread pool. Counter equality with the sequential replay is
-// asserted before any timing is reported (the merge invariant — a fast
-// wrong replay would be worse than useless as an exhibit).
+// Measures point-parallel replay (SweepPointStream with several
+// workers, urcm/sim/SweepEngine.h) on the single-experiment case the
+// sweep engine's across-experiment parallelism cannot touch: ONE
+// workload's trace replayed over a realistic point grid, sequentially
+// versus on 2/4/8 workers of an explicit 4-thread pool. Counter
+// equality with the sequential replay is asserted before any timing is
+// reported (a fast wrong replay would be worse than useless as an
+// exhibit). The binary keeps the name of the set-sharded replay it
+// replaced, so its ledger rows stay comparable.
 //
 // Rows carry the measured replay times, the speedup, and the thread
-// count: on single-core machines the sharded rows time-slice one core
+// count: on single-core machines the parallel rows time-slice one core
 // and the speedup hovers near (or below) 1x by construction; read
 // speedup_vs_seq together with the threads counter.
 //
@@ -19,7 +21,7 @@
 
 #include "BenchCommon.h"
 
-#include "urcm/sim/ShardedReplay.h"
+#include "urcm/sim/SweepEngine.h"
 
 #include <chrono>
 
@@ -28,17 +30,17 @@ using namespace urcm::bench;
 
 namespace {
 
-/// Threads the sharded rows may use (workers + the parallelFor caller).
+/// Threads the parallel rows may use (pool + the parallelFor caller).
 constexpr uint32_t BenchThreads = 4;
 
-const std::vector<uint32_t> &shardCounts() {
+const std::vector<uint32_t> &workerCounts() {
   static const std::vector<uint32_t> Counts = {2, 4, 8};
   return Counts;
 }
 
-/// A realistic set-shardable grid: the paper geometry and its
-/// neighbours, both hint views, plus FIFO and a wider-line point — the
-/// shape fig5-style sweeps replay per workload.
+/// A realistic grid: the paper geometry and its neighbours, both hint
+/// views, plus FIFO and a wider-line point — the shape fig5-style
+/// sweeps replay per workload.
 std::vector<SweepPoint> grid() {
   std::vector<SweepPoint> G;
   for (uint32_t Lines : {32u, 64u, 128u, 256u, 512u}) {
@@ -62,7 +64,7 @@ std::vector<SweepPoint> grid() {
 
 struct Measurement {
   double SequentialMs = 0;
-  std::map<uint32_t, double> ShardedMs; // keyed by shard count
+  std::map<uint32_t, double> ParallelMs; // keyed by worker count
   uint64_t TraceEvents = 0;
 };
 
@@ -104,19 +106,19 @@ Measurement &measurement(const std::string &Name) {
   Out.SequentialMs = bestOfThreeMs(
       [&] { Sequential = replaySweepPoints(R.Trace, Grid); });
 
-  ThreadPool Pool(BenchThreads - 1); // Workers; parallelFor adds the caller.
-  for (uint32_t Shards : shardCounts()) {
-    std::vector<CacheStats> Sharded;
-    Out.ShardedMs[Shards] = bestOfThreeMs([&] {
-      Sharded = replaySweepPointsSharded(R.Trace, Grid, Shards, &Pool);
+  ThreadPool Pool(BenchThreads - 1); // parallelFor adds the caller.
+  for (uint32_t Workers : workerCounts()) {
+    std::vector<CacheStats> Parallel;
+    Out.ParallelMs[Workers] = bestOfThreeMs([&] {
+      Parallel = replaySweepPoints(R.Trace, Grid, Workers, &Pool);
     });
-    // The merge invariant, checked on the numbers this exhibit reports.
+    // Bit-identity, checked on the numbers this exhibit reports.
     for (size_t I = 0; I != Grid.size(); ++I)
-      if (!(Sharded[I] == Sequential[I])) {
+      if (!(Parallel[I] == Sequential[I])) {
         std::fprintf(stderr,
-                     "%s: sharded replay diverged at point %zu "
-                     "(shards=%u)\n",
-                     Name.c_str(), I, Shards);
+                     "%s: parallel replay diverged at point %zu "
+                     "(workers=%u)\n",
+                     Name.c_str(), I, Workers);
         std::abort();
       }
   }
@@ -124,26 +126,26 @@ Measurement &measurement(const std::string &Name) {
 }
 
 void rowFor(benchmark::State &State, const std::string &Name,
-            uint32_t Shards) {
+            uint32_t Workers) {
   for (auto _ : State) {
     Measurement &M = measurement(Name);
     benchmark::DoNotOptimize(&M);
   }
   Measurement &M = measurement(Name);
-  double Ms = Shards == 1 ? M.SequentialMs : M.ShardedMs.at(Shards);
-  State.counters["shards"] = Shards;
-  State.counters["threads"] = Shards == 1 ? 1 : BenchThreads;
+  double Ms = Workers == 1 ? M.SequentialMs : M.ParallelMs.at(Workers);
+  State.counters["workers"] = Workers;
+  State.counters["threads"] = Workers == 1 ? 1 : BenchThreads;
   State.counters["trace_events"] = static_cast<double>(M.TraceEvents);
   State.counters["replay_ms"] = Ms;
   State.counters["speedup_vs_seq"] = M.SequentialMs / Ms;
 }
 
 void summary() {
-  std::printf("\nSingle-experiment replay: sequential vs set-sharded "
+  std::printf("\nSingle-experiment replay: sequential vs point-parallel "
               "(%u threads, %zu-point grid, best of 3)\n",
               BenchThreads, grid().size());
   std::printf("%-8s %10s %8s", "bench", "events", "seq-ms");
-  for (uint32_t S : shardCounts())
+  for (uint32_t S : workerCounts())
     std::printf(" %11s", ("x" + std::to_string(S) + "-speedup").c_str());
   std::printf("\n");
   for (const std::string &Name : workloadNames()) {
@@ -152,8 +154,8 @@ void summary() {
                 Name.c_str(),
                 static_cast<unsigned long long>(M.TraceEvents),
                 M.SequentialMs);
-    for (uint32_t S : shardCounts())
-      std::printf(" %11.2f", M.SequentialMs / M.ShardedMs.at(S));
+    for (uint32_t S : workerCounts())
+      std::printf(" %11.2f", M.SequentialMs / M.ParallelMs.at(S));
     std::printf("\n");
   }
   std::printf("(counters verified bit-identical to sequential replay "
@@ -165,13 +167,13 @@ void summary() {
 int main(int argc, char **argv) {
   for (const std::string &Name : workloadNames()) {
     std::vector<uint32_t> Rows = {1};
-    Rows.insert(Rows.end(), shardCounts().begin(), shardCounts().end());
-    for (uint32_t Shards : Rows)
+    Rows.insert(Rows.end(), workerCounts().begin(), workerCounts().end());
+    for (uint32_t Workers : Rows)
       benchmark::RegisterBenchmark(
-          ("ShardedReplay/" + Name + "/" + std::to_string(Shards))
+          ("ShardedReplay/" + Name + "/" + std::to_string(Workers))
               .c_str(),
-          [Name, Shards](benchmark::State &State) {
-            rowFor(State, Name, Shards);
+          [Name, Workers](benchmark::State &State) {
+            rowFor(State, Name, Workers);
           })
           ->Iterations(1)
           ->Unit(benchmark::kMillisecond);

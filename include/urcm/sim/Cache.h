@@ -96,30 +96,6 @@ struct CacheStats {
   /// traffic).
   uint64_t FlushWriteBackWords = 0;
 
-  /// Accumulates \p O field by field. Every counter is additive over a
-  /// partition of the reference stream, which is what lets set-sharded
-  /// replay (urcm/sim/ShardedReplay.h) sum per-shard counters into the
-  /// exact sequential totals.
-  CacheStats &operator+=(const CacheStats &O) {
-    Reads += O.Reads;
-    Writes += O.Writes;
-    ReadHits += O.ReadHits;
-    WriteHits += O.WriteHits;
-    Fills += O.Fills;
-    FillWords += O.FillWords;
-    WriteBacks += O.WriteBacks;
-    WriteBackWords += O.WriteBackWords;
-    Evictions += O.Evictions;
-    DeadFrees += O.DeadFrees;
-    DeadWriteBacksAvoided += O.DeadWriteBacksAvoided;
-    BypassReads += O.BypassReads;
-    BypassWrites += O.BypassWrites;
-    BypassHitMigrations += O.BypassHitMigrations;
-    WriteThroughWords += O.WriteThroughWords;
-    FlushWriteBackWords += O.FlushWriteBackWords;
-    return *this;
-  }
-
   uint64_t misses() const { return Reads + Writes - ReadHits - WriteHits; }
   double hitRate() const {
     uint64_t Total = Reads + Writes;

@@ -8,8 +8,7 @@
 /// The unified, policy-generic, attribution-aware set-associative cache
 /// model: one write-back/write-through/bypass/dead-store core behind
 /// every stats-only execution mode — sequential replay, the sweep
-/// engine's multi-configuration streams, set-sharded parallel replay and
-/// warm trace-store serving. The core is a member template over
+/// engine's point-parallel streams and warm trace-store serving. The core is a member template over
 /// `<CachePolicy Policy, bool Attrib>`: each (policy, attribution)
 /// combination is compiled as a straight-line step with `if constexpr`
 /// pruning every other policy's bookkeeping, and `feed()` dispatches
@@ -34,7 +33,7 @@
 ///    retrain. This is the hardware-learned analogue of the paper's
 ///    compiler bypass hints (Faldu's reuse-prediction baselines,
 ///    PAPERS.md); training reads the whole reference stream, so the
-///    policy is replay-only and not set-shardable.
+///    policy is replay-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,33 +90,16 @@ public:
   /// \p NextUses is required for CachePolicy::MIN (see
   /// computeNextLineUses; it must have been computed with this config's
   /// line size) and ignored otherwise.
-  ///
-  /// \p ShardDiv > 1 puts the model in set-shard mode: the caller feeds
-  /// only the trace subsequence whose events map to cache sets of one
-  /// residue class mod ShardDiv, and the model compacts those sets to
-  /// globalSet / ShardDiv so it allocates 1/ShardDiv of the line state.
-  /// Only cachePolicySetShardEligible() policies keep strictly per-set
-  /// replacement state; for them, summing shard counters reproduces the
-  /// sequential replay bit for bit.
   CacheModel(const CacheConfig &Config, CachePolicy Policy,
              std::shared_ptr<const std::vector<uint64_t>> NextUses =
-                 nullptr,
-             uint32_t ShardDiv = 1)
+                 nullptr)
       : Config(Config), Geometry(Config), Policy(Policy),
         NextUses(std::move(NextUses)), Rng(Config.Seed),
-        ShardDiv(ShardDiv),
-        Lines(ShardDiv == 1
-                  ? size_t(Config.NumLines)
-                  : size_t((Config.NumLines / Config.Assoc + ShardDiv -
-                            1) /
-                           ShardDiv) *
-                        Config.Assoc) {
+        Lines(Config.NumLines) {
     assert(Config.Assoc > 0 && Config.NumLines % Config.Assoc == 0 &&
            "associativity must divide the line count");
     assert((Policy != CachePolicy::MIN || this->NextUses) &&
            "MIN needs the next-use index (computeNextLineUses)");
-    assert((ShardDiv == 1 || cachePolicySetShardEligible(Policy)) &&
-           "only set-local policies can replay set shards");
     assert((Policy != CachePolicy::TreePLRU ||
             (Config.Assoc <= 64 &&
              (Config.Assoc & (Config.Assoc - 1)) == 0)) &&
@@ -129,8 +111,7 @@ public:
   }
 
   /// See DataCache::setAttribution. Counter sites mirror the live
-  /// cache's, so shard tables merged with operator+= reproduce a
-  /// sequential (or live) run bit for bit.
+  /// cache's, so the table reproduces a live run bit for bit.
   void setAttribution(RefAttribution *A) { Attr = A; }
 
   /// Processes trace event \p E, which sits at position \p Index of the
@@ -224,7 +205,7 @@ private:
       return;
     }
 
-    uint32_t Set = localSetOf(LA);
+    uint32_t Set = Geometry.setOf(LA);
     ModelLine *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
     ModelLine *L = nullptr;
     uint32_t Way = 0;
@@ -317,15 +298,8 @@ private:
       freeLine<P, A>(*L, Set, Way, E.RefId);
   }
 
-  /// The index of LA's set within this model's line array: the global
-  /// set index, compacted by the shard divisor in shard mode.
-  uint32_t localSetOf(uint64_t LA) const {
-    uint32_t Set = Geometry.setOf(LA);
-    return ShardDiv == 1 ? Set : Set / ShardDiv;
-  }
-
   ModelLine *find(uint64_t LA) {
-    uint32_t Set = localSetOf(LA);
+    uint32_t Set = Geometry.setOf(LA);
     ModelLine *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
     for (uint32_t Way = 0; Way != Config.Assoc; ++Way)
       if (Base[Way].Valid && Base[Way].Tag == LA)
@@ -478,9 +452,8 @@ private:
   CachePolicy Policy;
   std::shared_ptr<const std::vector<uint64_t>> NextUses;
   SplitMix64 Rng;
-  uint32_t ShardDiv;
   std::vector<ModelLine> Lines;
-  /// Tree-PLRU node bits, one word per (local) set (TreePLRU only).
+  /// Tree-PLRU node bits, one word per set (TreePLRU only).
   std::vector<uint64_t> TreeBits;
   /// LivenessBypass: per-RefId 2-bit dead-on-arrival counters, indexed
   /// directly by the uint16 RefId (MemRefInfo::NoRefId shares one slot,

@@ -8,7 +8,7 @@
 /// The single replacement-policy vocabulary shared by every cache model
 /// in the tree: the live DataCache, the specialized two-way fast caches,
 /// the policy-generic replay kernel (urcm/sim/CacheModel.h) and the
-/// sweep engine's sharded/stack-distance streams. Historically the live
+/// sweep engine's replay streams. Historically the live
 /// cache had its own three-policy `ReplacementPolicy` and the replayer a
 /// four-policy `TracePolicy` with a lossy translation between them; both
 /// are now aliases of `CachePolicy` below and the translation is gone.
@@ -29,7 +29,7 @@
 ///    that learns, from evictions without reuse, which references
 ///    should not allocate at all (a Leeway-style software analogue of
 ///    the paper's compiler bypass hints). Learning is a global table
-///    over the trace, so it is replay-only and not set-shardable.
+///    over the trace, so it is replay-only.
 ///
 /// This header is dependency-free (cstdint only) so the low-level cache
 /// headers can include it without cycles; the policy-generic replay
@@ -71,16 +71,6 @@ bool parseCachePolicy(const char *Spelling, CachePolicy &Out);
 /// recorded trace, so both are replay-only.
 constexpr bool cachePolicyLiveEligible(CachePolicy Policy) {
   return Policy != CachePolicy::MIN && Policy != CachePolicy::LivenessBypass;
-}
-
-/// True if \p Policy keeps strictly per-set replacement state, which is
-/// what lets set-sharded replay partition the sets and sum the counters
-/// (urcm/sim/ShardedReplay.h). Random shares one RNG sequence across
-/// sets, MIN indexes the global trace, and LivenessBypass trains one
-/// global predictor table — none of them shard.
-constexpr bool cachePolicySetShardEligible(CachePolicy Policy) {
-  return Policy == CachePolicy::LRU || Policy == CachePolicy::FIFO ||
-         Policy == CachePolicy::TreePLRU || Policy == CachePolicy::SRRIP;
 }
 
 /// SRRIP's re-reference prediction values (2-bit counters).

@@ -10,10 +10,8 @@
 /// miss, bypass and suppressed dead write-back back to the Ld/St that
 /// caused it. The live caches (urcm/sim/Cache.h) and every replay
 /// kernel accumulate into one of these when attribution is requested;
-/// like CacheStats, every counter is additive over a set partition of
-/// the trace, so per-shard tables merge with operator+= into totals
-/// bit-identical to a sequential replay (the same merge invariant
-/// tests/shardedreplay_test.cpp asserts for CacheStats).
+/// each table belongs to one sweep point, so it is bit-identical however
+/// many replay workers ran the sweep.
 ///
 /// Accounting rules (mirrored by every accumulator — the bit-identity
 /// tests compare all of them):
@@ -96,15 +94,6 @@ public:
   }
   const RefCounters &overflow() const { return Rows[NumRefs]; }
 
-  RefAttribution &operator+=(const RefAttribution &O) {
-    if (Rows.size() < O.Rows.size()) {
-      Rows.resize(O.Rows.size());
-      NumRefs = O.NumRefs;
-    }
-    for (size_t I = 0; I != O.Rows.size(); ++I)
-      Rows[I] += O.Rows[I];
-    return *this;
-  }
   bool operator==(const RefAttribution &O) const {
     return NumRefs == O.NumRefs && Rows == O.Rows;
   }

@@ -1,46 +1,14 @@
-//===- urcm/sim/ShardedReplay.h - Set-sharded parallel replay ---*- C++ -*-===//
+//===- urcm/sim/ShardedReplay.h - Deprecated replay spellings ---*- C++ -*-===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Intra-trace parallel cache replay. The sweep engine's sequential
-/// kernels (urcm/sim/SweepEngine.h) parallelize only *across*
-/// experiments, so a lone experiment is core-count-blind. This engine
-/// splits one trace into independent work units and runs them on the
-/// ThreadPool:
-///
-///  * **Set shards.** Set-associative state is strictly per-set: an
-///    access to set s reads and writes set s alone (lookup, victim
-///    choice, recency ticks). Partitioning the trace by set index
-///    therefore yields subsequences whose replays never interact, and
-///    every CacheStats counter is additive over that partition — the
-///    merged totals equal the sequential replay bit for bit (the merge
-///    invariant, asserted by tests/shardedreplay_test.cpp). A shard
-///    owns the sets of one residue class mod N. The demultiplexed
-///    partition depends only on the (line-words, set-count) geometry,
-///    so it is computed once per geometry and reused by every
-///    configuration sharing it — associativity, write policy and hint
-///    view do not change which set an address maps to.
-///
-///  * **Capacity shards.** The fully-associative stack-distance sweep
-///    has one set and cannot set-shard; its per-capacity results are
-///    independent instead, so the size list splits across units, each
-///    walking the full trace.
-///
-///  * **Sequential leftovers.** Random replacement consumes one global
-///    RNG sequence ordered by the full-trace interleaving of misses,
-///    and Belady MIN indexes next-use knowledge by global trace
-///    position; neither survives subsequencing, so such points replay
-///    sequentially as one more unit on the pool.
-///
-/// Feeding is demultiplex-only (cheap, overlaps trace generation when
-/// driven by the streaming pipeline); all replay happens in finish(),
-/// fanned out with ThreadPool::parallelFor. Each unit's counters live
-/// in a cache-line-padded slot, so concurrent units never share a
-/// line. Telemetry: sim.shard.* (shards, units, imbalance, demux-ns,
-/// replay-ns).
+/// Deprecated names for point-parallel replay (urcm/sim/SweepEngine.h),
+/// kept so existing callers still build. Set-sharded replay is gone: a
+/// "shard count" is now a replay worker count, and the results are
+/// bit-identical to sequential replay for every value, as before.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,75 +16,22 @@
 #define URCM_SIM_SHARDEDREPLAY_H
 
 #include "urcm/sim/SweepEngine.h"
-#include "urcm/support/ThreadPool.h"
-
-#include <cstdint>
-#include <memory>
-#include <vector>
 
 namespace urcm {
 
-/// Resolves a shard-count request: 0 ("auto") becomes the pool's worker
-/// count plus one (the parallelFor caller works too), anything else is
-/// taken as given. Always >= 1.
-uint32_t resolveShardCount(uint32_t Requested, const ThreadPool &Pool);
+/// Deprecated: use resolveReplayWorkers.
+inline uint32_t resolveShardCount(uint32_t Requested,
+                                  const ThreadPool &Pool) {
+  return resolveReplayWorkers(Requested, Pool);
+}
 
-/// The sharded counterpart of SweepPointStream: feed() demultiplexes
-/// trace chunks into per-shard buffers (one partition per distinct
-/// (line-words, set-count) geometry among the points), finish() replays
-/// all shards in parallel on the pool and merges per-shard counters
-/// into exact sequential totals. Results are bit-identical to
-/// SweepPointStream over the same events, in the same point order.
-///
-/// MIN points require the materialized trace (\p FullTrace non-null,
-/// fed exactly once as one chunk — the batch wrapper's calling
-/// convention); without it the stream is streaming-safe for the same
-/// point set SweepPointStream::streamable accepts. Points that cannot
-/// shard replay sequentially inside finish() as one unit, so any point
-/// set is accepted.
-class ShardedSweepStream {
-public:
-  /// \p Shards is a resolved count (>= 1); \p Pool null uses the global
-  /// pool. \p FullTrace, when non-null, is the complete trace the
-  /// caller will feed (enables MIN and skips the internal raw copy).
-  ShardedSweepStream(std::vector<SweepPoint> Points, uint32_t Shards,
-                     ThreadPool *Pool = nullptr,
-                     const std::vector<TraceEvent> *FullTrace = nullptr);
-  ShardedSweepStream(const ShardedSweepStream &) = delete;
-  ShardedSweepStream &operator=(const ShardedSweepStream &) = delete;
-  ~ShardedSweepStream();
-
-  /// Pre-sizes the per-shard buffers for an expected total event count
-  /// (a pure allocation hint).
-  void reserve(uint64_t ExpectedEvents);
-
-  /// Demultiplexes the next \p Count trace events into the per-shard
-  /// partitions. No replay work happens here.
-  void feed(const TraceEvent *Events, size_t Count);
-
-  /// Replays every shard on the pool, merges, and returns counters in
-  /// the order of the constructor's Points. Call exactly once.
-  std::vector<CacheStats> finish();
-
-  /// Moves out the merged attribution table of point \p PointIndex
-  /// (per-shard tables summed with RefAttribution::operator+=, which
-  /// reproduces the sequential run bit for bit). Only meaningful after
-  /// finish(), for points with SweepPoint::AttributionRefs set; other
-  /// points yield an empty table.
-  RefAttribution takeAttribution(size_t PointIndex);
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> P;
-};
-
-/// Batch form: replays \p Points from \p Trace with \p Shards-way
-/// sharding (resolved; pass resolveShardCount's result or an explicit
-/// count). Bit-identical to replaySweepPoints.
-std::vector<CacheStats>
+/// Deprecated: use replaySweepPoints with a worker count.
+inline std::vector<CacheStats>
 replaySweepPointsSharded(const std::vector<TraceEvent> &Trace,
                          const std::vector<SweepPoint> &Points,
-                         uint32_t Shards, ThreadPool *Pool = nullptr);
+                         uint32_t Shards, ThreadPool *Pool = nullptr) {
+  return replaySweepPoints(Trace, Points, Shards, Pool);
+}
 
 } // namespace urcm
 

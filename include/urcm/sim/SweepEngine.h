@@ -17,9 +17,9 @@
 ///  1. compile-once/replay-many: SweepEngine memoizes one traced base
 ///     run per experiment key and frees each trace as soon as its sweep
 ///     points are served (traces run to hundreds of MB);
-///  2. single-pass multi-configuration replay: replayTraceMulti walks
-///     the trace once and advances every requested configuration in
-///     lock-step; sweepLRUStackDistance is a Mattson-style stack-
+///  2. chunked multi-configuration replay: SweepPointStream advances
+///     every requested configuration over each trace chunk while the
+///     chunk is hot; sweepLRUStackDistance is a Mattson-style stack-
 ///     distance pass that produces exact LRU counters for *every*
 ///     fully-associative size in one walk, extended with hole-based
 ///     bookkeeping so the paper's bypass and last-reference (dead-tag)
@@ -27,7 +27,8 @@
 ///     depth, which encodes precisely the set of capacities that
 ///     gained a free slot);
 ///  3. a thread pool (urcm/support/ThreadPool.h) runs independent
-///     experiments concurrently.
+///     experiments concurrently, and the points of one experiment
+///     replay concurrently too (point-parallel replay).
 ///
 /// Replay counters are bit-identical to the live DataCache's (asserted
 /// by tests/sweepengine_test.cpp), so exhibits that moved from
@@ -81,11 +82,10 @@ struct SweepPoint {
   bool wantsAttribution() const { return AttributionRefs != 0; }
 };
 
-/// Walks \p Trace once and replays every point in lock-step. Counters
-/// are identical to calling replayTrace per point (each point's state is
-/// independent); the single pass touches the big trace once instead of
-/// Points.size() times. MIN points sharing a line size share one
-/// next-use precomputation.
+/// Replays every point with the per-event kernels (never the
+/// stack-distance fast path). Counters are identical to calling
+/// replayTrace per point (each point's state is independent). MIN
+/// points sharing a line size share one next-use precomputation.
 std::vector<CacheStats>
 replayTraceMulti(const std::vector<TraceEvent> &Trace,
                  const std::vector<SweepPoint> &Points);
@@ -107,12 +107,20 @@ sweepLRUStackDistance(const std::vector<TraceEvent> &Trace,
                       const std::vector<uint32_t> &NumLines,
                       bool IgnoreHints = false);
 
+/// Resolves a replay worker-count request: 0 ("auto") becomes the
+/// pool's thread count plus one (the parallelFor caller works too),
+/// anything else is taken as given. Always >= 1.
+uint32_t resolveReplayWorkers(uint32_t Requested, const ThreadPool &Pool);
+
 /// Replays \p Points from \p Trace, dispatching to the stack-distance
-/// fast path when every point is eligible and to the lock-step
-/// multi-replay otherwise. Results are identical either way.
+/// fast path when every point is eligible and to the per-point kernels
+/// otherwise. \p Workers > 1 replays disjoint subsets of the points
+/// concurrently on \p Pool (null: the global pool). Results are
+/// identical either way.
 std::vector<CacheStats>
 replaySweepPoints(const std::vector<TraceEvent> &Trace,
-                  const std::vector<SweepPoint> &Points);
+                  const std::vector<SweepPoint> &Points,
+                  uint32_t Workers = 1, ThreadPool *Pool = nullptr);
 
 /// Chunk-driven replay of a set of sweep points: the streaming form of
 /// replaySweepPoints, advanced one trace chunk at a time so replay can
@@ -120,10 +128,18 @@ replaySweepPoints(const std::vector<TraceEvent> &Trace,
 /// Feeding the whole trace as one chunk is exactly the batch call — the
 /// batch entry points are wrappers over this class, so the two modes
 /// cannot diverge. Internally dispatches to the same kernels: the
-/// hole-extended Mattson stack-distance sweep when every point is
-/// eligible (unless \p AllowStackFastPath is false, which pins the
-/// lock-step kernels — that is replayTraceMulti's contract), else the
-/// specialized two-way-LRU kernel plus the generic lock-step replayer.
+/// hole-extended Mattson stack-distance sweep (one walk per hint view)
+/// when every point is eligible (unless \p AllowStackFastPath is false,
+/// which pins the per-point kernels — that is replayTraceMulti's
+/// contract), else one kernel per point: the specialized two-way-LRU
+/// kernel or the policy-generic CacheModel.
+///
+/// Point-parallel replay: sweep points never share state, so with
+/// \p Workers > 1 each feed() fans the kernels out across up to that
+/// many threads of \p Pool, every thread reading the same chunk. The
+/// costliest kernels are claimed first. Every point is replayed by
+/// exactly one kernel in trace order, so counters and attribution
+/// tables are bit-identical for every worker count.
 class SweepPointStream {
 public:
   /// True when every point replays in one forward pass. Belady MIN
@@ -132,11 +148,13 @@ public:
   static bool streamable(const std::vector<SweepPoint> &Points);
 
   /// \p FullTrace must be non-null when any point uses TracePolicy::MIN
-  /// and is ignored otherwise.
+  /// and is ignored otherwise. \p Workers is a resolved count (>= 1;
+  /// see resolveReplayWorkers); \p Pool null uses the global pool.
   explicit SweepPointStream(std::vector<SweepPoint> Points,
                             const std::vector<TraceEvent> *FullTrace =
                                 nullptr,
-                            bool AllowStackFastPath = true);
+                            bool AllowStackFastPath = true,
+                            uint32_t Workers = 1, ThreadPool *Pool = nullptr);
   SweepPointStream(const SweepPointStream &) = delete;
   SweepPointStream &operator=(const SweepPointStream &) = delete;
   ~SweepPointStream();
@@ -146,7 +164,8 @@ public:
   /// who do not know the trace length, simply grow on demand).
   void reserve(uint64_t ExpectedEvents);
 
-  /// Advances every point over the next \p Count trace events.
+  /// Advances every point over the next \p Count trace events. The
+  /// events are only read, and only until feed() returns.
   void feed(const TraceEvent *Events, size_t Count);
 
   /// End of trace: final flush accounting. Call exactly once; counters
@@ -205,16 +224,15 @@ public:
   /// base are empty.
   void run();
 
-  /// Intra-experiment sharding for trace replay (urcm/sim/
-  /// ShardedReplay.h): 1 — the default — replays each experiment
-  /// sequentially (the differential oracle the sharded path is tested
-  /// against); 0 means "auto" (the pool width, so a lone experiment
-  /// still saturates the machine); N > 1 shards each experiment's
-  /// replay N ways. Counters are bit-identical in every mode. Set
-  /// before run(); shard units fan out through nested parallelFor, so
-  /// shards and experiments share the same pool.
-  void setShards(uint32_t Request) { Shards = Request; }
-  uint32_t shards() const { return Shards; }
+  /// Point-parallel replay inside each experiment (see
+  /// SweepPointStream): 1 replays every experiment's points on the
+  /// experiment's own thread; 0 — the default — means "auto" (the pool
+  /// width, so a lone experiment still uses the whole machine); N > 1
+  /// uses up to N threads. Counters are bit-identical in every mode.
+  /// Set before run(); the replay fans out through nested parallelFor,
+  /// so replay workers and experiments share the same pool.
+  void setReplayWorkers(uint32_t Request) { ReplayWorkers = Request; }
+  uint32_t replayWorkers() const { return ReplayWorkers; }
 
   /// Enables the persistent trace store (urcm/sim/TraceStore.h) under
   /// \p Dir — empty disables (the default). With a store configured,
@@ -247,8 +265,8 @@ public:
 
   /// The per-reference attribution of point \p Index, which must have
   /// been scheduled with SweepPoint::AttributionRefs non-zero.
-  /// Bit-identical across shard counts and store modes (the attribution
-  /// counterpart of the CacheStats merge invariant). Valid after run().
+  /// Bit-identical across replay worker counts and store modes. Valid
+  /// after run().
   const RefAttribution &attribution(const std::string &Key,
                                     size_t Index) const;
 
@@ -273,7 +291,7 @@ private:
   /// \p ReplayedAttrib receives attribution tables parallel to \p Rest
   /// (empty rows for points that did not request attribution).
   bool serveFromStore(Experiment &E, const std::vector<SweepPoint> &Rest,
-                      uint32_t EffShards, uint64_t &TraceEvents,
+                      uint32_t Workers, uint64_t &TraceEvents,
                       std::vector<CacheStats> &Replayed,
                       std::vector<RefAttribution> &ReplayedAttrib);
 
@@ -282,7 +300,7 @@ private:
   void forwardStoreDiags(const DiagnosticEngine &Local);
 
   ThreadPool *Pool;
-  uint32_t Shards = 1;
+  uint32_t ReplayWorkers = 0;
   std::string StoreDir;
   DiagnosticEngine *StoreDiags = nullptr;
   mutable std::mutex M;

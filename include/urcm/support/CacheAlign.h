@@ -6,8 +6,7 @@
 ///
 /// \file
 /// The destructive-interference stride used to pad data shared across
-/// threads (SPSC queue indices, pool job counters, per-shard replay
-/// counters). Two objects closer than this stride can ping-pong a cache
+/// threads (SPSC queue indices, pool job counters). Two objects closer than this stride can ping-pong a cache
 /// line between cores even when each thread touches only its own object.
 ///
 /// The value mirrors std::hardware_destructive_interference_size where

@@ -15,9 +15,9 @@
 ///    degrades gracefully to near-serial execution);
 ///  * exceptions from tasks are captured and rethrown on the caller.
 ///
-/// parallelFor may be called from inside a pool task (the sharded
-/// replay engine fans out per-shard work from within an experiment
-/// task). Nesting cannot deadlock: the caller drains its own index
+/// parallelFor may be called from inside a pool task (point-parallel
+/// replay fans each trace chunk out across the sweep points from within
+/// an experiment task). Nesting cannot deadlock: the caller drains its own index
 /// space, so it only ever waits on indexes that some thread is
 /// *actively* executing, never on queued-but-unclaimed work; when every
 /// worker is busy the nested loop simply degrades to serial execution

@@ -18,7 +18,7 @@
 #      docs/profile_schema.json and the metrics JSONL stream
 #   7. opt-in (--policy): replacement-policy differential — the unified
 #      cache model's grid (PLRU/SRRIP/bypass-predictor included) must
-#      be bit-identical across sequential, sharded and warm-store
+#      be bit-identical across sequential, parallel and warm-store
 #      replay, and a policy change must warm-hit the trace store
 #   8. opt-in (--fuse): superinstruction-fusion transparency — the full
 #      urcm_report must be byte-identical fused vs --no-fuse, a
@@ -89,7 +89,7 @@ if [ "$RUN_SAN" = 1 ]; then
 
   echo "== sanitizers: tsan (parallel sim suites) =="
   # TSan over the suites that exercise the thread pool, the SPSC trace
-  # stream, and the sharded replay engine; the full suite under TSan is
+  # stream, and point-parallel replay; the full suite under TSan is
   # disproportionately slow and the remaining suites are single-threaded.
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j"$(nproc)" --target \
@@ -142,18 +142,19 @@ if [ "$RUN_PROFILE" = 1 ]; then
 fi
 
 if [ "$RUN_POLICY" = 1 ]; then
-  echo "== policy differential: sharded + warm-store bit-identity =="
+  echo "== policy differential: parallel + warm-store bit-identity =="
   POLICY_DIR=$(mktemp -d /tmp/urcm_policy.XXXXXX)
   SWEEP="--workload=Sieve --sweep=16,64"
   # Every policy's sweep must be deterministic and bit-identical under
-  # set sharding (shard-ineligible policies route through the
-  # sequential leftover unit, so the invariant holds for all of them).
+  # point-parallel replay (each point keeps all of its state, so the
+  # invariant holds for every policy).
   for p in lru fifo random plru srrip min bypass; do
-    ./build/tools/urcmc $SWEEP --policy="$p" > "$POLICY_DIR/$p.out"
-    ./build/tools/urcmc $SWEEP --policy="$p" --shards=7 \
-      > "$POLICY_DIR/$p.sharded.out"
-    cmp "$POLICY_DIR/$p.out" "$POLICY_DIR/$p.sharded.out" || {
-      echo "policy $p: sharded sweep diverges from sequential" >&2
+    ./build/tools/urcmc $SWEEP --policy="$p" --replay-workers=1 \
+      > "$POLICY_DIR/$p.out"
+    ./build/tools/urcmc $SWEEP --policy="$p" --replay-workers=7 \
+      > "$POLICY_DIR/$p.parallel.out"
+    cmp "$POLICY_DIR/$p.out" "$POLICY_DIR/$p.parallel.out" || {
+      echo "policy $p: parallel sweep diverges from sequential" >&2
       exit 1; }
   done
   # One stored trace serves the whole policy grid: record under LRU,

@@ -5,27 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The chunk-fed replay kernels shared by the sequential sweep stream
-/// (SweepEngine.cpp) and the set-sharded replay engine
-/// (ShardedReplay.cpp). Internal to src/sim — the public surface is
-/// urcm/sim/SweepEngine.h and urcm/sim/ShardedReplay.h.
+/// The chunk-fed replay kernels behind SweepPointStream
+/// (SweepEngine.cpp). Internal to src/sim — the public surface is
+/// urcm/sim/SweepEngine.h.
 ///
 /// Every kernel is a stream — construct, feed(events), finish() — so
 /// the streaming pipeline and the materialized-trace path execute the
-/// same per-event code and cannot diverge.
-///
-/// The two lock-step kernels (LRUTwoWayStream, GenericMultiStream) take
-/// an optional shard divisor: a kernel constructed with ShardDiv = N
-/// replays a *set shard*, the subsequence of the trace whose events map
-/// to cache sets congruent to one residue mod N. Set-associative state
-/// is strictly per-set (lookup, victim choice, recency ticks all stay
-/// inside one set), so replaying each residue class independently and
-/// summing the counters is bit-identical to the sequential replay; the
-/// kernel compacts the sets it owns into localSet = globalSet / N so a
-/// shard allocates 1/N of the tag state. The stack-distance kernel
-/// needs no shard form — it models fully-associative caches (one set),
-/// which shard across *capacities* instead: each shard instance sweeps
-/// a slice of the size list over the full trace.
+/// same per-event code and cannot diverge. Each kernel instance owns
+/// the whole state of its sweep point(s) and only reads the events it
+/// is fed, so SweepPointStream can advance different instances on
+/// different threads over one shared, read-only chunk.
 ///
 /// See SweepEngine.cpp's file comment for the hole-extended Mattson
 /// algorithm implemented by StackDistanceStream.
@@ -41,7 +30,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -81,24 +69,10 @@ inline bool lruTwoWayEligible(const SweepPoint &P) {
          (P.Config.NumLines & (P.Config.NumLines - 1)) == 0;
 }
 
-/// True if \p P can be replayed as independent set shards: replacement
-/// state must be strictly set-local. LRU and FIFO qualify (their ticks
-/// only order events *within* a set, and a shard feeds each of its sets
-/// the same relative event order as the full trace), as do TreePLRU
-/// (per-set tree bits) and SRRIP (per-line RRPVs aged per set). Random
-/// does not — every miss anywhere consumes the next value of one shared
-/// RNG sequence, so victim choice depends on the global interleaving of
-/// sets. MIN does not either: its next-use lookups are indexed by
-/// global trace position, which a shard subsequence loses. Neither does
-/// LivenessBypass: its predictor table is global across sets.
-inline bool setShardEligible(const SweepPoint &P) {
-  return cachePolicySetShardEligible(P.Policy);
-}
-
-/// Specialized lock-step replay for two-way LRU write-back caches with
-/// one-word lines and power-of-two line counts — the paper's preferred
+/// Specialized replay for a two-way LRU write-back cache with one-word
+/// lines and a power-of-two line count — the paper's preferred
 /// data-cache shape and by far the hottest sweep configuration.
-/// Counters are bit-identical to TraceReplayer; the win is the state
+/// Counters are bit-identical to CacheModel; the win is the state
 /// encoding: each set is a two-entry move-to-front list of tag words
 /// (bit 63 = dirty, all-ones = invalid), so the common case — a hit on
 /// the most recent way — is one load and one compare, with no tick
@@ -109,120 +83,67 @@ inline bool setShardEligible(const SweepPoint &P) {
 /// the touched line in slot 0, and dead-tag/bypass frees invalidate in
 /// place). Victim choice matches DataCache::chooseVictim: an invalid
 /// way first, else the LRU way (slot 1).
-///
-/// With \p ShardDiv = N > 1 the instance replays one set shard: callers
-/// feed only events whose set index falls in one residue class mod N,
-/// and the set is compacted to globalSet / N (the shard's sets,
-/// enumerated in order). The unsharded mapping stays division-free; a
-/// power-of-two divisor lowers to a shift.
 class LRUTwoWayStream {
   static constexpr uint64_t DirtyBit = uint64_t(1) << 63;
   static constexpr uint64_t TagMask = ~DirtyBit;
   static constexpr uint64_t Invalid = ~uint64_t(0);
 
-  enum class ShardMap { None, Shift, Div };
-
-  struct Way2Cache {
-    uint64_t SetMask;
-    uint64_t ShardDiv;
-    uint32_t ShardShift;
-    bool Hinted;
-    std::vector<uint64_t> Tags;
-    CacheStats St;
-    /// Per-point attribution table (null: off, the common case).
-    RefAttribution *Attr = nullptr;
-    /// Installer RefId per way, parallel to Tags; sized on demand by
-    /// setAttribution.
-    std::vector<uint16_t> InstalledBy;
-  };
-  std::vector<Way2Cache> Caches;
+  uint64_t SetMask;
+  bool Hinted;
+  std::vector<uint64_t> Tags;
+  CacheStats St;
+  /// Attribution table (null: off, the common case).
+  RefAttribution *Attr = nullptr;
+  /// Installer RefId per way, parallel to Tags; sized by setAttribution.
+  std::vector<uint16_t> InstalledBy;
 
 public:
-  explicit LRUTwoWayStream(const std::vector<SweepPoint> &Points,
-                           uint32_t ShardDiv = 1) {
-    assert(ShardDiv >= 1);
-    Caches.reserve(Points.size());
-    for (const SweepPoint &P : Points) {
-      assert(lruTwoWayEligible(P));
-      const uint64_t NumSets = P.Config.NumLines / 2;
-      const uint64_t LocalSets = (NumSets + ShardDiv - 1) / ShardDiv;
-      uint32_t Shift = 0;
-      while ((uint64_t(1) << Shift) < ShardDiv)
-        ++Shift;
-      Caches.push_back({NumSets - 1, ShardDiv, Shift, !P.IgnoreHints,
-                        std::vector<uint64_t>(LocalSets * 2, Invalid),
-                        CacheStats(), /*Attr=*/nullptr,
-                        /*InstalledBy=*/{}});
-    }
+  explicit LRUTwoWayStream(const SweepPoint &P)
+      : SetMask(P.Config.NumLines / 2 - 1), Hinted(!P.IgnoreHints),
+        Tags(P.Config.NumLines, Invalid) {
+    assert(lruTwoWayEligible(P));
   }
 
-  /// Routes attribution for the point at \p PointIdx into \p A (see
-  /// RefAttribution; counter sites mirror TwoWayWB1Cache's, so shard
-  /// tables merge bit-identically).
-  void setAttribution(size_t PointIdx, RefAttribution *A) {
-    Way2Cache &C = Caches[PointIdx];
-    C.Attr = A;
-    if (A && C.InstalledBy.size() != C.Tags.size())
-      C.InstalledBy.assign(C.Tags.size(), MemRefInfo::NoRefId);
+  /// Routes attribution into \p A (see RefAttribution; counter sites
+  /// mirror TwoWayWB1Cache's).
+  void setAttribution(RefAttribution *A) {
+    Attr = A;
+    if (A)
+      InstalledBy.assign(Tags.size(), MemRefInfo::NoRefId);
   }
 
   void feed(const TraceEvent *Events, size_t Count) {
-    // Configuration-major: each cache streams the whole chunk with its
-    // tag pointer, set mask, and counters held in registers, and the
-    // chunk itself stays hot across passes. Caches are mutually
-    // independent, so the interchange cannot change any counter.
-    for (Way2Cache &C : Caches) {
-      if (C.Attr) {
-        if (C.ShardDiv == 1)
-          feedOne<ShardMap::None, true>(C, Events, Count);
-        else if ((C.ShardDiv & (C.ShardDiv - 1)) == 0)
-          feedOne<ShardMap::Shift, true>(C, Events, Count);
-        else
-          feedOne<ShardMap::Div, true>(C, Events, Count);
-      } else if (C.ShardDiv == 1) {
-        feedOne<ShardMap::None, false>(C, Events, Count);
-      } else if ((C.ShardDiv & (C.ShardDiv - 1)) == 0) {
-        feedOne<ShardMap::Shift, false>(C, Events, Count);
-      } else {
-        feedOne<ShardMap::Div, false>(C, Events, Count);
-      }
-    }
+    if (Attr)
+      feedImpl<true>(Events, Count);
+    else
+      feedImpl<false>(Events, Count);
   }
 
-  std::vector<CacheStats> finish() {
-    std::vector<CacheStats> Out;
-    Out.reserve(Caches.size());
-    for (Way2Cache &C : Caches) {
-      for (uint64_t T : C.Tags)
-        if (T != Invalid && (T & DirtyBit))
-          ++C.St.FlushWriteBackWords;
-      Out.push_back(C.St);
-    }
-    return Out;
+  CacheStats finish() {
+    for (uint64_t T : Tags)
+      if (T != Invalid && (T & DirtyBit))
+        ++St.FlushWriteBackWords;
+    return St;
   }
 
 private:
-  template <ShardMap Map, bool Attrib>
-  void feedOne(Way2Cache &C, const TraceEvent *Events, size_t Count) {
-    uint64_t *const Tags = C.Tags.data();
+  template <bool Attrib>
+  void feedImpl(const TraceEvent *Events, size_t Count) {
+    // Tag pointer, set mask and counters live in registers for the
+    // whole chunk.
+    uint64_t *const Tags = this->Tags.data();
     [[maybe_unused]] uint16_t *const IB =
-        Attrib ? C.InstalledBy.data() : nullptr;
-    [[maybe_unused]] RefAttribution *const Attr = C.Attr;
-    const uint64_t SetMask = C.SetMask;
-    const uint64_t ShardDiv = C.ShardDiv;
-    const uint32_t ShardShift = C.ShardShift;
-    const bool Hinted = C.Hinted;
-    CacheStats St = C.St;
+        Attrib ? InstalledBy.data() : nullptr;
+    [[maybe_unused]] RefAttribution *const Attr = this->Attr;
+    const uint64_t SetMask = this->SetMask;
+    const bool Hinted = this->Hinted;
+    CacheStats St = this->St;
     for (const TraceEvent *E = Events, *End = Events + Count; E != End;
          ++E) {
       const uint64_t A = E->Addr;
       const bool W = E->IsWrite;
       [[maybe_unused]] const uint16_t Ref = E->RefId;
-      uint64_t Set = A & SetMask;
-      if constexpr (Map == ShardMap::Shift)
-        Set >>= ShardShift;
-      else if constexpr (Map == ShardMap::Div)
-        Set /= ShardDiv;
+      const uint64_t Set = A & SetMask;
       uint64_t *P = Tags + (Set << 1);
       [[maybe_unused]] uint16_t *B = Attrib ? IB + (Set << 1) : nullptr;
       if (__builtin_expect(!(E->Info.Bypass & Hinted), 1)) {
@@ -329,93 +250,7 @@ private:
         }
       }
     }
-    C.St = St;
-  }
-};
-
-/// The general lock-step walk: one policy-generic CacheModel per point,
-/// advanced a chunk at a time (a running event index supplies MIN's
-/// future-knowledge lookups, so batch callers that feed the whole trace
-/// as one chunk see the original indexes).
-///
-/// \p ShardDiv > 1 builds every model in set-shard mode (see
-/// CacheModel); MIN, Random and LivenessBypass points are not
-/// shard-eligible (setShardEligible) and must not appear then.
-class GenericMultiStream {
-  std::vector<SweepPoint> Points;
-  std::vector<CacheModel> Replayers;
-  std::vector<TraceEvent> Stripped; // Per-chunk scratch (hints cleared).
-  bool AnyUnhinted = false;
-  uint64_t RunningIndex = 0;
-
-public:
-  /// \p FullTrace is required when any point uses TracePolicy::MIN.
-  GenericMultiStream(std::vector<SweepPoint> PointsIn,
-                     const std::vector<TraceEvent> *FullTrace,
-                     uint32_t ShardDiv = 1)
-      : Points(std::move(PointsIn)) {
-    // MIN points with the same line size and hint view share one
-    // next-use index.
-    std::map<std::pair<uint32_t, bool>,
-             std::shared_ptr<const std::vector<uint64_t>>>
-        NextUses;
-    Replayers.reserve(Points.size());
-    for (const SweepPoint &P : Points) {
-      AnyUnhinted |= P.IgnoreHints;
-      std::shared_ptr<const std::vector<uint64_t>> Next;
-      if (P.Policy == TracePolicy::MIN) {
-        assert(FullTrace && "MIN points require the materialized trace");
-        auto &Slot = NextUses[{P.Config.LineWords, P.IgnoreHints}];
-        if (!Slot)
-          Slot = P.IgnoreHints ? computeNextLineUsesUnhinted(
-                                     *FullTrace, P.Config.LineWords)
-                               : computeNextLineUses(*FullTrace,
-                                                     P.Config.LineWords);
-        Next = Slot;
-      }
-      Replayers.emplace_back(P.Config, P.Policy, std::move(Next),
-                             ShardDiv);
-    }
-  }
-
-  /// Routes attribution for the point at \p PointIdx into \p A. The
-  /// stripped-hint scratch copies whole events, so RefIds reach
-  /// IgnoreHints replayers too (hinted and stripped compilations number
-  /// their references identically; see MachineProgram::RefTable).
-  void setAttribution(size_t PointIdx, RefAttribution *A) {
-    Replayers[PointIdx].setAttribution(A);
-  }
-
-  void feed(const TraceEvent *Events, size_t Count) {
-    // Configuration-major: each replayer streams the whole chunk before
-    // the next starts, keeping its cache state hot. The replayers are
-    // mutually independent, so the counters equal per-point replayTrace
-    // calls. IgnoreHints points see the chunk with its hint bits
-    // cleared (stripped once per chunk, not per point).
-    const uint64_t Base = RunningIndex;
-    RunningIndex += Count;
-    if (AnyUnhinted) {
-      Stripped.assign(Events, Events + Count);
-      for (TraceEvent &E : Stripped) {
-        E.Info.Bypass = false;
-        E.Info.LastRef = false;
-      }
-    }
-    const size_t N = Points.size();
-    for (size_t P = 0; P != N; ++P) {
-      const TraceEvent *Src =
-          Points[P].IgnoreHints && AnyUnhinted ? Stripped.data() : Events;
-      // One policy dispatch per (point, chunk), not per event.
-      Replayers[P].feed(Src, Count, Base);
-    }
-  }
-
-  std::vector<CacheStats> finish() {
-    std::vector<CacheStats> Out;
-    Out.reserve(Replayers.size());
-    for (TraceReplayer &R : Replayers)
-      Out.push_back(R.finish());
-    return Out;
+    this->St = St;
   }
 };
 

@@ -43,7 +43,7 @@
 // only) give O(log n) depth, topmost-hole and per-size victim queries.
 //
 // Every replay kernel here (the two-way-LRU kernel, the generic
-// lock-step replayer, the stack-distance sweep) is written as a
+// CacheModel, the stack-distance sweep) is written as a
 // chunk-fed stream — construct, feed(events), finish() — and the batch
 // entry points (replayTraceMulti, sweepLRUStackDistance,
 // replaySweepPoints) are one-chunk wrappers, so the streaming pipeline
@@ -59,16 +59,18 @@
 
 #include "ReplayKernels.h"
 
-#include "urcm/sim/ShardedReplay.h"
 #include "urcm/sim/TraceStore.h"
 #include "urcm/sim/TraceStream.h"
+#include "urcm/support/CacheAlign.h"
 #include "urcm/support/Diagnostics.h"
 #include "urcm/support/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <limits>
-#include <unordered_map>
+#include <map>
+#include <type_traits>
+#include <variant>
 
 using namespace urcm;
 
@@ -86,6 +88,12 @@ URCM_STAT(NumSweepBytesFreed, "sweep.trace-bytes-freed",
           "Bytes of materialized trace released after replay");
 URCM_STAT(SweepReplayNs, "sweep.replay-ns",
           "Nanoseconds spent replaying trace chunks (consumer side)");
+URCM_STAT(NumParallelStreams, "sweep.parallel.streams",
+          "Point sets replayed by more than one worker");
+URCM_STAT(NumParallelUnits, "sweep.parallel.units",
+          "Replay units (kernels) in point-parallel streams");
+URCM_STAT(NumParallelWorkers, "sweep.parallel.workers",
+          "Workers used, summed over point-parallel streams");
 URCM_STAT(NumPolicyLRUPoints, "sim.policy.lru",
           "Sweep points answered under the LRU policy");
 URCM_STAT(NumPolicyFIFOPoints, "sim.policy.fifo",
@@ -131,21 +139,38 @@ void countPolicyPoint(CachePolicy Policy) {
 }
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// SweepPointStream: independent replay units, fanned out per chunk.
+//===----------------------------------------------------------------------===//
 
-//===----------------------------------------------------------------------===//
-// SweepPointStream: the dispatching stream over all kernels.
-//===----------------------------------------------------------------------===//
+namespace {
+
+/// One independent replay job: a kernel plus the sweep points it
+/// answers. A stack walk answers every size of one hint view; the other
+/// kernels answer one point each. Padded to its own cache lines because
+/// CacheModel bumps its counters in place: two units sharing a line
+/// would ping-pong it between the workers replaying them.
+struct alignas(DestructiveInterferenceSize) ReplayUnit {
+  std::variant<detail::StackDistanceStream, detail::LRUTwoWayStream,
+               CacheModel>
+      Kernel;
+  std::vector<size_t> PointIdx;
+  /// Feed the hint-stripped copy of each chunk (IgnoreHints CacheModel
+  /// points; the other kernels honour IgnoreHints themselves).
+  bool Stripped = false;
+};
+
+} // namespace
 
 struct SweepPointStream::Impl {
   std::vector<SweepPoint> Points;
-  bool UseStack = false;
-  // Stack mode: one stream per hint view ([0] hinted, [1] stripped).
-  std::unique_ptr<detail::StackDistanceStream> Stack[2];
-  std::vector<size_t> StackIdx[2];
-  // Kernel mode: the specialized two-way kernel plus the generic walk.
-  std::unique_ptr<detail::LRUTwoWayStream> Fast;
-  std::unique_ptr<detail::GenericMultiStream> Slow;
-  std::vector<size_t> FastIdx, SlowIdx;
+  /// Costliest kernels first, so the parallel claim order balances.
+  std::vector<ReplayUnit> Units;
+  uint32_t Workers = 1;
+  ThreadPool *Pool = nullptr;
+  bool AnyStripped = false;
+  std::vector<TraceEvent> Stripped; // Per-chunk scratch (hints cleared).
+  uint64_t RunningIndex = 0;        // Trace position of the next chunk.
   /// Per-point attribution tables, parallel to Points (default-empty
   /// rows for points that did not request attribution); the kernels
   /// accumulate into these in place and takeAttribution moves them out.
@@ -160,112 +185,156 @@ bool SweepPointStream::streamable(const std::vector<SweepPoint> &Points) {
 
 SweepPointStream::SweepPointStream(
     std::vector<SweepPoint> Points,
-    const std::vector<TraceEvent> *FullTrace, bool AllowStackFastPath)
+    const std::vector<TraceEvent> *FullTrace, bool AllowStackFastPath,
+    uint32_t Workers, ThreadPool *Pool)
     : P(std::make_unique<Impl>()) {
+  assert(Workers >= 1 && "pass resolveReplayWorkers' result");
   P->Points = std::move(Points);
+  P->Workers = Workers;
+  if (Workers > 1)
+    P->Pool = Pool ? Pool : &ThreadPool::global();
   const std::vector<SweepPoint> &Pts = P->Points;
   P->Attrib.resize(Pts.size());
+  std::vector<ReplayUnit> &Units = P->Units;
   // Attribution pins a point to the per-event kernels: the positional
   // stack walk shares state across all sizes and cannot charge events
   // to references, so one attributing point demotes the whole batch.
-  P->UseStack =
+  const bool UseStack =
       AllowStackFastPath && !Pts.empty() &&
       std::all_of(Pts.begin(), Pts.end(), stackDistanceEligible) &&
       std::none_of(Pts.begin(), Pts.end(), [](const SweepPoint &Pt) {
         return Pt.wantsAttribution();
       });
-  if (P->UseStack) {
+  if (UseStack) {
     // One stack walk per hint view (the walk itself covers all sizes).
-    for (size_t I = 0; I != Pts.size(); ++I)
-      P->StackIdx[Pts[I].IgnoreHints ? 1 : 0].push_back(I);
-    for (int View : {0, 1}) {
-      if (P->StackIdx[View].empty())
-        continue;
+    for (bool IgnoreHints : {false, true}) {
       std::vector<uint32_t> Sizes;
-      Sizes.reserve(P->StackIdx[View].size());
-      for (size_t I : P->StackIdx[View])
-        Sizes.push_back(Pts[I].Config.NumLines);
-      P->Stack[View] = std::make_unique<detail::StackDistanceStream>(
-          std::move(Sizes), View == 1);
+      std::vector<size_t> Idx;
+      for (size_t I = 0; I != Pts.size(); ++I)
+        if (Pts[I].IgnoreHints == IgnoreHints) {
+          Sizes.push_back(Pts[I].Config.NumLines);
+          Idx.push_back(I);
+        }
+      if (!Idx.empty())
+        Units.push_back({detail::StackDistanceStream(std::move(Sizes),
+                                                     IgnoreHints),
+                         std::move(Idx)});
     }
     return;
   }
-  // Partition into the specialized two-way LRU kernel and the general
-  // replayer. The two groups each walk every chunk once; touching a
-  // chunk twice is far cheaper than running every point through the
-  // general per-event machinery.
-  std::vector<SweepPoint> Fast, Slow;
+  // One kernel per point: the policy-generic model first (the costlier
+  // kernel), then the specialized two-way LRU kernel. Each requesting
+  // point's table is allocated in Attrib, which was sized above and is
+  // never resized again, so the kernels' table pointers stay valid.
+  auto Attribute = [&](auto &Kernel, size_t I) {
+    if (!Pts[I].wantsAttribution())
+      return;
+    P->Attrib[I] = RefAttribution(Pts[I].AttributionRefs);
+    Kernel.setAttribution(&P->Attrib[I]);
+  };
+  // MIN points with the same line size and hint view share one next-use
+  // index.
+  std::map<std::pair<uint32_t, bool>,
+           std::shared_ptr<const std::vector<uint64_t>>>
+      NextUses;
   for (size_t I = 0; I != Pts.size(); ++I) {
-    if (detail::lruTwoWayEligible(Pts[I])) {
-      P->FastIdx.push_back(I);
-      Fast.push_back(Pts[I]);
-    } else {
-      P->SlowIdx.push_back(I);
-      Slow.push_back(Pts[I]);
+    const SweepPoint &Pt = Pts[I];
+    if (detail::lruTwoWayEligible(Pt))
+      continue;
+    std::shared_ptr<const std::vector<uint64_t>> Next;
+    if (Pt.Policy == TracePolicy::MIN) {
+      assert(FullTrace && "MIN points require the materialized trace");
+      auto &Slot = NextUses[{Pt.Config.LineWords, Pt.IgnoreHints}];
+      if (!Slot)
+        Slot = Pt.IgnoreHints ? detail::computeNextLineUsesUnhinted(
+                                    *FullTrace, Pt.Config.LineWords)
+                              : computeNextLineUses(*FullTrace,
+                                                    Pt.Config.LineWords);
+      Next = Slot;
     }
+    CacheModel Model(Pt.Config, Pt.Policy, std::move(Next));
+    Attribute(Model, I);
+    Units.push_back({std::move(Model), {I}, Pt.IgnoreHints});
+    P->AnyStripped |= Pt.IgnoreHints;
   }
-  if (!Fast.empty())
-    P->Fast = std::make_unique<detail::LRUTwoWayStream>(Fast);
-  if (!Slow.empty())
-    P->Slow =
-        std::make_unique<detail::GenericMultiStream>(std::move(Slow), FullTrace);
-  // Allocate each requesting point's table and hand its kernel a
-  // pointer. Attrib was sized above and is never resized again, so the
-  // element addresses stay valid for the stream's lifetime.
-  for (size_t J = 0; J != P->FastIdx.size(); ++J) {
-    const size_t I = P->FastIdx[J];
-    if (Pts[I].wantsAttribution()) {
-      P->Attrib[I] = RefAttribution(Pts[I].AttributionRefs);
-      P->Fast->setAttribution(J, &P->Attrib[I]);
-    }
-  }
-  for (size_t J = 0; J != P->SlowIdx.size(); ++J) {
-    const size_t I = P->SlowIdx[J];
-    if (Pts[I].wantsAttribution()) {
-      P->Attrib[I] = RefAttribution(Pts[I].AttributionRefs);
-      P->Slow->setAttribution(J, &P->Attrib[I]);
-    }
+  for (size_t I = 0; I != Pts.size(); ++I) {
+    if (!detail::lruTwoWayEligible(Pts[I]))
+      continue;
+    detail::LRUTwoWayStream TwoWay(Pts[I]);
+    Attribute(TwoWay, I);
+    Units.push_back({std::move(TwoWay), {I}});
   }
 }
 
 SweepPointStream::~SweepPointStream() = default;
 
 void SweepPointStream::reserve(uint64_t ExpectedEvents) {
-  for (int View : {0, 1})
-    if (P->Stack[View])
-      P->Stack[View]->reserve(ExpectedEvents);
+  for (ReplayUnit &U : P->Units)
+    if (auto *Stack = std::get_if<detail::StackDistanceStream>(&U.Kernel))
+      Stack->reserve(ExpectedEvents);
 }
 
 void SweepPointStream::feed(const TraceEvent *Events, size_t Count) {
   if (Count == 0)
     return;
-  for (int View : {0, 1})
-    if (P->Stack[View])
-      P->Stack[View]->feed(Events, Count);
-  if (P->Fast)
-    P->Fast->feed(Events, Count);
-  if (P->Slow)
-    P->Slow->feed(Events, Count);
+  Impl &I = *P;
+  // IgnoreHints models see the chunk with its hint bits cleared,
+  // stripped once per chunk (not per point) and shared read-only.
+  if (I.AnyStripped) {
+    I.Stripped.assign(Events, Events + Count);
+    for (TraceEvent &E : I.Stripped) {
+      E.Info.Bypass = false;
+      E.Info.LastRef = false;
+    }
+  }
+  const TraceEvent *const Stripped = I.Stripped.data();
+  const uint64_t Base = I.RunningIndex;
+  I.RunningIndex += Count;
+  auto Replay = [&](ReplayUnit &U) {
+    std::visit(
+        [&](auto &K) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(K)>,
+                                       CacheModel>)
+            K.feed(U.Stripped ? Stripped : Events, Count, Base);
+          else
+            K.feed(Events, Count);
+        },
+        U.Kernel);
+  };
+  const size_t Lanes = std::min<size_t>(I.Workers, I.Units.size());
+  if (Lanes <= 1) {
+    for (ReplayUnit &U : I.Units)
+      Replay(U);
+    return;
+  }
+  // Up to Workers threads claim units until none are left.
+  std::atomic<size_t> Next{0};
+  I.Pool->parallelFor(Lanes, [&](size_t) {
+    for (size_t U; (U = Next.fetch_add(1, std::memory_order_relaxed)) <
+                   I.Units.size();)
+      Replay(I.Units[U]);
+  });
 }
 
 std::vector<CacheStats> SweepPointStream::finish() {
   std::vector<CacheStats> Out(P->Points.size());
-  for (int View : {0, 1}) {
-    if (!P->Stack[View])
-      continue;
-    std::vector<CacheStats> Part = P->Stack[View]->finish();
-    for (size_t I = 0; I != P->StackIdx[View].size(); ++I)
-      Out[P->StackIdx[View][I]] = Part[I];
-  }
-  if (P->Fast) {
-    std::vector<CacheStats> Part = P->Fast->finish();
-    for (size_t I = 0; I != P->FastIdx.size(); ++I)
-      Out[P->FastIdx[I]] = Part[I];
-  }
-  if (P->Slow) {
-    std::vector<CacheStats> Part = P->Slow->finish();
-    for (size_t I = 0; I != P->SlowIdx.size(); ++I)
-      Out[P->SlowIdx[I]] = Part[I];
+  for (ReplayUnit &U : P->Units)
+    std::visit(
+        [&](auto &K) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(K)>,
+                                       detail::StackDistanceStream>) {
+            std::vector<CacheStats> Part = K.finish();
+            for (size_t J = 0; J != U.PointIdx.size(); ++J)
+              Out[U.PointIdx[J]] = Part[J];
+          } else {
+            Out[U.PointIdx.front()] = K.finish();
+          }
+        },
+        U.Kernel);
+  if (P->Pool && P->Units.size() > 1) {
+    NumParallelStreams.add();
+    NumParallelUnits.add(P->Units.size());
+    NumParallelWorkers.add(std::min<size_t>(P->Workers, P->Units.size()));
   }
   return Out;
 }
@@ -306,10 +375,19 @@ urcm::sweepLRUStackDistance(const std::vector<TraceEvent> &Trace,
   return Stream.finish();
 }
 
+uint32_t urcm::resolveReplayWorkers(uint32_t Requested,
+                                   const ThreadPool &Pool) {
+  if (Requested != 0)
+    return Requested;
+  return Pool.size() + 1; // parallelFor's caller participates.
+}
+
 std::vector<CacheStats>
 urcm::replaySweepPoints(const std::vector<TraceEvent> &Trace,
-                        const std::vector<SweepPoint> &Points) {
-  SweepPointStream Stream(Points, &Trace);
+                        const std::vector<SweepPoint> &Points,
+                        uint32_t Workers, ThreadPool *Pool) {
+  SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/true,
+                          Workers, Pool);
   Stream.reserve(Trace.size());
   Stream.feed(Trace.data(), Trace.size());
   return Stream.finish();
@@ -320,9 +398,8 @@ namespace {
 /// Extracts the attribution tables of every requesting point from a
 /// finished stream into \p Attrib (parallel to \p Points; default rows
 /// elsewhere). Shared by the streaming, store-serve and materialized
-/// paths — all three stream types expose the same takeAttribution.
-template <typename StreamT>
-void collectAttribution(StreamT &Stream,
+/// paths.
+void collectAttribution(SweepPointStream &Stream,
                         const std::vector<SweepPoint> &Points,
                         std::vector<RefAttribution> &Attrib) {
   Attrib.assign(Points.size(), RefAttribution());
@@ -331,27 +408,19 @@ void collectAttribution(StreamT &Stream,
       Attrib[R] = Stream.takeAttribution(R);
 }
 
-/// Materialized-trace replay (the Belady MIN path): same batch shape as
-/// replaySweepPoints / replaySweepPointsSharded, plus attribution
-/// extraction for the points that request it.
+/// Materialized-trace replay (the Belady MIN path): replaySweepPoints
+/// plus attribution extraction for the points that request it.
 std::vector<CacheStats>
 replayMaterialized(const std::vector<TraceEvent> &Trace,
-                   const std::vector<SweepPoint> &Points,
-                   uint32_t EffShards, ThreadPool *Pool,
-                   std::vector<RefAttribution> &Attrib) {
-  auto RunStream = [&](auto &Stream) {
-    Stream.reserve(Trace.size());
-    Stream.feed(Trace.data(), Trace.size());
-    std::vector<CacheStats> Out = Stream.finish();
-    collectAttribution(Stream, Points, Attrib);
-    return Out;
-  };
-  if (EffShards > 1) {
-    ShardedSweepStream Stream(Points, EffShards, Pool, &Trace);
-    return RunStream(Stream);
-  }
-  SweepPointStream Stream(Points, &Trace);
-  return RunStream(Stream);
+                   const std::vector<SweepPoint> &Points, uint32_t Workers,
+                   ThreadPool *Pool, std::vector<RefAttribution> &Attrib) {
+  SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/true,
+                          Workers, Pool);
+  Stream.reserve(Trace.size());
+  Stream.feed(Trace.data(), Trace.size());
+  std::vector<CacheStats> Out = Stream.finish();
+  collectAttribution(Stream, Points, Attrib);
+  return Out;
 }
 
 } // namespace
@@ -394,7 +463,7 @@ void SweepEngine::forwardStoreDiags(const DiagnosticEngine &Local) {
 
 bool SweepEngine::serveFromStore(Experiment &E,
                                  const std::vector<SweepPoint> &Rest,
-                                 uint32_t EffShards,
+                                 uint32_t Workers,
                                  uint64_t &TraceEvents,
                                  std::vector<CacheStats> &Replayed,
                                  std::vector<RefAttribution> &ReplayedAttrib) {
@@ -417,7 +486,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
   // configuration. A synthetic point at the base configuration rides
   // the replay set and its counters overwrite the stored ones below.
   telemetry::ScopedPhase Serve("sweep.store-serve",
-                               EffShards > 1 ? "sharded" : "streaming");
+                               Workers > 1 ? "parallel" : "streaming");
   SweepPoint BasePt;
   BasePt.Config = E.Base.Cache;
   BasePt.Policy = E.Base.Cache.Policy;
@@ -427,36 +496,29 @@ bool SweepEngine::serveFromStore(Experiment &E,
   if (SweepPointStream::streamable(Work)) {
     // Same shape as the live streaming path: decode overlaps replay
     // through the recycled-buffer SPSC pipeline, peak memory O(chunk).
-    auto ServeInto = [&](auto &Stream) {
-      Stream.reserve(Reader.eventCount());
-      const bool Metered = telemetry::enabled();
-      uint64_t ReplayNs = 0;
-      Ok = streamStoredTrace(
-          Reader, [&](const TraceEvent *Events, size_t Count) {
-            if (!Metered) {
-              Stream.feed(Events, Count);
-              return;
-            }
-            uint64_t T0 = telemetry::nowNanos();
+    SweepPointStream Stream(Work, nullptr, /*AllowStackFastPath=*/true,
+                            Workers, Pool);
+    Stream.reserve(Reader.eventCount());
+    const bool Metered = telemetry::enabled();
+    uint64_t ReplayNs = 0;
+    Ok = streamStoredTrace(
+        Reader, [&](const TraceEvent *Events, size_t Count) {
+          if (!Metered) {
             Stream.feed(Events, Count);
-            ReplayNs += telemetry::nowNanos() - T0;
-          });
-      if (Ok) {
-        uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
-        Replayed = Stream.finish();
-        if (T0)
+            return;
+          }
+          uint64_t T0 = telemetry::nowNanos();
+          Stream.feed(Events, Count);
           ReplayNs += telemetry::nowNanos() - T0;
-        collectAttribution(Stream, Work, ReplayedAttrib);
-      }
-      SweepReplayNs.add(ReplayNs);
-    };
-    if (EffShards > 1) {
-      ShardedSweepStream Stream(Work, EffShards, Pool);
-      ServeInto(Stream);
-    } else {
-      SweepPointStream Stream(Work);
-      ServeInto(Stream);
+        });
+    if (Ok) {
+      uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
+      Replayed = Stream.finish();
+      if (T0)
+        ReplayNs += telemetry::nowNanos() - T0;
+      collectAttribution(Stream, Work, ReplayedAttrib);
     }
+    SweepReplayNs.add(ReplayNs);
   } else {
     // Belady MIN: materialize the decoded trace for its backward
     // next-use pass, exactly as the live path materializes its own.
@@ -466,7 +528,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
       telemetry::ScopedPhase Replay("sweep.replay");
       uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
       Replayed =
-          replayMaterialized(Trace, Work, EffShards, Pool, ReplayedAttrib);
+          replayMaterialized(Trace, Work, Workers, Pool, ReplayedAttrib);
       if (T0)
         SweepReplayNs.add(telemetry::nowNanos() - T0);
       NumSweepBytesFreed.add(Trace.capacity() * sizeof(TraceEvent));
@@ -507,7 +569,7 @@ void SweepEngine::run() {
         Pending.push_back(&E);
   }
 
-  const uint32_t EffShards = resolveShardCount(Shards, *Pool);
+  const uint32_t Workers = resolveReplayWorkers(ReplayWorkers, *Pool);
 
   Pool->parallelFor(Pending.size(), [&](size_t I) {
     Experiment &E = *Pending[I];
@@ -540,7 +602,7 @@ void SweepEngine::run() {
     std::vector<RefAttribution> ReplayedAttrib;
     const bool StoreEnabled = !StoreDir.empty() && E.ContentHash != 0;
     const bool Served =
-        StoreEnabled && serveFromStore(E, Rest, EffShards, TraceEvents,
+        StoreEnabled && serveFromStore(E, Rest, Workers, TraceEvents,
                                        Replayed, ReplayedAttrib);
 
     // On a store miss the live run tees its trace into a writer so the
@@ -576,11 +638,11 @@ void SweepEngine::run() {
       } else {
         // The span covers the whole streamed pipeline (replay overlaps
         // generation on this thread); SweepReplayNs meters the replay
-        // kernels' active time alone. With sharding, feed() is the
-        // cheap demux (overlapping generation) and finish() fans the
-        // replay units out across the pool via nested parallelFor.
+        // kernels' active time alone. With several workers, each chunk's
+        // feed() fans the points out across the pool via nested
+        // parallelFor.
         telemetry::ScopedPhase Replay(
-            "sweep.replay", EffShards > 1 ? "sharded" : "streaming");
+            "sweep.replay", Workers > 1 ? "parallel" : "streaming");
         uint64_t SizeHint = 0;
         {
           std::lock_guard<std::mutex> Lock(M);
@@ -598,42 +660,32 @@ void SweepEngine::run() {
           RecordTap = [&Writer](const TraceEvent *Events, size_t Count) {
             Writer.append(Events, Count);
           };
-        auto StreamInto = [&](auto &Stream) {
-          if (SizeHint)
-            Stream.reserve(SizeHint);
-          const bool Metered = telemetry::enabled();
-          uint64_t ReplayNs = 0;
-          E.Result = streamTrace(
-              Config, E.Run,
-              [&](const TraceEvent *Events, size_t Count) {
-                if (!Metered) {
-                  Stream.feed(Events, Count);
-                  return;
-                }
-                uint64_t T0 = telemetry::nowNanos();
+        SweepPointStream Stream(Rest, nullptr, /*AllowStackFastPath=*/true,
+                                Workers, Pool);
+        if (SizeHint)
+          Stream.reserve(SizeHint);
+        const bool Metered = telemetry::enabled();
+        uint64_t ReplayNs = 0;
+        E.Result = streamTrace(
+            Config, E.Run,
+            [&](const TraceEvent *Events, size_t Count) {
+              if (!Metered) {
                 Stream.feed(Events, Count);
-                ReplayNs += telemetry::nowNanos() - T0;
-              },
-              /*QueueDepth=*/4, &TraceEvents, RecordTap);
-          if (E.Result.ok()) {
-            if (Metered) {
+                return;
+              }
               uint64_t T0 = telemetry::nowNanos();
-              Replayed = Stream.finish();
+              Stream.feed(Events, Count);
               ReplayNs += telemetry::nowNanos() - T0;
-            } else {
-              Replayed = Stream.finish();
-            }
-            collectAttribution(Stream, Rest, ReplayedAttrib);
-          }
-          SweepReplayNs.add(ReplayNs);
-        };
-        if (EffShards > 1) {
-          ShardedSweepStream Stream(Rest, EffShards, Pool);
-          StreamInto(Stream);
-        } else {
-          SweepPointStream Stream(Rest);
-          StreamInto(Stream);
+            },
+            /*QueueDepth=*/4, &TraceEvents, RecordTap);
+        if (E.Result.ok()) {
+          uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
+          Replayed = Stream.finish();
+          if (T0)
+            ReplayNs += telemetry::nowNanos() - T0;
+          collectAttribution(Stream, Rest, ReplayedAttrib);
         }
+        SweepReplayNs.add(ReplayNs);
       }
     } else {
       // Belady MIN needs the whole trace (backward next-use pass):
@@ -653,7 +705,7 @@ void SweepEngine::run() {
         if (!Rest.empty()) {
           telemetry::ScopedPhase Replay("sweep.replay");
           uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
-          Replayed = replayMaterialized(E.Result.Trace, Rest, EffShards,
+          Replayed = replayMaterialized(E.Result.Trace, Rest, Workers,
                                         Pool, ReplayedAttrib);
           if (T0)
             SweepReplayNs.add(telemetry::nowNanos() - T0);

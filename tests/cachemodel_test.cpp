@@ -8,8 +8,8 @@
 //     Random, TreePLRU, SRRIP) the model's counters are bit-identical
 //     to driving a DataCache with the same geometry over the same
 //     reference stream, hints included;
-//  2. mode agreement — for every policy, sequential replay, set-sharded
-//     replay at several shard counts, and warm trace-store serving all
+//  2. mode agreement — for every policy, sequential replay, parallel
+//     replay at several worker counts, and warm trace-store serving all
 //     produce bit-identical CacheStats and attribution tables, over all
 //     six paper benchmarks and adversarial fuzz traces;
 //  3. policy properties — the TreePLRU tree bits never victimize the
@@ -27,7 +27,6 @@
 #include "urcm/sim/CacheModel.h"
 
 #include "urcm/driver/Driver.h"
-#include "urcm/sim/ShardedReplay.h"
 #include "urcm/sim/SweepEngine.h"
 #include "urcm/sim/TraceStore.h"
 #include "urcm/support/RNG.h"
@@ -288,7 +287,7 @@ TEST(CacheModelLive, MatchesDataCacheForEveryLivePolicy) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mode agreement: sequential == sharded == warm store, per policy.
+// Mode agreement: sequential == parallel == warm store, per policy.
 //===----------------------------------------------------------------------===//
 
 TEST(CacheModelModes, SixBenchmarksPolicyGridShardBitIdentical) {
@@ -298,13 +297,13 @@ TEST(CacheModelModes, SixBenchmarksPolicyGridShardBitIdentical) {
     const std::vector<TraceEvent> Trace = tracedWorkloadRun(W);
     const std::vector<CacheStats> Sequential =
         replaySweepPoints(Trace, Points);
-    for (uint32_t Shards : {1u, 7u, 64u}) {
-      const std::vector<CacheStats> Sharded =
-          replaySweepPointsSharded(Trace, Points, Shards, &Pool);
-      ASSERT_EQ(Sharded.size(), Sequential.size());
+    for (uint32_t Workers : {2u, 7u}) {
+      const std::vector<CacheStats> Parallel =
+          replaySweepPoints(Trace, Points, Workers, &Pool);
+      ASSERT_EQ(Parallel.size(), Sequential.size());
       for (size_t I = 0; I != Points.size(); ++I)
-        EXPECT_EQ(Sharded[I], Sequential[I])
-            << W.Name << ": shards=" << Shards << " policy="
+        EXPECT_EQ(Parallel[I], Sequential[I])
+            << W.Name << ": workers=" << Workers << " policy="
             << cachePolicyName(Points[I].Policy) << " point " << I;
     }
   }
@@ -317,12 +316,12 @@ TEST(CacheModelModes, FuzzedTracesPolicyGridShardBitIdentical) {
     const std::vector<TraceEvent> Trace = hintedTrace(Seed, 30000, 700);
     const std::vector<CacheStats> Sequential =
         replaySweepPoints(Trace, Points);
-    for (uint32_t Shards : {2u, 7u}) {
-      const std::vector<CacheStats> Sharded =
-          replaySweepPointsSharded(Trace, Points, Shards, &Pool);
+    for (uint32_t Workers : {2u, 7u}) {
+      const std::vector<CacheStats> Parallel =
+          replaySweepPoints(Trace, Points, Workers, &Pool);
       for (size_t I = 0; I != Points.size(); ++I)
-        EXPECT_EQ(Sharded[I], Sequential[I])
-            << "seed " << Seed << ": shards=" << Shards << " policy="
+        EXPECT_EQ(Parallel[I], Sequential[I])
+            << "seed " << Seed << ": workers=" << Workers << " policy="
             << cachePolicyName(Points[I].Policy) << " point " << I;
     }
   }
@@ -353,13 +352,19 @@ TEST(CacheModelModes, AttributionTablesMatchAcrossModes) {
     EXPECT_EQ(Seq.finish()[0], OracleStats) << cachePolicyName(P);
     EXPECT_EQ(Seq.takeAttribution(0), Oracle) << cachePolicyName(P);
 
-    for (uint32_t Shards : {2u, 7u}) {
-      ShardedSweepStream Sharded(Points, Shards, &Pool, &Trace);
-      Sharded.feed(Trace.data(), Trace.size());
-      EXPECT_EQ(Sharded.finish()[0], OracleStats)
-          << cachePolicyName(P) << " shards " << Shards;
-      EXPECT_EQ(Sharded.takeAttribution(0), Oracle)
-          << cachePolicyName(P) << " shards " << Shards;
+    // Attributing alongside a second point, so the parallel stream
+    // has two units to spread.
+    std::vector<SweepPoint> Pair = Points;
+    Pair.push_back({config(32, 4), P, true});
+    Pair.back().Config.Policy = P;
+    for (uint32_t Workers : {2u, 7u}) {
+      SweepPointStream Parallel(Pair, &Trace, /*AllowStackFastPath=*/true,
+                                Workers, &Pool);
+      Parallel.feed(Trace.data(), Trace.size());
+      EXPECT_EQ(Parallel.finish()[0], OracleStats)
+          << cachePolicyName(P) << " workers " << Workers;
+      EXPECT_EQ(Parallel.takeAttribution(0), Oracle)
+          << cachePolicyName(P) << " workers " << Workers;
     }
   }
 }
@@ -485,17 +490,17 @@ TEST(CacheModelStore, WarmPolicyGridMatchesColdAndPlain) {
   Cold.run();
   EXPECT_FALSE(ColdDiags.hasErrors()) << ColdDiags.str();
 
-  for (uint32_t Shards : {1u, 7u, 0u}) {
+  for (uint32_t Workers : {1u, 7u, 0u}) {
     DiagnosticEngine WarmDiags;
     SweepEngine Warm;
-    Warm.setShards(Shards);
+    Warm.setReplayWorkers(Workers);
     Warm.setTraceStore(Dir.str(), &WarmDiags);
     Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
     Warm.run();
     EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
     for (size_t I = 0; I != Points.size(); ++I) {
       EXPECT_EQ(Warm.point("exp", I), Plain.point("exp", I))
-          << "warm shards=" << Shards << " policy="
+          << "warm workers=" << Workers << " policy="
           << cachePolicyName(Points[I].Policy) << " point " << I;
       EXPECT_EQ(Cold.point("exp", I), Plain.point("exp", I))
           << "cold policy=" << cachePolicyName(Points[I].Policy)

@@ -4,10 +4,10 @@
 //
 // The attribution profiler's contract, pinned here:
 //
-//  1. merge invariant — per-RefId tables from sharded replay merged
-//     with operator+= reproduce the sequential tables bit for bit, for
-//     every shard count, on all six paper benchmarks and on synthetic
-//     traces covering every kernel family;
+//  1. worker invariance — per-RefId tables from parallel replay
+//     reproduce the sequential tables bit for bit, for every worker
+//     count, on all six paper benchmarks and on synthetic traces
+//     covering every kernel family;
 //  2. serving invariance — the engine produces bit-identical tables
 //     with no store, a cold store, and a warm store (where the trace is
 //     decoded from disk and the Simulator never runs);
@@ -25,7 +25,6 @@
 #include "urcm/sim/RefProfile.h"
 
 #include "urcm/driver/Driver.h"
-#include "urcm/sim/ShardedReplay.h"
 #include "urcm/sim/SweepEngine.h"
 #include "urcm/sim/TraceStore.h"
 #include "urcm/support/RNG.h"
@@ -98,10 +97,9 @@ std::vector<TraceEvent> numberedTrace(uint64_t Seed, size_t N,
 
 /// Every kernel family, all requesting attribution over \p NumRefs:
 /// the two-way fast kernel, the generic replayer (4-way, FIFO,
-/// write-through, multi-word lines), fully-associative LRU (the
-/// capacity-shard family, which attribution reroutes to per-event
-/// replay), Random and Belady MIN (sequential leftover units), hinted
-/// and hint-stripped views.
+/// write-through, multi-word lines), fully-associative LRU (which
+/// attribution reroutes from the stack walk to per-event replay),
+/// Random and Belady MIN, hinted and hint-stripped views.
 std::vector<SweepPoint> attributingPoints(uint32_t NumRefs) {
   std::vector<SweepPoint> Points = {
       {config(128, 2), TracePolicy::LRU, false},
@@ -127,22 +125,11 @@ struct StreamRun {
   std::vector<RefAttribution> Attrib;
 };
 
-StreamRun runSequential(const std::vector<TraceEvent> &Trace,
-                        const std::vector<SweepPoint> &Points) {
-  SweepPointStream Stream(Points, &Trace);
-  Stream.reserve(Trace.size());
-  Stream.feed(Trace.data(), Trace.size());
-  StreamRun R;
-  R.Stats = Stream.finish();
-  for (size_t I = 0; I != Points.size(); ++I)
-    R.Attrib.push_back(Stream.takeAttribution(I));
-  return R;
-}
-
-StreamRun runSharded(const std::vector<TraceEvent> &Trace,
-                     const std::vector<SweepPoint> &Points,
-                     uint32_t Shards, ThreadPool &Pool) {
-  ShardedSweepStream Stream(Points, Shards, &Pool, &Trace);
+StreamRun runStream(const std::vector<TraceEvent> &Trace,
+                    const std::vector<SweepPoint> &Points,
+                    uint32_t Workers = 1, ThreadPool *Pool = nullptr) {
+  SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/true,
+                          Workers, Pool);
   Stream.reserve(Trace.size());
   Stream.feed(Trace.data(), Trace.size());
   StreamRun R;
@@ -173,15 +160,15 @@ TEST(RefAttribution, ShardedTablesBitIdenticalToSequential) {
   for (uint64_t Seed : {3u, 17u, 99u}) {
     const std::vector<TraceEvent> Trace =
         numberedTrace(Seed, 30000, NumRefs);
-    const StreamRun Sequential = runSequential(Trace, Points);
-    for (uint32_t Shards : {1u, 2u, 7u, 64u}) {
-      const StreamRun Sharded = runSharded(Trace, Points, Shards, Pool);
-      ASSERT_EQ(Sharded.Attrib.size(), Sequential.Attrib.size());
+    const StreamRun Sequential = runStream(Trace, Points);
+    for (uint32_t Workers : {2u, 7u, 64u}) {
+      const StreamRun Parallel = runStream(Trace, Points, Workers, &Pool);
+      ASSERT_EQ(Parallel.Attrib.size(), Sequential.Attrib.size());
       for (size_t I = 0; I != Points.size(); ++I) {
-        EXPECT_EQ(Sharded.Stats[I], Sequential.Stats[I])
-            << "seed " << Seed << " shards " << Shards << " point " << I;
-        EXPECT_EQ(Sharded.Attrib[I], Sequential.Attrib[I])
-            << "seed " << Seed << " shards " << Shards << " point " << I;
+        EXPECT_EQ(Parallel.Stats[I], Sequential.Stats[I])
+            << "seed " << Seed << " workers " << Workers << " point " << I;
+        EXPECT_EQ(Parallel.Attrib[I], Sequential.Attrib[I])
+            << "seed " << Seed << " workers " << Workers << " point " << I;
       }
     }
   }
@@ -191,7 +178,7 @@ TEST(RefAttribution, RowsSumToAggregateStats) {
   constexpr uint16_t NumRefs = 23;
   const std::vector<TraceEvent> Trace = numberedTrace(7, 40000, NumRefs);
   const std::vector<SweepPoint> Points = attributingPoints(NumRefs);
-  const StreamRun R = runSequential(Trace, Points);
+  const StreamRun R = runStream(Trace, Points);
   for (size_t I = 0; I != Points.size(); ++I) {
     const CacheStats &S = R.Stats[I];
     const RefAttribution &A = R.Attrib[I];
@@ -226,7 +213,7 @@ TEST(RefAttribution, UnnumberedEventsLandInOverflowRow) {
   std::vector<SweepPoint> Points = {
       {config(128, 2), TracePolicy::LRU, false}};
   Points[0].AttributionRefs = 11;
-  const StreamRun R = runSequential(Trace, Points);
+  const StreamRun R = runStream(Trace, Points);
   const RefAttribution &A = R.Attrib[0];
   for (uint32_t I = 0; I != A.numRefs(); ++I)
     EXPECT_EQ(A.row(I), RefCounters()) << "row " << I;
@@ -241,7 +228,7 @@ TEST(RefAttribution, UnnumberedEventsLandInOverflowRow) {
 
 //===----------------------------------------------------------------------===//
 // The acceptance grid: six paper benchmarks, engine-served attribution,
-// shards {1, 7, auto} x {no store, cold, warm}, bit-identical — and
+// workers {1, 7, auto} x {no store, cold, warm}, bit-identical — and
 // equal to the live DataCache's table for the same geometry.
 //===----------------------------------------------------------------------===//
 
@@ -260,10 +247,10 @@ std::shared_ptr<MachineProgram> compileEraUnified(const Workload &W) {
 /// One engine run; \p StoreDir empty disables the store.
 std::vector<RefAttribution>
 engineAttribution(std::shared_ptr<MachineProgram> Prog,
-                  const std::vector<SweepPoint> &Points, uint32_t Shards,
+                  const std::vector<SweepPoint> &Points, uint32_t Workers,
                   const std::string &StoreDir, ThreadPool &Pool) {
   SweepEngine Engine(&Pool);
-  Engine.setShards(Shards);
+  Engine.setReplayWorkers(Workers);
   DiagnosticEngine Diags;
   if (!StoreDir.empty())
     Engine.setTraceStore(StoreDir, &Diags);
@@ -320,18 +307,18 @@ TEST(RefAttribution, SixBenchmarksAcrossShardsAndStoreModes) {
         EXPECT_EQ(Got[I], Oracle[I])
             << W.Name << " " << Label << " point " << I;
     };
-    // No store, sharded.
+    // No store, parallel.
     expectMatch(engineAttribution(Prog, Points, 7, "", Pool),
-                "no-store/shards=7");
+                "no-store/workers=7");
     // Cold store (records), sequential.
     expectMatch(engineAttribution(Prog, Points, 1, Dir.str(), Pool),
-                "cold/shards=1");
-    // Warm store (trace decoded from disk, no Simulator), sharded and
-    // auto-sharded.
+                "cold/workers=1");
+    // Warm store (trace decoded from disk, no Simulator), parallel and
+    // auto.
     expectMatch(engineAttribution(Prog, Points, 7, Dir.str(), Pool),
-                "warm/shards=7");
+                "warm/workers=7");
     expectMatch(engineAttribution(Prog, Points, 0, Dir.str(), Pool),
-                "warm/shards=auto");
+                "warm/workers=auto");
   }
 }
 

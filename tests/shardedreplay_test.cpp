@@ -1,14 +1,16 @@
-//===- shardedreplay_test.cpp - Sharded-replay bit-identity tests --------------===//
+//===- shardedreplay_test.cpp - Parallel-replay bit-identity tests -------------===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
-// The sharded replay engine's contract is the merge invariant: set
-// shards (and capacity shards, and the sequential leftover unit)
-// replayed independently and merged must reproduce the sequential
-// replay counters bit for bit, for every shard count — including ones
-// that do not divide the set count. These tests pin that against
-// replaySweepPoints for all six paper benchmarks and for adversarial
-// synthetic traces, across shard counts {1, 2, 7, num_sets}.
+// Point-parallel replay's contract: replaying the sweep points on
+// several workers must reproduce the sequential replay counters bit for
+// bit, for every worker count — fewer workers than points, more, and
+// one. These tests pin that against sequential replaySweepPoints for all
+// six paper benchmarks and for adversarial synthetic traces, across
+// worker counts {1, 2, 7, 64}, in batch and chunk-fed form and through
+// the engine. The suite keeps the name of the set-sharded replay it
+// replaced; "shards" survive as the deprecated spelling of workers
+// (urcm/sim/ShardedReplay.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,15 +69,14 @@ std::vector<TraceEvent> strippedCopy(std::vector<TraceEvent> Trace) {
   return Trace;
 }
 
-/// The shard counts the merge invariant is pinned at: sequential,
-/// even, a divisor-hostile prime, and one shard per set of the paper
-/// geometry (128 lines / 2 ways = 64 sets).
-const uint32_t ShardCounts[] = {1, 2, 7, 64};
+/// The worker counts bit-identity is pinned at: sequential, two, a
+/// prime that divides nothing, and more workers than points.
+const uint32_t WorkerCounts[] = {1, 2, 7, 64};
 
-/// A mixed point set exercising every unit family: the two-way fast
-/// kernel, the generic replayer (other associativities, write-through,
-/// FIFO), and both hint views.
-std::vector<SweepPoint> mixedShardablePoints() {
+/// A mixed point set exercising every kernel: the two-way fast kernel,
+/// the generic replayer (other associativities, write-through, FIFO),
+/// and both hint views.
+std::vector<SweepPoint> mixedPoints() {
   std::vector<SweepPoint> Points = {
       {config(128, 2), TracePolicy::LRU, false},
       {config(128, 2), TracePolicy::LRU, true},
@@ -104,36 +105,36 @@ std::vector<TraceEvent> tracedWorkloadRun(const Workload &W) {
   return std::move(R.Trace);
 }
 
-void expectShardedMatchesSequential(const std::vector<TraceEvent> &Trace,
-                                    const std::vector<SweepPoint> &Points,
-                                    ThreadPool &Pool,
-                                    const std::string &Label) {
+void expectParallelMatchesSequential(const std::vector<TraceEvent> &Trace,
+                                     const std::vector<SweepPoint> &Points,
+                                     ThreadPool &Pool,
+                                     const std::string &Label) {
   const std::vector<CacheStats> Sequential =
       replaySweepPoints(Trace, Points);
-  for (uint32_t Shards : ShardCounts) {
-    const std::vector<CacheStats> Sharded =
-        replaySweepPointsSharded(Trace, Points, Shards, &Pool);
-    ASSERT_EQ(Sharded.size(), Sequential.size());
+  for (uint32_t Workers : WorkerCounts) {
+    const std::vector<CacheStats> Parallel =
+        replaySweepPoints(Trace, Points, Workers, &Pool);
+    ASSERT_EQ(Parallel.size(), Sequential.size());
     for (size_t I = 0; I != Points.size(); ++I)
-      EXPECT_EQ(Sharded[I], Sequential[I])
-          << Label << ": shards=" << Shards << " point " << I;
+      EXPECT_EQ(Parallel[I], Sequential[I])
+          << Label << ": workers=" << Workers << " point " << I;
   }
 }
 
 TEST(ShardedReplay, SixBenchmarksBitIdenticalAcrossShardCounts) {
   ThreadPool Pool(4);
-  const std::vector<SweepPoint> Points = mixedShardablePoints();
+  const std::vector<SweepPoint> Points = mixedPoints();
   for (const Workload &W : paperWorkloads()) {
     const std::vector<TraceEvent> Trace = tracedWorkloadRun(W);
-    expectShardedMatchesSequential(Trace, Points, Pool, W.Name);
+    expectParallelMatchesSequential(Trace, Points, Pool, W.Name);
   }
 }
 
 TEST(ShardedReplay, FuzzHintedAndHintStrippedTraces) {
   ThreadPool Pool(4);
-  // Beyond the shardable mix: Random and MIN (sequential leftover
-  // unit) and fully-associative LRU (capacity shards), both views.
-  std::vector<SweepPoint> Points = mixedShardablePoints();
+  // Beyond the mix: Random and MIN (whose state spans every set) and
+  // fully-associative LRU, both views.
+  std::vector<SweepPoint> Points = mixedPoints();
   Points.push_back({config(64, 2), TracePolicy::Random, false});
   Points.push_back({config(64, 2), TracePolicy::MIN, false});
   Points.push_back({config(64, 2), TracePolicy::MIN, true});
@@ -142,28 +143,31 @@ TEST(ShardedReplay, FuzzHintedAndHintStrippedTraces) {
   Points.push_back({config(32, 32), TracePolicy::LRU, true});
   for (uint64_t Seed : {3u, 17u, 99u}) {
     const std::vector<TraceEvent> Hinted = hintedTrace(Seed, 30000, 700);
-    expectShardedMatchesSequential(Hinted, Points, Pool,
-                                   "hinted seed " + std::to_string(Seed));
+    expectParallelMatchesSequential(Hinted, Points, Pool,
+                                    "hinted seed " + std::to_string(Seed));
     // A hint-stripped trace must agree too (and IgnoreHints points
     // then coincide with their hinted twins).
-    expectShardedMatchesSequential(strippedCopy(Hinted), Points, Pool,
-                                   "stripped seed " +
-                                       std::to_string(Seed));
+    expectParallelMatchesSequential(strippedCopy(Hinted), Points, Pool,
+                                    "stripped seed " +
+                                        std::to_string(Seed));
   }
 }
 
 TEST(ShardedReplay, StreamingChunkFeedMatchesBatch) {
   ThreadPool Pool(4);
   // No MIN (streaming-compatible set, as the engine's streaming branch
-  // requires); capacity shards and set shards both present.
-  std::vector<SweepPoint> Points = mixedShardablePoints();
+  // requires); stripped generic points share the per-chunk hint-stripped
+  // copy across workers.
+  std::vector<SweepPoint> Points = mixedPoints();
   Points.push_back({config(8, 8), TracePolicy::LRU, false});
   Points.push_back({config(64, 2), TracePolicy::Random, false});
+  Points.push_back({config(64, 2), TracePolicy::LivenessBypass, true});
   const std::vector<TraceEvent> Trace = hintedTrace(21, 50000, 900);
   const std::vector<CacheStats> Sequential =
       replaySweepPoints(Trace, Points);
-  for (uint32_t Shards : {2u, 7u}) {
-    ShardedSweepStream Stream(Points, Shards, &Pool);
+  for (uint32_t Workers : {2u, 7u}) {
+    SweepPointStream Stream(Points, nullptr, /*AllowStackFastPath=*/true,
+                            Workers, &Pool);
     Stream.reserve(Trace.size());
     size_t Offset = 0;
     for (size_t ChunkSize : {1ul, 97ul, 4096ul, 29999ul, 30000ul,
@@ -173,46 +177,49 @@ TEST(ShardedReplay, StreamingChunkFeedMatchesBatch) {
       Offset += Count;
     }
     ASSERT_EQ(Offset, Trace.size());
-    const std::vector<CacheStats> Sharded = Stream.finish();
+    const std::vector<CacheStats> Parallel = Stream.finish();
     for (size_t I = 0; I != Points.size(); ++I)
-      EXPECT_EQ(Sharded[I], Sequential[I])
-          << "shards=" << Shards << " point " << I;
+      EXPECT_EQ(Parallel[I], Sequential[I])
+          << "workers=" << Workers << " point " << I;
   }
 }
 
-TEST(ShardedReplay, CapacityShardsMatchStackSweep) {
+TEST(ShardedReplay, StackWalkViewsMatchStackSweep) {
   const std::vector<TraceEvent> Trace = hintedTrace(5, 25000, 500);
   const std::vector<uint32_t> Sizes = {2, 4, 8, 16, 64, 256, 1024};
   ThreadPool Pool(4);
+  // Both hint views in one point set: the two stack walks replay on
+  // different workers.
+  std::vector<SweepPoint> Points;
+  for (bool IgnoreHints : {false, true})
+    for (uint32_t S : Sizes)
+      Points.push_back({config(S, S), TracePolicy::LRU, IgnoreHints});
+  const std::vector<CacheStats> Got =
+      replaySweepPoints(Trace, Points, 3, &Pool);
   for (bool IgnoreHints : {false, true}) {
     const std::vector<CacheStats> Expect =
         sweepLRUStackDistance(Trace, Sizes, IgnoreHints);
-    std::vector<SweepPoint> Points;
-    for (uint32_t S : Sizes)
-      Points.push_back({config(S, S), TracePolicy::LRU, IgnoreHints});
-    const std::vector<CacheStats> Got =
-        replaySweepPointsSharded(Trace, Points, 3, &Pool);
     for (size_t I = 0; I != Sizes.size(); ++I)
-      EXPECT_EQ(Got[I], Expect[I])
+      EXPECT_EQ(Got[(IgnoreHints ? Sizes.size() : 0) + I], Expect[I])
           << "ignoreHints=" << IgnoreHints << " size " << Sizes[I];
   }
 }
 
-/// The engine-level integration: a sharded engine (streaming branch and
+/// The engine-level integration: a parallel engine (streaming branch and
 /// the materialized MIN branch both) returns the same point stats and
-/// base results as the sequential oracle, for every shard policy.
+/// base results as the sequential oracle, for every worker request.
 TEST(ShardedReplay, EngineShardsBitIdenticalToSequentialOracle) {
   const Workload *W = findWorkload("Queen");
   ASSERT_NE(W, nullptr);
-  std::vector<SweepPoint> Streamable = mixedShardablePoints();
-  std::vector<SweepPoint> WithMin = mixedShardablePoints();
+  std::vector<SweepPoint> Streamable = mixedPoints();
+  std::vector<SweepPoint> WithMin = mixedPoints();
   WithMin.push_back({config(128, 2), TracePolicy::MIN, false});
 
-  auto runEngine = [&](uint32_t ShardRequest,
+  auto runEngine = [&](uint32_t WorkerRequest,
                        const std::vector<SweepPoint> &Points) {
     ThreadPool Pool(4);
     SweepEngine Engine(&Pool);
-    Engine.setShards(ShardRequest);
+    Engine.setReplayWorkers(WorkerRequest);
     SimConfig Base;
     Base.Cache = config(128, 2);
     Engine.schedule("exp", "grp", Base, Points,
@@ -238,20 +245,26 @@ TEST(ShardedReplay, EngineShardsBitIdenticalToSequentialOracle) {
   for (const std::vector<SweepPoint> &Points : {Streamable, WithMin}) {
     const std::vector<CacheStats> Oracle = runEngine(1, Points);
     for (uint32_t Request : {0u, 4u, 7u}) {
-      const std::vector<CacheStats> Sharded = runEngine(Request, Points);
-      ASSERT_EQ(Sharded.size(), Oracle.size());
+      const std::vector<CacheStats> Parallel = runEngine(Request, Points);
+      ASSERT_EQ(Parallel.size(), Oracle.size());
       for (size_t I = 0; I != Oracle.size(); ++I)
-        EXPECT_EQ(Sharded[I], Oracle[I])
-            << "shards=" << Request << " point " << I;
+        EXPECT_EQ(Parallel[I], Oracle[I])
+            << "workers=" << Request << " point " << I;
     }
   }
 }
 
 TEST(ShardedReplay, ResolveShardCount) {
   ThreadPool Pool(3);
-  EXPECT_EQ(resolveShardCount(0, Pool), 4u); // Workers + the caller.
-  EXPECT_EQ(resolveShardCount(1, Pool), 1u);
-  EXPECT_EQ(resolveShardCount(9, Pool), 9u);
+  EXPECT_EQ(resolveReplayWorkers(0, Pool), 4u); // Threads + the caller.
+  EXPECT_EQ(resolveReplayWorkers(1, Pool), 1u);
+  EXPECT_EQ(resolveReplayWorkers(9, Pool), 9u);
+  // The deprecated spellings forward unchanged.
+  EXPECT_EQ(resolveShardCount(0, Pool), 4u);
+  const std::vector<TraceEvent> Trace = hintedTrace(8, 4000, 300);
+  const std::vector<SweepPoint> Points = mixedPoints();
+  EXPECT_EQ(replaySweepPointsSharded(Trace, Points, 3, &Pool),
+            replaySweepPoints(Trace, Points));
 }
 
 } // namespace

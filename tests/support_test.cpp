@@ -203,7 +203,7 @@ TEST(ThreadPool, ParallelForGrainSerialPathPropagates) {
 }
 
 TEST(ThreadPool, NestedParallelForCompletes) {
-  // Sharded replay fans out inside an experiment that is itself a
+  // Parallel replay fans out inside an experiment that is itself a
   // parallelFor index: the inner call drains its own index space on the
   // caller plus any free workers, so nesting must not deadlock.
   ThreadPool Pool(2);

@@ -7,7 +7,7 @@
 //  1. fidelity — encode→decode is bit-identical for any trace (fuzzed
 //     hint bits, odd chunk sizes, adversarial address patterns), and a
 //     sweep served warm from the store produces counters bit-identical
-//     to the cold live run, for every shard count;
+//     to the cold live run, for every replay worker count;
 //  2. robustness — corrupt, truncated, stale or foreign files are
 //     rejected with a clean diagnostic (never an assert or a crash) and
 //     the engine falls back to live simulation automatically;
@@ -485,24 +485,24 @@ TEST(TraceStoreEngine, WarmMatchesColdAcrossShardCounts) {
   ASSERT_TRUE(Cold.base("exp").ok());
   ASSERT_TRUE(std::filesystem::exists(traceStorePath(Dir.str(), Hash)));
 
-  // Warm, across shard counts {1, 7, auto}: the producer is never
+  // Warm, across worker counts {1, 7, auto}: the producer is never
   // invoked again and every counter is bit-identical to cold.
-  for (uint32_t Shards : {1u, 7u, 0u}) {
+  for (uint32_t Workers : {1u, 7u, 0u}) {
     DiagnosticEngine WarmDiags;
     SweepEngine Warm;
-    Warm.setShards(Shards);
+    Warm.setReplayWorkers(Workers);
     Warm.setTraceStore(Dir.str(), &WarmDiags);
     Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
     Warm.run();
-    EXPECT_EQ(Queen.Calls->load(), 1) << "shards " << Shards;
+    EXPECT_EQ(Queen.Calls->load(), 1) << "workers " << Workers;
     EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
     const SimResult &CB = Cold.base("exp"), &WB = Warm.base("exp");
-    EXPECT_EQ(WB.Steps, CB.Steps) << "shards " << Shards;
-    EXPECT_EQ(WB.Output, CB.Output) << "shards " << Shards;
-    EXPECT_EQ(WB.Cache, CB.Cache) << "shards " << Shards;
+    EXPECT_EQ(WB.Steps, CB.Steps) << "workers " << Workers;
+    EXPECT_EQ(WB.Output, CB.Output) << "workers " << Workers;
+    EXPECT_EQ(WB.Cache, CB.Cache) << "workers " << Workers;
     for (size_t P = 0; P != Points.size(); ++P)
       EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P))
-          << "shards " << Shards << " point " << P;
+          << "workers " << Workers << " point " << P;
   }
 }
 
@@ -580,11 +580,12 @@ TEST(TraceStoreEngine, FallsBackToLiveOnCorruptFile) {
     EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
 }
 
-/// Regression for the observability contract: a warm, auto-sharded run
-/// must still light up the sim.store.* counters (hits, bytes read) and
-/// the sim.shard.* counters (replays, units) — a refactor that serves
-/// the store without metering, or shards without counting, silently
-/// blinds the benches and the metrics time series.
+/// Regression for the observability contract: a warm run with automatic
+/// replay workers must still light up the sim.store.* counters (hits,
+/// bytes read) and the sweep.parallel.* counters (streams, units,
+/// workers) — a refactor that serves the store without metering, or
+/// replays in parallel without counting, silently blinds the benches
+/// and the metrics time series.
 TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   struct Guard {
     Guard() {
@@ -621,11 +622,11 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   EXPECT_GT(counter("sim.store.bytes-written"), 0u);
 
   telemetry::reset();
-  // An explicit pool: --shards=auto resolves to the pool width, which
-  // must exceed 1 for set sharding to engage even on a 1-core host.
+  // An explicit pool: auto resolves to the pool width, which must
+  // exceed 1 for parallel replay to engage even on a 1-core host.
   ThreadPool Pool(4);
   SweepEngine Warm(&Pool);
-  Warm.setShards(0); // auto
+  Warm.setReplayWorkers(0); // auto
   Warm.setTraceStore(Dir.str());
   Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
   Warm.run();
@@ -635,9 +636,9 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   EXPECT_GT(counter("sim.store.hits"), 0u);
   EXPECT_GT(counter("sim.store.bytes-read"), 0u);
   EXPECT_EQ(counter("sim.store.misses"), 0u);
-  EXPECT_GT(counter("sim.shard.replays"), 0u);
-  EXPECT_GT(counter("sim.shard.units"), 0u);
-  EXPECT_GT(counter("sim.shard.shards"), 0u);
+  EXPECT_GT(counter("sweep.parallel.streams"), 0u);
+  EXPECT_GT(counter("sweep.parallel.units"), 0u);
+  EXPECT_GT(counter("sweep.parallel.workers"), 0u);
 }
 
 TEST(TraceStoreEngine, ZeroHashOptsOut) {

@@ -20,7 +20,6 @@
 
 #include "urcm/driver/Driver.h"
 #include "urcm/sim/RefProfile.h"
-#include "urcm/sim/ShardedReplay.h"
 #include "urcm/sim/SweepEngine.h"
 #include "urcm/sim/TraceStore.h"
 #include "urcm/support/Telemetry.h"
@@ -214,8 +213,9 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 /// conventional counters replay it with the hints stripped) plus the
 /// era-baseline and complete-unified system runs. Counters are
 /// bit-identical to running each scheme live (tests/sweepengine_test),
-/// \p Shards spreads each replay across the pool without changing a
-/// single bit (tests/shardedreplay_test), and \p StoreDir serves every
+/// \p ReplayWorkers spreads each replay's points across the pool
+/// without changing a single bit (tests/shardedreplay_test), and
+/// \p StoreDir serves every
 /// experiment from persisted traces when warm (byte-identical output,
 /// asserted by scripts/check.sh --store).
 ///
@@ -223,8 +223,8 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 /// every workload additionally accumulates per-reference attribution,
 /// and one profile JSON per workload (docs/profile_schema.json) lands
 /// at `<ProfileDir>/<workload>.json` — served by the same replay that
-/// produces the tables, at any shard count, cold or warm.
-std::vector<WorkloadData> computeAll(uint32_t Shards,
+/// produces the tables, at any worker count, cold or warm.
+std::vector<WorkloadData> computeAll(uint32_t ReplayWorkers,
                                      const std::string &StoreDir,
                                      const std::string &ProfileDir) {
   const std::vector<Workload> &Workloads = paperWorkloads();
@@ -232,7 +232,7 @@ std::vector<WorkloadData> computeAll(uint32_t Shards,
   std::vector<Prepared> Programs = compileAll(Data);
 
   SweepEngine Engine;
-  Engine.setShards(Shards);
+  Engine.setReplayWorkers(ReplayWorkers);
   DiagnosticEngine StoreDiags;
   if (!StoreDir.empty())
     Engine.setTraceStore(StoreDir, &StoreDiags);
@@ -316,14 +316,16 @@ void usage(std::FILE *To) {
   std::fprintf(To,
                "usage: urcm_report [output.md] [--telemetry] "
                "[--telemetry-json=FILE] [--trace-out=FILE]\n"
-               "                   [--shards=N|auto] "
+               "                   [--replay-workers=N|auto] "
                "[--trace-store=DIR]\n"
                "       urcm_report --help | --version\n"
-               "  --shards=N|auto    replay each workload's trace with "
-               "N-way set sharding\n"
-               "                     (auto = thread-pool width; output "
-               "is bit-identical\n"
-               "                     for every value; default 1)\n"
+               "  --replay-workers=N|auto\n"
+               "                     replay each trace's points on up "
+               "to N threads (auto =\n"
+               "                     thread-pool width, the default; "
+               "output is bit-identical\n"
+               "                     for every value; --shards is a "
+               "deprecated alias)\n"
                "  --trace-store=DIR  persist recorded traces under DIR "
                "and serve repeat\n"
                "                     runs from them (skips "
@@ -351,7 +353,7 @@ int main(int argc, char **argv) {
   std::string OutputFile, TraceOut, TelemetryJson, TraceStoreDir;
   std::string ProfileDir, MetricsOut;
   bool TelemetrySummary = false;
-  uint32_t Shards = 1;
+  uint32_t ReplayWorkers = 0;
   uint32_t MetricsIntervalMs = 200;
   for (int A = 1; A != argc; ++A) {
     std::string Arg = argv[A];
@@ -404,22 +406,23 @@ int main(int argc, char **argv) {
                      "error: --trace-store expects a directory\n");
         return 2;
       }
-    } else if (Arg.rfind("--shards=", 0) == 0) {
-      std::string Value = Arg.substr(9);
+    } else if (Arg.rfind("--replay-workers=", 0) == 0 ||
+               Arg.rfind("--shards=", 0) == 0) {
+      std::string Value = Arg.substr(Arg.find('=') + 1);
       if (Value == "auto") {
-        Shards = 0; // Resolved to the pool width by the engine.
+        ReplayWorkers = 0; // Resolved to the pool width by the engine.
       } else {
         char *End = nullptr;
         unsigned long Parsed = std::strtoul(Value.c_str(), &End, 10);
         if (Value.empty() || *End != '\0' || Parsed == 0 ||
             Parsed > 1u << 20) {
           std::fprintf(stderr,
-                       "error: --shards expects a positive count or "
+                       "error: %s expects a positive count or "
                        "'auto', got '%s'\n",
-                       Value.c_str());
+                       Arg.substr(0, Arg.find('=')).c_str(), Value.c_str());
           return 2;
         }
-        Shards = static_cast<uint32_t>(Parsed);
+        ReplayWorkers = static_cast<uint32_t>(Parsed);
       }
     } else if (Arg.rfind("-", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Arg.c_str());
@@ -454,7 +457,7 @@ int main(int argc, char **argv) {
   }
 
   std::vector<WorkloadData> Data =
-      computeAll(Shards, TraceStoreDir, ProfileDir);
+      computeAll(ReplayWorkers, TraceStoreDir, ProfileDir);
 
   line("# URCM reproduction report");
   line("");

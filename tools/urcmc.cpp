@@ -94,8 +94,8 @@ struct CliOptions {
   /// --sweep).
   CachePolicy Policy = CachePolicy::LRU;
   bool PolicySet = false;
-  /// Intra-trace replay sharding for --sweep: 1 sequential, 0 auto.
-  uint32_t Shards = 1;
+  /// Point-parallel replay workers for --sweep: 1 sequential, 0 auto.
+  uint32_t ReplayWorkers = 0;
   /// Persistent trace store directory for --sweep (empty = off).
   std::string TraceStoreDir;
   std::string TraceOut;
@@ -156,10 +156,12 @@ void usage(std::FILE *Out) {
       "of\n"
       "                       the given line counts (hinted and "
       "conventional)\n"
-      "  --shards=N|auto      parallelize each sweep replay N ways "
-      "(auto =\n"
-      "                       thread-pool width; results bit-identical; "
-      "default 1)\n"
+      "  --replay-workers=N|auto  replay the sweep points on up to N "
+      "threads\n"
+      "                       (auto = thread-pool width, the default; "
+      "results\n"
+      "                       bit-identical; --shards is a deprecated "
+      "alias)\n"
       "  --trace-store=DIR    persist recorded traces under DIR and "
       "serve\n"
       "                       repeat sweeps from them (skips "
@@ -314,16 +316,19 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     }
     return !Cli.SweepSizes.empty();
   }
-  if (const char *V = Value("--shards=")) {
-    if (std::strcmp(V, "auto") == 0) {
-      Cli.Shards = 0; // Resolved to the pool width by the engine.
+  const char *Workers = Value("--replay-workers=");
+  if (!Workers)
+    Workers = Value("--shards="); // Deprecated alias.
+  if (Workers) {
+    if (std::strcmp(Workers, "auto") == 0) {
+      Cli.ReplayWorkers = 0; // Resolved to the pool width by the engine.
       return true;
     }
     char *End = nullptr;
-    long N = std::strtol(V, &End, 10);
-    if (End == V || *End != '\0' || N <= 0 || N > (1 << 20))
+    long N = std::strtol(Workers, &End, 10);
+    if (End == Workers || *End != '\0' || N <= 0 || N > (1 << 20))
       return false;
-    Cli.Shards = static_cast<uint32_t>(N);
+    Cli.ReplayWorkers = static_cast<uint32_t>(N);
     return true;
   }
   if (const char *V = Value("--trace-store=")) {
@@ -447,7 +452,7 @@ int runSweep(const CliOptions &Cli, const MachineProgram &Program) {
   }
 
   SweepEngine Engine;
-  Engine.setShards(Cli.Shards);
+  Engine.setReplayWorkers(Cli.ReplayWorkers);
   DiagnosticEngine StoreDiags;
   uint64_t Hash = 0;
   if (!Cli.TraceStoreDir.empty()) {
