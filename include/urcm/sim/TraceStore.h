@@ -13,7 +13,7 @@
 /// urcm_report, the bench binaries and the tests can all serve their
 /// sweeps from one recorded trace.
 ///
-/// ## Container format (version 2, little-endian)
+/// ## Container format (version 3, little-endian)
 ///
 ///   header   : magic "URCMTRC\x01" (8) | version u32 | flags u32 (0) |
 ///              content-hash u64 | nominal chunk events u32 |
@@ -21,7 +21,8 @@
 ///   chunks   : repeated { payload-bytes u32 | event-count u32 |
 ///              crc32(payload) u32 | payload }
 ///   sentinel : u32 0xFFFFFFFF (end of chunks)
-///   summary  : bytes u32 | serialized trace-free SimResult |
+///   summary  : bytes u32 | measured-under policy u8 (0xFF = unknown) |
+///              seed varint | serialized trace-free SimResult |
 ///              crc32(summary) u32
 ///   footer   : total-events u64 | chunk-count u64 |
 ///              end magic "URCMEND\x01" (8)
@@ -40,7 +41,9 @@
 /// numbered in code order, so straight-line runs match — or NoRefId
 /// while the previous event was unnumbered, so hint-free traces cost
 /// nothing); clear, a zigzag varint of the difference from the
-/// prediction follows the address delta. The hint/kind bits are packed
+/// prediction follows the address delta. Version 3 records in the
+/// summary the data-cache replacement policy and seed its cache row was
+/// measured under (see SummaryCachePolicy). The hint/kind bits are packed
 /// separately from the varint stream so both stay byte-aligned and
 /// branch-predictable to decode. Encoded size on the paper benchmarks
 /// runs well under 1/3 of the raw 8-byte-per-event form (asserted by
@@ -55,7 +58,9 @@
 /// back to live simulation. open() validates the *whole* file up front
 /// (magic, version, hash, every chunk CRC, summary CRC, footer counts,
 /// exact end-of-file), so a sweep served from an accepted store cannot
-/// discover corruption halfway through feeding replay consumers.
+/// discover corruption halfway through feeding replay consumers. The
+/// CRC is table-sliced (eight bytes per step), so this walk costs a
+/// small fraction of decoding the same bytes.
 /// Validation failures are reported through DiagnosticEngine — never
 /// asserted — and decode stays bounds-checked even after a successful
 /// open (a file mutated mid-read produces a clean failure, not UB).
@@ -72,7 +77,9 @@
 /// recycled-buffer SPSC pipeline live generation uses
 /// (urcm/sim/TraceStream.h): decode overlaps replay, each decoded chunk
 /// is recycled as soon as its replay consumers finish, and peak memory
-/// stays O(chunk) exactly as on the live streaming path.
+/// stays O(chunk) exactly as on the live streaming path. A summary whose
+/// cache row was measured under the reader's own base configuration
+/// answers that configuration without any decode at all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,6 +93,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,6 +115,21 @@ uint64_t traceContentHash(const MachineProgram &Prog,
 /// The store file path for \p ContentHash under \p Dir:
 /// `<Dir>/<16-hex-digits>.urctrc`.
 std::string traceStorePath(const std::string &Dir, uint64_t ContentHash);
+
+/// The data-cache replacement policy and RNG seed a stored summary's
+/// cache row was measured under. The content hash salts the cache
+/// geometry and write policy but not these two (the trace is the same
+/// under every policy), so a reader needs them to tell whether the row
+/// answers its own base configuration.
+struct SummaryCachePolicy {
+  CachePolicy Policy = CachePolicy::LRU;
+  uint64_t Seed = 0;
+
+  /// True if the row was measured under \p Config's policy and seed.
+  bool measures(const CacheConfig &Config) const {
+    return Policy == Config.Policy && Seed == Config.Seed;
+  }
+};
 
 /// Records one trace into a store directory. Lifecycle: open() creates
 /// the directory (if needed) and a temp file; append() encodes events
@@ -140,8 +163,15 @@ public:
 
   /// Flushes the final chunk, writes the summary (\p Summary's Trace
   /// field is ignored — the chunks are the trace) and footer, and
-  /// atomically renames the temp file into place. Returns false (with a
+  /// atomically renames the temp file into place. \p Measured is the
+  /// data-cache configuration \p Summary's cache row was measured
+  /// under; its policy and seed are recorded so a reader with the same
+  /// base configuration can use the row as is. Returns false (with a
   /// diagnostic) on I/O failure; the temp file is removed either way.
+  bool commit(const SimResult &Summary, const CacheConfig &Measured,
+              DiagnosticEngine &Diags);
+  /// As above for a summary whose cache row was measured under an
+  /// unknown policy: readers never use that row as base counters.
   bool commit(const SimResult &Summary, DiagnosticEngine &Diags);
 
   /// Removes the temp file without publishing (failed or abandoned
@@ -154,6 +184,9 @@ public:
 
 private:
   bool flushChunk(); ///< Encodes and writes Pending; false on I/O error.
+  bool commitSummary(const SimResult &Summary,
+                     const std::optional<SummaryCachePolicy> &Measured,
+                     DiagnosticEngine &Diags);
 
   std::FILE *File = nullptr;
   std::string TempPath;
@@ -214,6 +247,12 @@ public:
   /// The recorded trace-free SimResult. Valid after OpenStatus::Ok.
   const SimResult &summary() const { return Summary; }
 
+  /// The policy and seed summary().Cache was measured under, or nullopt
+  /// if the writer did not record them. Valid after OpenStatus::Ok.
+  const std::optional<SummaryCachePolicy> &summaryCachePolicy() const {
+    return SummaryPolicy;
+  }
+
   /// Total recorded events (footer count). Valid after OpenStatus::Ok.
   uint64_t eventCount() const { return TotalEvents; }
 
@@ -238,6 +277,7 @@ public:
 private:
   std::FILE *File = nullptr;
   SimResult Summary;
+  std::optional<SummaryCachePolicy> SummaryPolicy;
   uint64_t TotalEvents = 0;
   uint64_t ChunkCount = 0;
   long ChunksBegin = 0;
@@ -270,7 +310,8 @@ void encodeChunkPayload(const TraceEvent *Events, size_t Count,
 bool decodeChunkPayload(const uint8_t *Payload, size_t PayloadBytes,
                         size_t Count, std::vector<TraceEvent> &Out);
 
-/// CRC-32 (IEEE 802.3, reflected) of \p Bytes.
+/// CRC-32 (IEEE 802.3, reflected) of \p Bytes, eight bytes per step
+/// (slicing-by-8).
 uint32_t crc32(const uint8_t *Bytes, size_t Count);
 
 } // namespace detail

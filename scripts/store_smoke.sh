@@ -4,7 +4,11 @@
 #   2. replay it warm: byte-identical stdout, and the telemetry must
 #      prove the Simulator never ran (sim.store.hits >= 1, sim.runs == 0,
 #      no sim.run phase, a sweep.store-serve phase);
-#   3. corrupt one payload byte: the next run must report a CRC
+#   3. a plain run (no --sweep) against the same store must match the
+#      live run byte for byte and be answered from the stored summary
+#      alone (sim.store.summary-served >= 1, sim.store.decode-ns == 0,
+#      sim.runs == 0);
+#   4. corrupt one payload byte: the next run must report a CRC
 #      diagnostic, fall back to live simulation with identical output,
 #      and re-record a good file (verified by a final clean warm run).
 #
@@ -49,6 +53,31 @@ if any(p.startswith("sim.run") for p in warm.get("phases", {})):
 if not any(p.startswith("sweep.store-serve") for p in warm.get("phases", {})):
     sys.exit("warm run has no sweep.store-serve phase")
 print("store telemetry OK: cold recorded, warm served without the Simulator")
+PY
+
+# Base-only warm run: the summary recorded by the sweep above was
+# measured under this run's own cache configuration, so it answers the
+# run with no decode and no replay.
+"$URCMC" --workload=Sieve --stats > "$STORE_DIR/base.cold.out"
+"$URCMC" --workload=Sieve --stats --trace-store="$STORE_DIR/cache" \
+  --telemetry-json="$STORE_DIR/base.warm.json" \
+  > "$STORE_DIR/base.warm.out" 2> "$STORE_DIR/base.warm.err"
+cmp "$STORE_DIR/base.cold.out" "$STORE_DIR/base.warm.out" || {
+  echo "store: warm base-only run differs from the live run" >&2; exit 1; }
+if [ -s "$STORE_DIR/base.warm.err" ]; then
+  echo "store: warm base-only run reports diagnostics:" >&2
+  cat "$STORE_DIR/base.warm.err" >&2; exit 1
+fi
+python3 - "$STORE_DIR/base.warm.json" <<'PY'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+if c.get("sim.store.summary-served", 0) < 1:
+    sys.exit("base-only warm run was not served from the stored summary")
+if c.get("sim.store.decode-ns", 0) != 0:
+    sys.exit("base-only warm run decoded trace chunks")
+if c.get("sim.runs", 0) != 0:
+    sys.exit("base-only warm run invoked the Simulator")
+print("store telemetry OK: base-only warm run served from the summary")
 PY
 
 # Corrupt one payload byte: the next run must report the file, fall

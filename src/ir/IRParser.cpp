@@ -9,6 +9,7 @@
 #include "urcm/support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -87,6 +88,9 @@ public:
       ++Pos;
     return Line.substr(Begin, Pos - Begin);
   }
+  /// Reads an optionally signed decimal integer. A numeral that does
+  /// not fit in int64_t is consumed and yields std::nullopt, and is
+  /// remembered in badNumeral() so the caller can report it.
   std::optional<int64_t> integer() {
     skipSpace();
     size_t Begin = Pos;
@@ -100,14 +104,37 @@ public:
       Pos = Begin;
       return std::nullopt;
     }
-    return std::stoll(Line.substr(Begin, Pos - Begin));
+    // from_chars takes a leading '-' but not '+'.
+    const size_t From = Line[Begin] == '+' ? DigitsBegin : Begin;
+    int64_t Value = 0;
+    if (std::from_chars(Line.data() + From, Line.data() + Pos, Value).ec !=
+        std::errc()) {
+      if (BadNumeral.empty())
+        BadNumeral = Line.substr(Begin, Pos - Begin);
+      return std::nullopt;
+    }
+    return Value;
   }
   std::string rest() { return Line.substr(std::min(Pos, Line.size())); }
+  /// The first numeral integer() could not represent, or empty.
+  const std::string &badNumeral() const { return BadNumeral; }
 
 private:
   const std::string &Line;
   size_t Pos = 0;
+  std::string BadNumeral;
 };
+
+/// Parses the decimal register number \p Digits; nullopt if it names no
+/// register (NoReg and beyond).
+std::optional<Reg> parseRegNumber(const std::string &Digits) {
+  Reg Value = 0;
+  const char *End = Digits.data() + Digits.size();
+  auto [Ptr, EC] = std::from_chars(Digits.data(), End, Value);
+  if (EC != std::errc() || Ptr != End || Value == NoReg)
+    return std::nullopt;
+  return Value;
+}
 
 struct NameTables {
   std::map<std::string, uint32_t> Globals;
@@ -122,12 +149,12 @@ public:
   std::unique_ptr<IRModule> run() {
     M = std::make_unique<IRModule>();
     // Pass 1: globals and function signatures (needed for call targets).
-    for (const std::string &Raw : Lines) {
-      std::string Line = trim(Raw);
+    for (size_t Index = 0; Index != Lines.size(); ++Index) {
+      std::string Line = trim(Lines[Index]);
       if (startsWith(Line, "global "))
-        parseGlobal(Line);
+        parseGlobal(Index, Line);
       else if (startsWith(Line, "func "))
-        parseFunctionHeader(Line, /*CreateOnly=*/true);
+        parseFunctionHeader(Index, Line, /*CreateOnly=*/true);
     }
     if (Failed)
       return nullptr;
@@ -139,7 +166,7 @@ public:
       if (Line.empty() || startsWith(Line, "global "))
         continue;
       if (startsWith(Line, "func ")) {
-        parseFunctionHeader(Line, /*CreateOnly=*/false);
+        parseFunctionHeader(Index, Line, /*CreateOnly=*/false);
         // Pre-create blocks in label order so ids match the printed
         // order even when branches reference blocks before their labels.
         for (size_t Ahead = Index + 1; Ahead != Lines.size(); ++Ahead) {
@@ -183,7 +210,27 @@ private:
                 Message);
   }
 
-  void parseGlobal(const std::string &Line) {
+  /// Reports the first numeral on \p C's line that did not fit; true if
+  /// there was one.
+  bool badNumeral(size_t LineIndex, const LineCursor &C) {
+    if (C.badNumeral().empty())
+      return false;
+    error(LineIndex, formatString("integer '%s' out of range",
+                                  C.badNumeral().c_str()));
+    return true;
+  }
+
+  /// Register number \p Digits, or a diagnostic and nullopt if it names
+  /// no register.
+  std::optional<Reg> regNumber(size_t LineIndex, const std::string &Digits) {
+    std::optional<Reg> R = parseRegNumber(Digits);
+    if (!R)
+      error(LineIndex, formatString("register number 'r%s' out of range",
+                                    Digits.c_str()));
+    return R;
+  }
+
+  void parseGlobal(size_t LineIndex, const std::string &Line) {
     // global @name : N words
     LineCursor C(Line);
     C.consumeWord("global");
@@ -192,6 +239,8 @@ private:
     std::string Name = C.ident();
     C.consume(':');
     auto Size = C.integer();
+    if (badNumeral(LineIndex, C))
+      return;
     if (Names.Globals.count(Name))
       return; // Pass-2 revisit.
     uint32_t Id = M->addGlobal(
@@ -200,7 +249,8 @@ private:
     Names.Globals[Name] = Id;
   }
 
-  void parseFunctionHeader(const std::string &Line, bool CreateOnly) {
+  void parseFunctionHeader(size_t LineIndex, const std::string &Line,
+                           bool CreateOnly) {
     // func name(params=P, regs=R, returns=T[, paramregs=[rA rB]])
     LineCursor C(Line);
     C.consumeWord("func");
@@ -225,6 +275,8 @@ private:
       }
       C.consume(']');
     }
+    if (badNumeral(LineIndex, C))
+      return;
 
     if (CreateOnly) {
       if (Names.Functions.count(Name))
@@ -254,6 +306,8 @@ private:
     std::string Name = C.ident();
     C.consume(':');
     int64_t Size = C.integer().value_or(1);
+    if (badNumeral(LineIndex, C))
+      return;
     bool IsSpill = Line.find("(spill)") != std::string::npos;
     CurFunc->addFrameSlot(IRFrameSlot{
         Name, static_cast<uint32_t>(Size),
@@ -297,10 +351,18 @@ private:
       C.consume('r');
       auto RegNo = C.integer();
       if (!RegNo) {
-        error(LineIndex, "malformed register operand");
+        if (!badNumeral(LineIndex, C))
+          error(LineIndex, "malformed register operand");
+        return std::nullopt;
+      }
+      if (*RegNo < 0 || *RegNo >= static_cast<int64_t>(NoReg)) {
+        error(LineIndex, formatString("register number 'r%lld' out of range",
+                                      static_cast<long long>(*RegNo)));
         return std::nullopt;
       }
       int64_t Offset = C.integer().value_or(0);
+      if (badNumeral(LineIndex, C))
+        return std::nullopt;
       C.consume(']');
       return Operand::reg(static_cast<Reg>(*RegNo),
                           static_cast<int32_t>(Offset));
@@ -315,6 +377,8 @@ private:
         return std::nullopt;
       }
       int64_t Offset = C.integer().value_or(0);
+      if (badNumeral(LineIndex, C))
+        return std::nullopt;
       return Operand::global(It->second, static_cast<int32_t>(Offset));
     }
     if (Next == '%') {
@@ -327,6 +391,8 @@ private:
         return std::nullopt;
       }
       int64_t Offset = C.integer().value_or(0);
+      if (badNumeral(LineIndex, C))
+        return std::nullopt;
       return Operand::frame(*Slot, static_cast<int32_t>(Offset));
     }
     if (Next == '.') {
@@ -338,16 +404,20 @@ private:
         std::isdigit(static_cast<unsigned char>(Next))) {
       auto Value = C.integer();
       if (!Value) {
-        error(LineIndex, "malformed immediate");
+        if (!badNumeral(LineIndex, C))
+          error(LineIndex, "malformed immediate");
         return std::nullopt;
       }
       return Operand::imm(*Value);
     }
     // Bare identifier: a register (r<digits>) or a function reference.
     std::string Name = C.ident();
-    if (isRegisterName(Name))
-      return Operand::reg(
-          static_cast<Reg>(std::stoul(Name.substr(1))));
+    if (isRegisterName(Name)) {
+      std::optional<Reg> R = regNumber(LineIndex, Name.substr(1));
+      if (!R)
+        return std::nullopt;
+      return Operand::reg(*R);
+    }
     auto It = Names.Functions.find(Name);
     if (It == Names.Functions.end()) {
       error(LineIndex,
@@ -414,8 +484,11 @@ private:
       while (EqPos < Body.size() && Body[EqPos] == ' ')
         ++EqPos;
       if (EqPos < Body.size() && Body[EqPos] == '=') {
-        Dst = static_cast<Reg>(
-            std::stoul(Body.substr(1, DigitsEnd - 1)));
+        std::optional<Reg> R =
+            regNumber(LineIndex, Body.substr(1, DigitsEnd - 1));
+        if (!R)
+          return;
+        Dst = *R;
         Body = trim(Body.substr(EqPos + 1));
       }
     }

@@ -88,6 +88,9 @@ URCM_STAT(NumSweepBytesFreed, "sweep.trace-bytes-freed",
           "Bytes of materialized trace released after replay");
 URCM_STAT(SweepReplayNs, "sweep.replay-ns",
           "Nanoseconds spent replaying trace chunks (consumer side)");
+URCM_STAT(NumStoreSummaryServed, "sim.store.summary-served",
+          "Warm experiments whose base counters came from the stored "
+          "summary (no base-config replay)");
 URCM_STAT(NumParallelStreams, "sweep.parallel.streams",
           "Point sets replayed by more than one worker");
 URCM_STAT(NumParallelUnits, "sweep.parallel.units",
@@ -481,19 +484,31 @@ bool SweepEngine::serveFromStore(Experiment &E,
   // by tests and check.sh). The store's content hash deliberately
   // ignores the data-cache policy and seed (the recorded trace is
   // policy-independent, so one stored trace serves the whole policy
-  // grid), which means the stored summary's cache counters may have
-  // been recorded under a different policy than this experiment's base
-  // configuration. A synthetic point at the base configuration rides
-  // the replay set and its counters overwrite the stored ones below.
-  telemetry::ScopedPhase Serve("sweep.store-serve",
-                               Workers > 1 ? "parallel" : "streaming");
-  SweepPoint BasePt;
-  BasePt.Config = E.Base.Cache;
-  BasePt.Policy = E.Base.Cache.Policy;
+  // grid). The summary records the policy and seed its cache row was
+  // measured under: when they are the base configuration's, that row
+  // is the base counters and a base-only experiment is done without
+  // decoding a chunk. Otherwise a synthetic point at the base
+  // configuration rides the replay set and its counters replace the
+  // stored row below.
+  const std::optional<SummaryCachePolicy> &Measured =
+      Reader.summaryCachePolicy();
+  const bool SummaryServes = Measured && Measured->measures(E.Base.Cache);
   std::vector<SweepPoint> Work = Rest;
-  Work.push_back(BasePt);
+  if (!SummaryServes) {
+    SweepPoint BasePt;
+    BasePt.Config = E.Base.Cache;
+    BasePt.Policy = E.Base.Cache.Policy;
+    Work.push_back(BasePt);
+  }
+  telemetry::ScopedPhase Serve("sweep.store-serve",
+                               Work.empty()  ? "summary"
+                               : Workers > 1 ? "parallel"
+                                             : "streaming");
   bool Ok = true;
-  if (SweepPointStream::streamable(Work)) {
+  if (Work.empty()) {
+    // Base-only and answered by the summary: no decode thread, no
+    // replay.
+  } else if (SweepPointStream::streamable(Work)) {
     // Same shape as the live streaming path: decode overlaps replay
     // through the recycled-buffer SPSC pipeline, peak memory O(chunk).
     SweepPointStream Stream(Work, nullptr, /*AllowStackFastPath=*/true,
@@ -547,13 +562,17 @@ bool SweepEngine::serveFromStore(Experiment &E,
     return false;
   }
   E.Result = Reader.summary();
-  // The trailing synthetic point carries the base configuration's true
-  // counters; the stored summary keeps everything that really is
-  // policy-invariant (ICache stats, occupancy, instruction counts).
-  E.Result.Cache = Replayed.back();
-  Replayed.pop_back();
-  if (ReplayedAttrib.size() > Rest.size())
-    ReplayedAttrib.resize(Rest.size());
+  if (SummaryServes) {
+    NumStoreSummaryServed.add();
+  } else {
+    // The trailing synthetic point carries the base configuration's
+    // counters; the stored summary keeps everything that really is
+    // policy-invariant (ICache stats, occupancy, instruction counts).
+    E.Result.Cache = Replayed.back();
+    Replayed.pop_back();
+    if (ReplayedAttrib.size() > Rest.size())
+      ReplayedAttrib.resize(Rest.size());
+  }
   TraceEvents = Reader.eventCount();
   return true;
 }
@@ -720,7 +739,7 @@ void SweepEngine::run() {
     if (Writer.isOpen()) {
       if (E.Result.ok()) {
         DiagnosticEngine CommitDiags;
-        Writer.commit(E.Result, CommitDiags);
+        Writer.commit(E.Result, Config.Cache, CommitDiags);
         forwardStoreDiags(CommitDiags);
       } else {
         Writer.discard(); // Never publish a failed run's trace.

@@ -27,7 +27,9 @@
 //    consumers cannot "un-feed" it — the engine would have to throw the
 //    replay state away and restart live. After open, decode stays
 //    bounds-checked anyway (the file could change under us); failures
-//    turn into failed(), never UB.
+//    turn into failed(), never UB. The CRC is slicing-by-8 so that this
+//    walk stays cheap next to the decode it protects: it is the whole
+//    cost of a warm experiment served from its summary alone.
 //
 //  * Writes go to a temp file published by atomic rename, so two
 //    processes recording the same program race benignly and crashes
@@ -75,10 +77,11 @@ namespace {
 constexpr char HeaderMagic[8] = {'U', 'R', 'C', 'M', 'T', 'R', 'C', '\x01'};
 constexpr char FooterMagic[8] = {'U', 'R', 'C', 'M', 'E', 'N', 'D', '\x01'};
 // v2: the per-event flag stream grew from 5 to 6 bits to carry the
-// static reference id (attribution profiler). The version is part of
-// the content-hash salt below, so bumping it retires existing files as
-// plain misses — no migration path needed.
-constexpr uint32_t FormatVersion = 2;
+// static reference id (attribution profiler). v3: the summary records
+// the data-cache policy and seed its cache row was measured under. The
+// version is part of the content-hash salt below, so bumping it retires
+// existing files as plain misses — no migration path needed.
+constexpr uint32_t FormatVersion = 3;
 constexpr uint32_t ChunkSentinel = 0xFFFFFFFFu;
 /// Sanity bounds a corrupt length field must not exceed (decode buffers
 /// are allocated from these numbers, so garbage must be caught before
@@ -161,24 +164,44 @@ uint64_t readLE64(const uint8_t *P) {
 
 } // namespace
 
-uint32_t urcm::detail::crc32(const uint8_t *Bytes, size_t Count) {
-  // IEEE 802.3 reflected CRC-32, nibble-at-a-time (16-entry table: small
-  // enough to stay hot, fast enough for ~100 KB chunks).
-  static const std::array<uint32_t, 16> Table = [] {
-    std::array<uint32_t, 16> T{};
-    for (uint32_t I = 0; I != 16; ++I) {
-      uint32_t C = I;
-      for (int K = 0; K != 4; ++K)
-        C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
-    }
-    return T;
-  }();
-  uint32_t C = 0xFFFFFFFFu;
-  for (size_t I = 0; I != Count; ++I) {
-    C = Table[(C ^ Bytes[I]) & 0xF] ^ (C >> 4);
-    C = Table[(C ^ (Bytes[I] >> 4)) & 0xF] ^ (C >> 4);
+namespace {
+
+/// Slicing-by-8 tables for the IEEE 802.3 reflected polynomial. T[0] is
+/// the classic byte-at-a-time table; T[K][B] is the CRC contribution of
+/// byte B followed by K zero bytes, so eight lookups advance the CRC over
+/// eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables makeCrcTables() {
+  CrcTables T{};
+  for (uint32_t I = 0; I != 256; ++I) {
+    uint32_t C = I;
+    for (int K = 0; K != 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+    T[0][I] = C;
   }
+  for (size_t K = 1; K != 8; ++K)
+    for (uint32_t I = 0; I != 256; ++I)
+      T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xFF];
+  return T;
+}
+
+constexpr CrcTables CrcSlices = makeCrcTables();
+
+} // namespace
+
+uint32_t urcm::detail::crc32(const uint8_t *Bytes, size_t Count) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (; Count >= 8; Bytes += 8, Count -= 8) {
+    const uint32_t Lo = readLE32(Bytes) ^ C;
+    const uint32_t Hi = readLE32(Bytes + 4);
+    C = CrcSlices[7][Lo & 0xFF] ^ CrcSlices[6][(Lo >> 8) & 0xFF] ^
+        CrcSlices[5][(Lo >> 16) & 0xFF] ^ CrcSlices[4][Lo >> 24] ^
+        CrcSlices[3][Hi & 0xFF] ^ CrcSlices[2][(Hi >> 8) & 0xFF] ^
+        CrcSlices[1][(Hi >> 16) & 0xFF] ^ CrcSlices[0][Hi >> 24];
+  }
+  for (; Count != 0; ++Bytes, --Count)
+    C = CrcSlices[0][(C ^ *Bytes) & 0xFF] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
 }
 
@@ -310,8 +333,16 @@ std::array<uint64_t *, 16> statsFields(CacheStats &S) {
           &S.WriteThroughWords, &S.FlushWriteBackWords};
 }
 
-void serializeSummary(const SimResult &R, std::vector<uint8_t> &Out) {
+/// Policy byte of a summary whose cache row's policy is unknown.
+constexpr uint8_t UnknownSummaryPolicy = 0xFF;
+
+void serializeSummary(const SimResult &R,
+                      const std::optional<SummaryCachePolicy> &Measured,
+                      std::vector<uint8_t> &Out) {
   Out.clear();
+  Out.push_back(Measured ? static_cast<uint8_t>(Measured->Policy)
+                         : UnknownSummaryPolicy);
+  appendVarint(Out, Measured ? Measured->Seed : 0);
   Out.push_back(R.Halted ? 1 : 0);
   appendVarint(Out, R.Error.size());
   Out.insert(Out.end(), R.Error.begin(), R.Error.end());
@@ -337,10 +368,29 @@ void serializeSummary(const SimResult &R, std::vector<uint8_t> &Out) {
   appendVarint(Out, R.CoherenceViolations);
 }
 
-bool deserializeSummary(const uint8_t *Bytes, size_t Size, SimResult &R) {
+/// Decodes a summary into \p R and \p Measured. On failure returns
+/// false with the reason in \p Why.
+bool deserializeSummary(const uint8_t *Bytes, size_t Size, SimResult &R,
+                        std::optional<SummaryCachePolicy> &Measured,
+                        std::string &Why) {
+  Why = "malformed summary";
   size_t Pos = 0;
   uint64_t V;
   if (Size < 1)
+    return false;
+  const uint8_t PolicyByte = Bytes[Pos++];
+  if (!readVarint(Bytes, Size, Pos, V))
+    return false;
+  Measured.reset();
+  if (PolicyByte != UnknownSummaryPolicy) {
+    if (PolicyByte > static_cast<uint8_t>(CachePolicy::LivenessBypass)) {
+      Why = "summary records unknown cache policy " +
+            std::to_string(PolicyByte);
+      return false;
+    }
+    Measured = SummaryCachePolicy{static_cast<CachePolicy>(PolicyByte), V};
+  }
+  if (Pos >= Size)
     return false;
   R.Halted = Bytes[Pos++] != 0;
   if (!readVarint(Bytes, Size, Pos, V) || V > Size - Pos)
@@ -428,10 +478,11 @@ void hashCacheConfig(Fnv1a &H, const CacheConfig &C) {
 /// The data cache is a pure observer of the reference stream: the trace
 /// a run records is identical under every replacement policy and RNG
 /// seed, so neither salts the content hash. One stored trace therefore
-/// warm-serves the whole policy grid; the engine re-derives the base
-/// configuration's counters by replay (SweepEngine::serveFromStore)
-/// instead of trusting the stored summary's cache row. Geometry and the
-/// write policy stay salted conservatively: they are cheap to keep, and
+/// warm-serves the whole policy grid. The summary records the policy and
+/// seed its cache row was measured under; SweepEngine::serveFromStore
+/// uses that row when they match the base configuration and re-derives
+/// the base counters by replay when they do not. Geometry and the write
+/// policy stay salted conservatively: they are cheap to keep, and
 /// narrowing the invariant to "policy and seed are observers" is the
 /// exact guarantee the sweep's policy grid needs.
 void hashDataCacheConfig(Fnv1a &H, const CacheConfig &C) {
@@ -588,14 +639,28 @@ bool TraceStoreWriter::flushChunk() {
 }
 
 bool TraceStoreWriter::commit(const SimResult &Summary,
+                              const CacheConfig &Measured,
                               DiagnosticEngine &Diags) {
+  return commitSummary(
+      Summary, SummaryCachePolicy{Measured.Policy, Measured.Seed}, Diags);
+}
+
+bool TraceStoreWriter::commit(const SimResult &Summary,
+                              DiagnosticEngine &Diags) {
+  return commitSummary(Summary, std::nullopt, Diags);
+}
+
+bool TraceStoreWriter::commitSummary(
+    const SimResult &Summary,
+    const std::optional<SummaryCachePolicy> &Measured,
+    DiagnosticEngine &Diags) {
   if (!File)
     return false; // open() already reported.
   flushChunk();
   if (!Failed) {
     std::vector<uint8_t> Tail;
     appendLE32(Tail, ChunkSentinel);
-    serializeSummary(Summary, Encoded);
+    serializeSummary(Summary, Measured, Encoded);
     appendLE32(Tail, static_cast<uint32_t>(Encoded.size()));
     Tail.insert(Tail.end(), Encoded.begin(), Encoded.end());
     appendLE32(Tail, detail::crc32(Encoded.data(), Encoded.size()));
@@ -739,8 +804,10 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
     return Reject("truncated summary CRC");
   if (detail::crc32(Payload.data(), SummaryBytes) != readLE32(SummaryCrc))
     return Reject("summary CRC mismatch");
-  if (!deserializeSummary(Payload.data(), SummaryBytes, Summary))
-    return Reject("malformed summary");
+  std::string Why;
+  if (!deserializeSummary(Payload.data(), SummaryBytes, Summary,
+                          SummaryPolicy, Why))
+    return Reject(Why);
 
   uint8_t Footer[24];
   if (!readExact(File, Footer, sizeof(Footer)))

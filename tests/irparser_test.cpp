@@ -119,6 +119,60 @@ TEST(IRParser, ErrorsReported) {
   EXPECT_TRUE(D3.hasErrors());
 }
 
+TEST(IRParser, OutOfRangeNumbersAreDiagnosed) {
+  // Numerals the IR types cannot hold must end in a line-numbered
+  // diagnostic: never an uncaught exception, never a silent wrap.
+  const struct {
+    const char *Line;
+    const char *Message;
+  } Cases[] = {
+      {"  r0 = add r99999999999999999999, 1",
+       "register number 'r99999999999999999999' out of range"},
+      {"  r0 = add r4294967296, 1",
+       "register number 'r4294967296' out of range"},
+      {"  r4294967296 = mov 1", "register number 'r4294967296' out of range"},
+      {"  r99999999999999999999 = mov 1",
+       "register number 'r99999999999999999999' out of range"},
+      {"  r0 = mov 99999999999999999999",
+       "integer '99999999999999999999' out of range"},
+      {"  r0 = mov -99999999999999999999",
+       "integer '-99999999999999999999' out of range"},
+      {"  r0 = load [r99999999999999999999+0]",
+       "integer '99999999999999999999' out of range"},
+      {"  r0 = load [r4294967295+0]",
+       "register number 'r4294967295' out of range"},
+  };
+  for (const auto &Case : Cases) {
+    DiagnosticEngine Diags;
+    EXPECT_EQ(parseIR(std::string("func f(params=0, regs=1, returns=void)\n"
+                                  ".entry:\n") +
+                          Case.Line + "\n  ret\n",
+                      Diags),
+              nullptr)
+        << Case.Line;
+    EXPECT_NE(Diags.str().find("3:1: error"), std::string::npos)
+        << Case.Line << "\n" << Diags.str();
+    EXPECT_NE(Diags.str().find(Case.Message), std::string::npos)
+        << Case.Line << "\n" << Diags.str();
+  }
+
+  // The extremes that do fit still parse.
+  auto M = parseOk("func main(params=0, regs=1, returns=void)\n"
+                   ".entry:\n"
+                   "  r0 = mov -9223372036854775808\n"
+                   "  r0 = mov +9223372036854775807\n"
+                   "  ret\n");
+  ASSERT_NE(M, nullptr);
+
+  // Headers are parsed in the first pass; their numerals are checked too.
+  DiagnosticEngine Header;
+  EXPECT_EQ(parseIR("global @g : 99999999999999999999 words\n", Header),
+            nullptr);
+  EXPECT_NE(Header.str().find("integer '99999999999999999999' out of range"),
+            std::string::npos)
+      << Header.str();
+}
+
 TEST(IRParser, RoundTripStability) {
   // print -> parse -> print must be a fixed point, at every pipeline
   // stage, for every workload.

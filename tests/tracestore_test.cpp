@@ -12,7 +12,9 @@
 //     rejected with a clean diagnostic (never an assert or a crash) and
 //     the engine falls back to live simulation automatically;
 //  3. the warm path really is warm — on a store hit the producer (and
-//     the Simulator inside it) is never invoked.
+//     the Simulator inside it) is never invoked, and a base-only
+//     experiment whose summary was measured under its own cache policy
+//     decodes nothing at all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,6 +120,48 @@ std::vector<TraceEvent> roundTrip(const std::vector<TraceEvent> &Trace,
   std::vector<TraceEvent> Decoded;
   EXPECT_TRUE(Reader.readAll(Decoded));
   return Decoded;
+}
+
+/// Bit-at-a-time CRC-32 (IEEE 802.3, reflected): the definition the
+/// sliced implementation must reproduce.
+uint32_t bitwiseCrc32(const uint8_t *Bytes, size_t Count) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (size_t I = 0; I != Count; ++I) {
+    C ^= Bytes[I];
+    for (int K = 0; K != 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> randomBytes(uint64_t Seed, size_t N) {
+  SplitMix64 Rng(Seed);
+  std::vector<uint8_t> Bytes(N);
+  for (uint8_t &B : Bytes)
+    B = static_cast<uint8_t>(Rng.next());
+  return Bytes;
+}
+
+TEST(TraceStoreCrc, KnownAnswer) {
+  const char *Check = "123456789";
+  EXPECT_EQ(detail::crc32(reinterpret_cast<const uint8_t *>(Check), 9),
+            0xCBF43926u);
+  EXPECT_EQ(detail::crc32(nullptr, 0), 0u);
+}
+
+TEST(TraceStoreCrc, MatchesBitwiseReference) {
+  // Every length 0..64 at every start offset 0..7 walks the sliced
+  // loop's eight-byte steps and its byte-at-a-time tail at every
+  // alignment.
+  const std::vector<uint8_t> Small = randomBytes(3, 64 + 8);
+  for (size_t Offset = 0; Offset != 8; ++Offset)
+    for (size_t Len = 0; Len <= 64; ++Len)
+      ASSERT_EQ(detail::crc32(Small.data() + Offset, Len),
+                bitwiseCrc32(Small.data() + Offset, Len))
+          << "offset " << Offset << " length " << Len;
+  const std::vector<uint8_t> Big = randomBytes(0xC4C, 1u << 20);
+  EXPECT_EQ(detail::crc32(Big.data(), Big.size()),
+            bitwiseCrc32(Big.data(), Big.size()));
 }
 
 TEST(TraceStoreCodec, RoundTripFuzzedPayloads) {
@@ -231,17 +275,28 @@ TEST(TraceStoreFile, SummaryRoundTripsEveryField) {
   R.CoherenceViolations = 27;
   R.Trace = hintedTrace(1, 10); // Must NOT be stored.
 
+  CacheConfig Measured;
+  Measured.Policy = CachePolicy::SRRIP;
+  Measured.Seed = 0xFEDCBA9876543210ull;
+
   DiagnosticEngine Diags;
   TraceStoreWriter Writer;
   ASSERT_TRUE(Writer.open(Dir.str(), 99, Diags));
   std::vector<TraceEvent> Trace = hintedTrace(2, 100);
   Writer.append(Trace.data(), Trace.size());
-  ASSERT_TRUE(Writer.commit(R, Diags)) << Diags.str();
+  ASSERT_TRUE(Writer.commit(R, Measured, Diags)) << Diags.str();
 
   TraceStoreReader Reader;
   ASSERT_EQ(Reader.open(traceStorePath(Dir.str(), 99), 99, Diags),
             TraceStoreReader::OpenStatus::Ok)
       << Diags.str();
+  ASSERT_TRUE(Reader.summaryCachePolicy().has_value());
+  EXPECT_EQ(Reader.summaryCachePolicy()->Policy, CachePolicy::SRRIP);
+  EXPECT_EQ(Reader.summaryCachePolicy()->Seed, Measured.Seed);
+  EXPECT_TRUE(Reader.summaryCachePolicy()->measures(Measured));
+  CacheConfig OtherSeed = Measured;
+  OtherSeed.Seed ^= 1;
+  EXPECT_FALSE(Reader.summaryCachePolicy()->measures(OtherSeed));
   const SimResult &S = Reader.summary();
   EXPECT_EQ(S.Halted, R.Halted);
   EXPECT_EQ(S.Error, R.Error);
@@ -259,6 +314,19 @@ TEST(TraceStoreFile, SummaryRoundTripsEveryField) {
   EXPECT_EQ(S.BypassTransitions, R.BypassTransitions);
   EXPECT_EQ(S.CoherenceViolations, R.CoherenceViolations);
   EXPECT_TRUE(S.Trace.empty());
+
+  // A writer that does not say which policy measured the row records
+  // none, and readers never take the row as base counters.
+  TraceStoreWriter Unmeasured;
+  ASSERT_TRUE(Unmeasured.open(Dir.str(), 100, Diags));
+  ASSERT_TRUE(Unmeasured.commit(R, Diags)) << Diags.str();
+  TraceStoreReader UnmeasuredReader;
+  ASSERT_EQ(UnmeasuredReader.open(traceStorePath(Dir.str(), 100), 100,
+                                  Diags),
+            TraceStoreReader::OpenStatus::Ok)
+      << Diags.str();
+  EXPECT_FALSE(UnmeasuredReader.summaryCachePolicy().has_value());
+  EXPECT_EQ(UnmeasuredReader.summary().Cache, R.Cache);
 }
 
 TEST(TraceStoreFile, StreamedDecodeMatchesReadAll) {
@@ -467,6 +535,39 @@ std::vector<SweepPoint> mixedPoints() {
   };
 }
 
+/// Enables telemetry for one test and resets the counters around it.
+struct TelemetryGuard {
+  TelemetryGuard() {
+    telemetry::setEnabled(true);
+    telemetry::reset();
+  }
+  ~TelemetryGuard() {
+    telemetry::setEnabled(false);
+    telemetry::reset();
+  }
+};
+
+/// The current value of telemetry counter \p Name (0 if never bumped).
+uint64_t counterValue(const char *Name) {
+  std::string JSON = telemetry::snapshotJSON();
+  std::string Key = std::string("\"") + Name + "\": ";
+  size_t At = JSON.find(Key);
+  if (At == std::string::npos)
+    return 0;
+  return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
+}
+
+void expectSameBase(const SimResult &A, const SimResult &B) {
+  EXPECT_EQ(A.Steps, B.Steps);
+  EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.Cache, B.Cache);
+  EXPECT_EQ(A.ICache, B.ICache);
+  EXPECT_EQ(A.Refs.total(), B.Refs.total());
+  EXPECT_EQ(A.Refs.Bypassed, B.Refs.Bypassed);
+  EXPECT_EQ(A.Refs.LastRefTagged, B.Refs.LastRefTagged);
+  EXPECT_EQ(A.CoherenceViolations, B.CoherenceViolations);
+}
+
 TEST(TraceStoreEngine, WarmMatchesColdAcrossShardCounts) {
   ScratchDir Dir("engine");
   CountedProducer Queen("Queen");
@@ -587,16 +688,7 @@ TEST(TraceStoreEngine, FallsBackToLiveOnCorruptFile) {
 /// replays in parallel without counting, silently blinds the benches
 /// and the metrics time series.
 TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
-  struct Guard {
-    Guard() {
-      telemetry::setEnabled(true);
-      telemetry::reset();
-    }
-    ~Guard() {
-      telemetry::setEnabled(false);
-      telemetry::reset();
-    }
-  } Guard;
+  TelemetryGuard Guard;
 
   ScratchDir Dir("counters");
   CountedProducer Queen("Queen");
@@ -610,14 +702,7 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   Cold.run();
   ASSERT_EQ(Queen.Calls->load(), 1);
 
-  auto counter = [](const char *Name) -> uint64_t {
-    std::string JSON = telemetry::snapshotJSON();
-    std::string Key = std::string("\"") + Name + "\": ";
-    size_t At = JSON.find(Key);
-    if (At == std::string::npos)
-      return 0;
-    return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
-  };
+  auto counter = counterValue;
   EXPECT_GT(counter("sim.store.misses"), 0u);
   EXPECT_GT(counter("sim.store.bytes-written"), 0u);
 
@@ -639,6 +724,147 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   EXPECT_GT(counter("sweep.parallel.streams"), 0u);
   EXPECT_GT(counter("sweep.parallel.units"), 0u);
   EXPECT_GT(counter("sweep.parallel.workers"), 0u);
+}
+
+TEST(TraceStoreEngine, BaseOnlyWarmIsServedFromSummary) {
+  TelemetryGuard Guard;
+  ScratchDir Dir("summary_served");
+  CountedProducer Queen("Queen");
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
+
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base, {}, Queen.producer(), Hash);
+  Cold.run();
+  ASSERT_EQ(Queen.Calls->load(), 1);
+  ASSERT_TRUE(Cold.base("exp").ok());
+
+  // The stored row was measured under this very base configuration, so
+  // the warm run takes it as is: no Simulator, and not one chunk
+  // decoded.
+  telemetry::reset();
+  DiagnosticEngine Diags;
+  SweepEngine Warm;
+  Warm.setTraceStore(Dir.str(), &Diags);
+  Warm.schedule("exp", "g", Base, {}, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Queen.Calls->load(), 1);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  EXPECT_EQ(counterValue("sim.store.hits"), 1u);
+  EXPECT_EQ(counterValue("sim.store.summary-served"), 1u);
+  EXPECT_EQ(counterValue("sim.store.decode-ns"), 0u);
+  EXPECT_EQ(counterValue("sim.runs"), 0u);
+  expectSameBase(Warm.base("exp"), Cold.base("exp"));
+}
+
+TEST(TraceStoreEngine, PolicyOrSeedMismatchReplaysBase) {
+  // The content hash ignores the base policy and seed, so these stores
+  // hit; their summary rows answer another configuration, so the warm
+  // run must re-derive the base counters by replay and match live.
+  TelemetryGuard Guard;
+  CountedProducer Queen("Queen");
+  auto WithPolicy = [](CachePolicy Policy, uint64_t Seed) {
+    SimConfig C;
+    C.Cache.Policy = Policy;
+    C.Cache.Seed = Seed;
+    return C;
+  };
+  const struct {
+    const char *Name;
+    SimConfig Recorded, Served;
+  } Cases[] = {
+      {"fifo_serves_lru", WithPolicy(CachePolicy::FIFO, 0x5eed),
+       WithPolicy(CachePolicy::LRU, 0x5eed)},
+      {"random_other_seed", WithPolicy(CachePolicy::Random, 1),
+       WithPolicy(CachePolicy::Random, 2)},
+  };
+  for (const auto &Case : Cases) {
+    ScratchDir Dir(Case.Name);
+    const uint64_t Hash = traceContentHash(*Queen.Prog, Case.Recorded);
+    ASSERT_EQ(Hash, traceContentHash(*Queen.Prog, Case.Served));
+    SweepEngine Record;
+    Record.setTraceStore(Dir.str());
+    Record.schedule("exp", "g", Case.Recorded, {}, Queen.producer(), Hash);
+    Record.run();
+
+    SweepEngine Live;
+    Live.schedule("exp", "g", Case.Served, mixedPoints(), Queen.producer(),
+                  Hash);
+    Live.run();
+    const int Calls = Queen.Calls->load();
+
+    telemetry::reset();
+    DiagnosticEngine Diags;
+    SweepEngine Warm;
+    Warm.setTraceStore(Dir.str(), &Diags);
+    Warm.schedule("exp", "g", Case.Served, mixedPoints(), Queen.producer(),
+                  Hash);
+    Warm.run();
+    EXPECT_EQ(Queen.Calls->load(), Calls) << Case.Name;
+    EXPECT_FALSE(Diags.hasErrors()) << Case.Name << Diags.str();
+    EXPECT_EQ(counterValue("sim.store.hits"), 1u) << Case.Name;
+    EXPECT_EQ(counterValue("sim.store.summary-served"), 0u) << Case.Name;
+    EXPECT_GT(counterValue("sim.store.decode-ns"), 0u) << Case.Name;
+    SCOPED_TRACE(Case.Name);
+    expectSameBase(Warm.base("exp"), Live.base("exp"));
+    for (size_t P = 0; P != mixedPoints().size(); ++P)
+      EXPECT_EQ(Warm.point("exp", P), Live.point("exp", P)) << P;
+  }
+}
+
+TEST(TraceStoreEngine, OutOfRangeSummaryPolicyFallsBackToLive) {
+  ScratchDir Dir("bad_policy");
+  CountedProducer Sieve("Sieve");
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Sieve.Prog, Base);
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base, mixedPoints(), Sieve.producer(), Hash);
+  Cold.run();
+  ASSERT_EQ(Sieve.Calls->load(), 1);
+
+  // Rewrite the summary's policy byte (its first byte) to a value no
+  // CachePolicy has, and fix up the summary CRC so that only the range
+  // check can catch it.
+  const std::string Path = traceStorePath(Dir.str(), Hash);
+  std::vector<uint8_t> Bytes;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+  }
+  auto LE32 = [&](size_t At) {
+    return static_cast<uint32_t>(Bytes[At]) |
+           static_cast<uint32_t>(Bytes[At + 1]) << 8 |
+           static_cast<uint32_t>(Bytes[At + 2]) << 16 |
+           static_cast<uint32_t>(Bytes[At + 3]) << 24;
+  };
+  size_t At = 32; // First chunk header.
+  while (LE32(At) != 0xFFFFFFFFu)
+    At += 12 + LE32(At);
+  const size_t SummaryLen = LE32(At + 4), Summary = At + 8;
+  ASSERT_LE(Summary + SummaryLen + 4, Bytes.size());
+  ASSERT_EQ(Bytes[Summary], static_cast<uint8_t>(CachePolicy::LRU));
+  Bytes[Summary] = static_cast<uint8_t>(CachePolicy::LivenessBypass) + 1;
+  const uint32_t Crc = detail::crc32(Bytes.data() + Summary, SummaryLen);
+  for (int B = 0; B != 4; ++B)
+    Bytes[Summary + SummaryLen + B] = static_cast<uint8_t>(Crc >> (8 * B));
+  std::ofstream(Path, std::ios::binary)
+      .write(reinterpret_cast<const char *>(Bytes.data()),
+             static_cast<long>(Bytes.size()));
+
+  DiagnosticEngine Diags;
+  SweepEngine Fallback;
+  Fallback.setTraceStore(Dir.str(), &Diags);
+  Fallback.schedule("exp", "g", Base, mixedPoints(), Sieve.producer(), Hash);
+  Fallback.run();
+  EXPECT_EQ(Sieve.Calls->load(), 2) << "bad summary was served";
+  EXPECT_NE(Diags.str().find("unknown cache policy 7"), std::string::npos)
+      << Diags.str();
+  expectSameBase(Fallback.base("exp"), Cold.base("exp"));
+  for (size_t P = 0; P != mixedPoints().size(); ++P)
+    EXPECT_EQ(Fallback.point("exp", P), Cold.point("exp", P)) << P;
 }
 
 TEST(TraceStoreEngine, ZeroHashOptsOut) {

@@ -96,7 +96,7 @@ struct CliOptions {
   bool PolicySet = false;
   /// Point-parallel replay workers for --sweep: 1 sequential, 0 auto.
   uint32_t ReplayWorkers = 0;
-  /// Persistent trace store directory for --sweep (empty = off).
+  /// Persistent trace store directory (empty = off).
   std::string TraceStoreDir;
   std::string TraceOut;
   std::string TelemetryJson;
@@ -164,7 +164,7 @@ void usage(std::FILE *Out) {
       "alias)\n"
       "  --trace-store=DIR    persist recorded traces under DIR and "
       "serve\n"
-      "                       repeat sweeps from them (skips "
+      "                       repeat runs and sweeps from them (skips "
       "re-simulation)\n"
       "inspection:\n"
       "  --dump-ast --dump-ir --dump-asm --stats --compare\n"
@@ -492,6 +492,27 @@ int runSweep(const CliOptions &Cli, const MachineProgram &Program) {
   return 0;
 }
 
+/// The plain run with --trace-store: a base-only sweep experiment, so a
+/// miss records the trace and a warm store answers from the recorded
+/// summary without simulating.
+SimResult runThroughStore(const CliOptions &Cli,
+                          const MachineProgram &Program) {
+  SweepEngine Engine;
+  DiagnosticEngine StoreDiags;
+  Engine.setTraceStore(Cli.TraceStoreDir, &StoreDiags);
+  auto Prog = std::make_shared<MachineProgram>(Program);
+  Engine.schedule("urcmc-run", "urcmc", Cli.Sim, {},
+                  [Prog](const SimConfig &Config) {
+                    Simulator S(Config);
+                    return S.run(*Prog);
+                  },
+                  traceContentHash(Program, Cli.Sim));
+  Engine.run();
+  if (!StoreDiags.diagnostics().empty())
+    std::fprintf(stderr, "%s", StoreDiags.str().c_str());
+  return Engine.base("urcmc-run");
+}
+
 void printRunReport(const SimResult &R, bool Stats) {
   std::printf("output:");
   for (int64_t V : R.Output)
@@ -612,13 +633,19 @@ int runTool(const CliOptions &Cli, const std::string &Source) {
   RefAttribution Attr;
   SimConfig SimCfg = Cli.Sim;
   if (Cli.wantsProfile()) {
+    if (!Cli.TraceStoreDir.empty()) {
+      std::fprintf(stderr, "error: --profile-refs/--profile-annotate need "
+                           "the live run, not --trace-store\n");
+      return 2;
+    }
     Attr = RefAttribution(
         static_cast<uint32_t>(Compiled.Program.RefTable.size()));
     SimCfg.Attribution = &Attr;
   }
 
-  Simulator S(SimCfg);
-  SimResult R = S.run(Compiled.Program);
+  SimResult R = Cli.TraceStoreDir.empty()
+                    ? Simulator(SimCfg).run(Compiled.Program)
+                    : runThroughStore(Cli, Compiled.Program);
   if (!R.ok()) {
     std::fprintf(stderr, "runtime error: %s\n", R.Error.c_str());
     return 1;
