@@ -428,12 +428,13 @@ private:
 /// which nearly every exhibit simulates. Behavior and counters are
 /// bit-identical to DataCache under an eligible() configuration (the
 /// differential and fuzz tests pin this against the generic cache via
-/// the switch engine). The win is the state encoding, shared with the
-/// sweep engine's LRUTwoWayStream: each set is a two-entry
-/// move-to-front list of tag words (bit 63 = dirty, all-ones =
-/// invalid) with a parallel value array, so the common case — a hit on
+/// the switch engine). The win is the state encoding: each set is a
+/// two-entry move-to-front list of tag words (bit 63 = dirty, all-ones
+/// = invalid) with a parallel value array, so the common case — a hit on
 /// the most recent way — is one load and one compare, with no tick
-/// bookkeeping, no way walk, and no 32-byte line metadata.
+/// bookkeeping, no way walk, and no 32-byte line metadata. The sweep
+/// engine's packed one-word replay kernel (src/sim/ReplayKernels.h)
+/// keeps the same move-to-front order for LRU, in its own word layout.
 ///
 /// Invariants: among valid ways of a set, slot 0 is the more recently
 /// used; invalid ways can sit in either slot (an access always leaves

@@ -14,10 +14,12 @@
 /// pruning every other policy's bookkeeping, and `feed()` dispatches
 /// once per chunk, not once per event. Counter semantics are identical
 /// to running the events through a live DataCache with the same
-/// geometry and policy (the differential tests pin this bit for bit);
-/// the specialized TwoWayWB1CacheT / LRUTwoWayStream fast paths keep
-/// their own state encoding and are pinned against this model the same
-/// way.
+/// geometry and policy (the differential tests pin this bit for bit).
+/// Two fast paths keep their own state encoding and are pinned against
+/// this model the same way: the live TwoWayWB1CacheT, and the sweep
+/// engine's packed one-word replay kernel (src/sim/ReplayKernels.h),
+/// which replays every one-word write-back point but MIN. For that
+/// kernel this model is the independent test oracle.
 ///
 /// Policies beyond the live cache's (see urcm/sim/CachePolicy.h):
 ///
@@ -51,11 +53,13 @@ namespace urcm {
 
 /// For Belady MIN: Next[i] = index of the next through-cache access to
 /// the same cache line after event i (UINT64_MAX if none). Depends only
-/// on the trace and the line size, so MIN replays at different
-/// geometries with the same line size can share one computation.
+/// on the trace, the line size and the hint view, so MIN replays at
+/// different geometries with the same line size and view can share one
+/// computation. With \p IgnoreHints, bypassed events count as
+/// through-cache accesses, as they do in a hint-stripped replay.
 std::shared_ptr<const std::vector<uint64_t>>
 computeNextLineUses(const std::vector<TraceEvent> &Trace,
-                    uint32_t LineWords);
+                    uint32_t LineWords, bool IgnoreHints = false);
 
 /// Stats-only replay of one cache configuration, advanced either one
 /// trace event at a time (step) or a chunk at a time (feed; one policy
@@ -63,12 +67,6 @@ computeNextLineUses(const std::vector<TraceEvent> &Trace,
 /// running the events through a live DataCache with the same geometry.
 class CacheModel {
   static constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
-  /// LivenessBypass predictor constants: 2-bit saturating counters, a
-  /// reference is predicted dead at PredictorDeadThreshold, and every
-  /// PredictorProbePeriod-th predicted-dead access allocates anyway.
-  static constexpr uint8_t PredictorDeadThreshold = 2;
-  static constexpr uint8_t PredictorMax = 3;
-  static constexpr uint64_t PredictorProbePeriod = 16;
 
   struct ModelLine {
     bool Valid = false;
@@ -89,13 +87,16 @@ class CacheModel {
 public:
   /// \p NextUses is required for CachePolicy::MIN (see
   /// computeNextLineUses; it must have been computed with this config's
-  /// line size) and ignored otherwise.
+  /// line size and hint view) and ignored otherwise. \p IgnoreHints
+  /// replays every event as if its bypass and last-reference hint bits
+  /// were clear (SweepPoint::IgnoreHints), without copying the trace.
   CacheModel(const CacheConfig &Config, CachePolicy Policy,
              std::shared_ptr<const std::vector<uint64_t>> NextUses =
-                 nullptr)
+                 nullptr,
+             bool IgnoreHints = false)
       : Config(Config), Geometry(Config), Policy(Policy),
-        NextUses(std::move(NextUses)), Rng(Config.Seed),
-        Lines(Config.NumLines) {
+        Hinted(!IgnoreHints), NextUses(std::move(NextUses)),
+        Rng(Config.Seed), Lines(Config.NumLines) {
     assert(Config.Assoc > 0 && Config.NumLines % Config.Assoc == 0 &&
            "associativity must divide the line count");
     assert((Policy != CachePolicy::MIN || this->NextUses) &&
@@ -170,14 +171,17 @@ private:
   /// The unified core. Every policy's variant of the write-back /
   /// write-through / bypass / dead-store semantics is this one
   /// function; `if constexpr` compiles each instantiation down to
-  /// exactly the policy's own bookkeeping.
+  /// exactly the policy's own bookkeeping. Forced inline: with seven
+  /// policies in one feedImpl, GCC's growth limit otherwise leaves some
+  /// instantiations as a call per event.
   template <CachePolicy P, bool A>
-  void stepOne(const TraceEvent &E, uint64_t Index) {
+  [[gnu::always_inline]] inline void stepOne(const TraceEvent &E,
+                                             uint64_t Index) {
     uint64_t LA = Geometry.lineAddr(E.Addr);
     if constexpr (A)
       CurRef = E.RefId;
 
-    if (E.Info.Bypass) {
+    if (E.Info.Bypass & Hinted) {
       if constexpr (A)
         ++Attr->row(E.RefId).Bypasses;
       if (!E.IsWrite) {
@@ -220,8 +224,8 @@ private:
         E.IsWrite && Config.Write == WritePolicy::WriteThrough;
 
     if constexpr (P == CachePolicy::LivenessBypass) {
-      if (!L && !WTWrite && Dead[E.RefId] >= PredictorDeadThreshold &&
-          ++Probe % PredictorProbePeriod != 0) {
+      if (!L && !WTWrite && Dead[E.RefId] >= LivenessDeadThreshold &&
+          ++Probe % LivenessProbePeriod != 0) {
         // Predicted dead on arrival: serve from memory without
         // allocating, with the same accounting as a compiler bypass
         // hint. The deterministic probe above lets a reference whose
@@ -253,7 +257,7 @@ private:
         touchHit<P>(*L, Set, Way);
         if constexpr (P == CachePolicy::MIN)
           L->NextUse = (*NextUses)[Index];
-        if (E.Info.LastRef)
+        if (E.Info.LastRef & Hinted)
           freeLine<P, A>(*L, Set, Way, E.RefId);
       }
       return;
@@ -294,7 +298,7 @@ private:
       L->NextUse = (*NextUses)[Index];
     if (E.IsWrite)
       L->Dirty = true;
-    if (E.Info.LastRef)
+    if (E.Info.LastRef & Hinted)
       freeLine<P, A>(*L, Set, Way, E.RefId);
   }
 
@@ -443,13 +447,14 @@ private:
     if (L.Reused)
       return;
     uint8_t &C = Dead[L.InstalledBy];
-    if (C < PredictorMax)
+    if (C < LivenessCounterMax)
       ++C;
   }
 
   CacheConfig Config;
   CacheGeometry Geometry;
   CachePolicy Policy;
+  bool Hinted; ///< False: hint bits are masked off (IgnoreHints).
   std::shared_ptr<const std::vector<uint64_t>> NextUses;
   SplitMix64 Rng;
   std::vector<ModelLine> Lines;

@@ -79,6 +79,16 @@ enum : uint8_t {
   SRRIPMaxRRPV = 3,    ///< Distant: the eviction candidate value.
 };
 
+/// LivenessBypass predictor constants, shared by every kernel that
+/// replays the policy: 2-bit saturating dead-on-arrival counters, a
+/// reference is predicted dead at LivenessDeadThreshold, and every
+/// LivenessProbePeriod-th predicted-dead access allocates anyway.
+enum : uint8_t {
+  LivenessDeadThreshold = 2,
+  LivenessCounterMax = 3,
+  LivenessProbePeriod = 16,
+};
+
 namespace detail {
 
 /// Shared victim-selection mechanisms. Each helper returns a way index

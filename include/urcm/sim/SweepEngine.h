@@ -90,6 +90,20 @@ std::vector<CacheStats>
 replayTraceMulti(const std::vector<TraceEvent> &Trace,
                  const std::vector<SweepPoint> &Points);
 
+/// True if \p Point replays on the packed one-word kernel rather than
+/// the generic CacheModel: one-word lines, write-back, a power-of-two
+/// set count, associativity 1, 2, 4 or 8, and any policy but MIN.
+bool packedReplayEligible(const SweepPoint &Point);
+
+/// The replay conservation laws every point's counters obey, whatever
+/// the policy, geometry or kernel: ReadHits <= Reads, WriteHits <=
+/// Writes, Fills == misses (write-back only), WriteBacks <= Evictions,
+/// WriteBackWords == WriteBacks * LineWords and DeadWriteBacksAvoided
+/// <= DeadFrees. Returns the first law \p S breaks under \p Config, or
+/// null when it breaks none.
+const char *replayConservationViolation(const CacheStats &S,
+                                        const CacheConfig &Config);
+
 /// True if \p Point can be served by the stack-distance fast path:
 /// fully-associative LRU, write-back, one-word lines (the paper's
 /// preferred line size).
@@ -131,8 +145,8 @@ replaySweepPoints(const std::vector<TraceEvent> &Trace,
 /// hole-extended Mattson stack-distance sweep (one walk per hint view)
 /// when every point is eligible (unless \p AllowStackFastPath is false,
 /// which pins the per-point kernels — that is replayTraceMulti's
-/// contract), else one kernel per point: the specialized two-way-LRU
-/// kernel or the policy-generic CacheModel.
+/// contract), else one kernel per point: the packed one-word kernel
+/// (packedReplayEligible) or the policy-generic CacheModel.
 ///
 /// Point-parallel replay: sweep points never share state, so with
 /// \p Workers > 1 each feed() fans the kernels out across up to that
@@ -171,6 +185,11 @@ public:
   /// End of trace: final flush accounting. Call exactly once; counters
   /// are returned in the order of the constructor's Points.
   std::vector<CacheStats> finish();
+
+  /// The conservation law (see replayConservationViolation) the point
+  /// at \p PointIndex broke, or null. finish() checks every point and
+  /// counts them in the check.replay.* telemetry. Call after finish().
+  const char *violatedLaw(size_t PointIndex) const;
 
   /// Moves out the attribution table of the point at \p PointIndex
   /// (empty unless that point set SweepPoint::AttributionRefs). Call
@@ -220,8 +239,9 @@ public:
 
   /// Runs every pending experiment (parallel across experiments) and
   /// returns when all are done. Base runs that fail (as reported by
-  /// SimResult::ok) are kept with their error; point stats for a failed
-  /// base are empty.
+  /// SimResult::ok) are kept with their error; so are experiments whose
+  /// replayed counters break a conservation law (the error names the
+  /// point and the law). Point stats for a failed base are empty.
   void run();
 
   /// Point-parallel replay inside each experiment (see
@@ -293,7 +313,8 @@ private:
   bool serveFromStore(Experiment &E, const std::vector<SweepPoint> &Rest,
                       uint32_t Workers, uint64_t &TraceEvents,
                       std::vector<CacheStats> &Replayed,
-                      std::vector<RefAttribution> &ReplayedAttrib);
+                      std::vector<RefAttribution> &ReplayedAttrib,
+                      std::string &Violation);
 
   /// Forwards diagnostics collected during store I/O to the configured
   /// sink under the engine lock (experiments run in parallel).

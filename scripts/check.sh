@@ -1,26 +1,30 @@
 #!/usr/bin/env bash
 # One-stop pre-merge gate:
 #   1. tier-1 build + tests in the default (RelWithDebInfo) preset
-#   2. the same suite under ASan+UBSan, once per dispatch strategy
+#   2. the report fixed point: urcm_report, cold at --replay-workers=1
+#      and auto and warm from a trace store, must print the committed
+#      urcmbench/expected/report.md byte for byte
+#      (scripts/report_fixed_point.sh)
+#   3. the same suite under ASan+UBSan, once per dispatch strategy
 #      (the sanitizer presets differ only in URCM_FORCE_SWITCH_DISPATCH,
 #      so both the computed-goto and the switch engines get scrubbed)
-#   3. opt-in (--bench): rerun the paper exhibits and diff their wall
+#   4. opt-in (--bench): rerun the paper exhibits and diff their wall
 #      times against the committed BENCH_sweep.json trajectory
-#   4. opt-in (--telemetry): run an instrumented Towers sweep and
+#   5. opt-in (--telemetry): run an instrumented Towers sweep and
 #      validate the telemetry snapshot against docs/telemetry_schema.json
 #      plus the Chrome trace export's structure
-#   5. opt-in (--store): persistent trace-store smoke — record a sweep
+#   6. opt-in (--store): persistent trace-store smoke — record a sweep
 #      cold, replay it warm (byte-identical output, Simulator provably
 #      not invoked), and corrupt the store file to prove the fallback
-#   6. opt-in (--profile): attribution-profiler smoke — golden-compare
+#   7. opt-in (--profile): attribution-profiler smoke — golden-compare
 #      the Towers per-line mismatch report (deterministic in program +
 #      geometry), validate the JSON profile against
 #      docs/profile_schema.json and the metrics JSONL stream
-#   7. opt-in (--policy): replacement-policy differential — the unified
+#   8. opt-in (--policy): replacement-policy differential — the unified
 #      cache model's grid (PLRU/SRRIP/bypass-predictor included) must
 #      be bit-identical across sequential, parallel and warm-store
 #      replay, and a policy change must warm-hit the trace store
-#   8. opt-in (--fuse): superinstruction-fusion transparency — the full
+#   9. opt-in (--fuse): superinstruction-fusion transparency — the full
 #      urcm_report must be byte-identical fused vs --no-fuse, a
 #      fused-recorded trace store must serve an unfused warm run
 #      (byte-identical again, zero store misses), and the fused run
@@ -74,6 +78,9 @@ got=$(./build/tools/urcmc --O1 --print-pipeline)
 for w in Bubble Intmm Puzzle Queen Sieve Towers; do
   ./build/tools/urcmc --workload="$w" --O1 --verify-each >/dev/null
 done
+
+echo "== report fixed point: cold, parallel and warm vs urcmbench/expected =="
+scripts/report_fixed_point.sh build
 
 if [ "$RUN_SAN" = 1 ]; then
   for preset in asan-ubsan asan-ubsan-threaded; do

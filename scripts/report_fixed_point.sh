@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Report fixed point (scripts/check.sh and CI): urcm_report must print
+# exactly the committed urcmbench/expected/report.md, byte for byte,
+#   1. cold, with point-parallel replay off (--replay-workers=1) and at
+#      the default width (--replay-workers=auto);
+#   2. recording a trace store, then warm from that store;
+# and the warm run's telemetry must show the store served it and that
+# every replayed point obeyed the replay conservation laws
+# (check.replay.points > 0, check.replay.violations == 0).
+# The expected file is only read here, never written.
+#
+# Usage: scripts/report_fixed_point.sh [build-dir]   (default: build)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BUILD_DIR=${1:-build}
+REPORT="$BUILD_DIR/tools/urcm_report"
+EXPECTED=urcmbench/expected/report.md
+[ -x "$REPORT" ] || { echo "report_fixed_point: $REPORT not built" >&2; exit 1; }
+
+OUT=$(mktemp -d /tmp/urcm_report.XXXXXX)
+trap 'rm -rf "$OUT"' EXIT
+
+for workers in 1 auto; do
+  "$REPORT" --replay-workers="$workers" > "$OUT/cold.$workers.md"
+  cmp "$EXPECTED" "$OUT/cold.$workers.md" || {
+    echo "report (cold, --replay-workers=$workers) drifted from $EXPECTED" >&2
+    exit 1; }
+done
+
+"$REPORT" --trace-store="$OUT/store" > "$OUT/record.md"
+cmp "$EXPECTED" "$OUT/record.md" || {
+  echo "report (recording a trace store) drifted from $EXPECTED" >&2
+  exit 1; }
+"$REPORT" --trace-store="$OUT/store" --telemetry-json="$OUT/warm.json" \
+  > "$OUT/warm.md"
+cmp "$EXPECTED" "$OUT/warm.md" || {
+  echo "report (warm trace store) drifted from $EXPECTED" >&2; exit 1; }
+
+python3 - "$OUT/warm.json" <<'PY'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+if c.get("sim.store.misses", 0) != 0 or c.get("sim.store.hits", 0) < 1:
+    sys.exit("warm report was not served from the trace store")
+if c.get("check.replay.points", 0) < 1:
+    sys.exit("warm report checked no replayed point")
+if c.get("check.replay.violations", 0) != 0:
+    sys.exit("replayed counters broke a conservation law")
+PY
+echo "report fixed point OK"

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 using namespace urcm;
@@ -220,6 +221,28 @@ private:
     return true;
   }
 
+  /// \p Value narrowed to \p T, or a line-numbered "<What> 'V' out of
+  /// range" diagnostic and nullopt when \p T cannot hold it.
+  template <typename T>
+  std::optional<T> narrowed(size_t LineIndex, int64_t Value,
+                            const char *What) {
+    if (std::in_range<T>(Value))
+      return static_cast<T>(Value);
+    error(LineIndex, formatString("%s '%lld' out of range", What,
+                                  static_cast<long long>(Value)));
+    return std::nullopt;
+  }
+
+  /// Register number \p Value, or a diagnostic and nullopt if it names
+  /// no register (negative, NoReg and beyond).
+  std::optional<Reg> regNumber(size_t LineIndex, int64_t Value) {
+    if (Value >= 0 && Value < static_cast<int64_t>(NoReg))
+      return static_cast<Reg>(Value);
+    error(LineIndex, formatString("register number 'r%lld' out of range",
+                                  static_cast<long long>(Value)));
+    return std::nullopt;
+  }
+
   /// Register number \p Digits, or a diagnostic and nullopt if it names
   /// no register.
   std::optional<Reg> regNumber(size_t LineIndex, const std::string &Digits) {
@@ -241,11 +264,13 @@ private:
     auto Size = C.integer();
     if (badNumeral(LineIndex, C))
       return;
+    std::optional<uint32_t> Words =
+        narrowed<uint32_t>(LineIndex, Size.value_or(1), "global size");
+    if (!Words)
+      return;
     if (Names.Globals.count(Name))
       return; // Pass-2 revisit.
-    uint32_t Id = M->addGlobal(
-        IRGlobal{Name, static_cast<uint32_t>(Size.value_or(1)), nullptr,
-                 0});
+    uint32_t Id = M->addGlobal(IRGlobal{Name, *Words, nullptr, 0});
     Names.Globals[Name] = Id;
   }
 
@@ -264,31 +289,42 @@ private:
     C.consume(',');
     C.consumeWord("returns=");
     std::string Returns = C.ident();
-    std::vector<Reg> ParamRegs;
+    std::vector<int64_t> ParamRegNumbers;
     if (C.consume(',')) {
       C.consumeWord("paramregs=");
       C.consume('[');
       while (C.consume('r')) {
-        ParamRegs.push_back(
-            static_cast<Reg>(C.integer().value_or(0)));
+        ParamRegNumbers.push_back(C.integer().value_or(0));
         C.skipSpace();
       }
       C.consume(']');
     }
     if (badNumeral(LineIndex, C))
       return;
+    std::optional<uint32_t> NumParams =
+        narrowed<uint32_t>(LineIndex, Params, "params count");
+    std::optional<uint32_t> NumRegs =
+        narrowed<uint32_t>(LineIndex, Regs, "regs count");
+    if (!NumParams || !NumRegs)
+      return;
+    std::vector<Reg> ParamRegs;
+    for (int64_t Number : ParamRegNumbers) {
+      std::optional<Reg> R = regNumber(LineIndex, Number);
+      if (!R)
+        return;
+      ParamRegs.push_back(*R);
+    }
 
     if (CreateOnly) {
       if (Names.Functions.count(Name))
         return;
-      IRFunction *F = M->addFunction(Name, Returns == "int",
-                                     static_cast<uint32_t>(Params));
+      IRFunction *F = M->addFunction(Name, Returns == "int", *NumParams);
       Names.Functions[Name] = F->id();
       return;
     }
 
     CurFunc = M->function(Names.Functions.at(Name));
-    CurFunc->setNumRegs(static_cast<uint32_t>(Regs));
+    CurFunc->setNumRegs(*NumRegs);
     for (uint32_t P = 0; P != ParamRegs.size(); ++P)
       CurFunc->setParamReg(P, ParamRegs[P]);
     CurBlock = nullptr;
@@ -308,9 +344,13 @@ private:
     int64_t Size = C.integer().value_or(1);
     if (badNumeral(LineIndex, C))
       return;
+    std::optional<uint32_t> Words =
+        narrowed<uint32_t>(LineIndex, Size, "frame slot size");
+    if (!Words)
+      return;
     bool IsSpill = Line.find("(spill)") != std::string::npos;
     CurFunc->addFrameSlot(IRFrameSlot{
-        Name, static_cast<uint32_t>(Size),
+        Name, *Words,
         IsSpill ? FrameSlotKind::Spill : FrameSlotKind::LocalVar, nullptr,
         0});
   }
@@ -355,17 +395,18 @@ private:
           error(LineIndex, "malformed register operand");
         return std::nullopt;
       }
-      if (*RegNo < 0 || *RegNo >= static_cast<int64_t>(NoReg)) {
-        error(LineIndex, formatString("register number 'r%lld' out of range",
-                                      static_cast<long long>(*RegNo)));
+      std::optional<Reg> R = regNumber(LineIndex, *RegNo);
+      if (!R)
         return std::nullopt;
-      }
       int64_t Offset = C.integer().value_or(0);
       if (badNumeral(LineIndex, C))
         return std::nullopt;
+      std::optional<int32_t> Off =
+          narrowed<int32_t>(LineIndex, Offset, "offset");
+      if (!Off)
+        return std::nullopt;
       C.consume(']');
-      return Operand::reg(static_cast<Reg>(*RegNo),
-                          static_cast<int32_t>(Offset));
+      return Operand::reg(*R, *Off);
     }
     if (Next == '@') {
       C.consume('@');
@@ -379,7 +420,11 @@ private:
       int64_t Offset = C.integer().value_or(0);
       if (badNumeral(LineIndex, C))
         return std::nullopt;
-      return Operand::global(It->second, static_cast<int32_t>(Offset));
+      std::optional<int32_t> Off =
+          narrowed<int32_t>(LineIndex, Offset, "offset");
+      if (!Off)
+        return std::nullopt;
+      return Operand::global(It->second, *Off);
     }
     if (Next == '%') {
       C.consume('%');
@@ -393,7 +438,11 @@ private:
       int64_t Offset = C.integer().value_or(0);
       if (badNumeral(LineIndex, C))
         return std::nullopt;
-      return Operand::frame(*Slot, static_cast<int32_t>(Offset));
+      std::optional<int32_t> Off =
+          narrowed<int32_t>(LineIndex, Offset, "offset");
+      if (!Off)
+        return std::nullopt;
+      return Operand::frame(*Slot, *Off);
     }
     if (Next == '.') {
       C.consume('.');

@@ -15,6 +15,11 @@ using namespace urcm;
 
 namespace {
 
+/// Calls nest this deep at most. callFunction recurses on the native
+/// stack, so runaway recursion must end in an error before it overflows
+/// that stack (a few hundred bytes per level; more under sanitizers).
+constexpr uint32_t MaxCallDepth = 4096;
+
 class Interpreter {
 public:
   Interpreter(const IRModule &M, const InterpConfig &Config)
@@ -125,6 +130,11 @@ private:
   int64_t callFunction(const IRFunction &F, const std::vector<int64_t> &Args) {
     if (!Result.Error.empty())
       return 0;
+    if (CallDepth == MaxCallDepth) {
+      fail("call depth limit exceeded");
+      return 0;
+    }
+    ++CallDepth;
     Frame Fr = pushFrame(F);
     for (uint32_t P = 0; P != F.numParams(); ++P) {
       Reg PR = F.paramReg(P);
@@ -280,6 +290,7 @@ private:
     }
 
     SP = Fr.SavedSP;
+    --CallDepth;
     return ReturnValue;
   }
 
@@ -288,6 +299,7 @@ private:
   std::vector<int64_t> Memory;
   std::vector<uint64_t> GlobalAddress;
   uint64_t SP = 0;
+  uint32_t CallDepth = 0;
   InterpResult Result;
 };
 

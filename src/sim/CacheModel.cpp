@@ -68,7 +68,7 @@ constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
 
 std::shared_ptr<const std::vector<uint64_t>>
 urcm::computeNextLineUses(const std::vector<TraceEvent> &Trace,
-                          uint32_t LineWords) {
+                          uint32_t LineWords, bool IgnoreHints) {
   CacheConfig Geo;
   Geo.LineWords = LineWords;
   CacheGeometry G(Geo);
@@ -76,7 +76,7 @@ urcm::computeNextLineUses(const std::vector<TraceEvent> &Trace,
   std::unordered_map<uint64_t, uint64_t> NextOfLine;
   for (uint64_t Index = Trace.size(); Index-- > 0;) {
     const TraceEvent &E = Trace[Index];
-    if (E.Info.Bypass)
+    if (E.Info.Bypass && !IgnoreHints)
       continue;
     uint64_t LA = G.lineAddr(E.Addr);
     auto It = NextOfLine.find(LA);

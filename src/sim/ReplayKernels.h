@@ -26,231 +26,359 @@
 
 #include "urcm/sim/SweepEngine.h"
 #include "urcm/sim/TraceSim.h"
+#include "urcm/support/RNG.h"
 
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 namespace urcm {
 namespace detail {
 
-/// computeNextLineUses for an IgnoreHints replay: bypassed events count
-/// as through-cache accesses there, so the next-use index must include
-/// them.
-inline std::shared_ptr<const std::vector<uint64_t>>
-computeNextLineUsesUnhinted(const std::vector<TraceEvent> &Trace,
-                            uint32_t LineWords) {
-  CacheConfig Geo;
-  Geo.LineWords = LineWords;
-  CacheGeometry G(Geo);
-  auto Next = std::make_shared<std::vector<uint64_t>>(
-      Trace.size(), std::numeric_limits<uint64_t>::max());
-  std::unordered_map<uint64_t, uint64_t> NextOfLine;
-  for (uint64_t Index = Trace.size(); Index-- > 0;) {
-    uint64_t LA = G.lineAddr(Trace[Index].Addr);
-    auto It = NextOfLine.find(LA);
-    if (It != NextOfLine.end())
-      (*Next)[Index] = It->second;
-    NextOfLine[LA] = Index;
-  }
-  return Next;
-}
-
-/// True if \p P can be served by the specialized two-way LRU kernel
-/// below.
-inline bool lruTwoWayEligible(const SweepPoint &P) {
-  return P.Policy == TracePolicy::LRU &&
-         P.Config.Write == WritePolicy::WriteBack &&
-         P.Config.LineWords == 1 && P.Config.Assoc == 2 &&
-         P.Config.NumLines >= 2 &&
-         (P.Config.NumLines & (P.Config.NumLines - 1)) == 0;
-}
-
-/// Specialized replay for a two-way LRU write-back cache with one-word
-/// lines and a power-of-two line count — the paper's preferred
-/// data-cache shape and by far the hottest sweep configuration.
-/// Counters are bit-identical to CacheModel; the win is the state
-/// encoding: each set is a two-entry move-to-front list of tag words
-/// (bit 63 = dirty, all-ones = invalid), so the common case — a hit on
-/// the most recent way — is one load and one compare, with no tick
-/// bookkeeping (for two ways, position *is* recency).
+/// Replay of a write-back cache with one-word lines and a power-of-two
+/// set count under any policy but MIN: every point of the paper's
+/// geometry and of the report's policy grid. Counters and attribution
+/// tables are bit-identical to CacheModel, which stays the generic model
+/// and this kernel's test oracle.
 ///
-/// Invariants: among valid ways of a set, slot 0 is the more recently
-/// used; invalid ways can sit in either slot (an access always leaves
-/// the touched line in slot 0, and dead-tag/bypass frees invalidate in
-/// place). Victim choice matches DataCache::chooseVictim: an invalid
-/// way first, else the LRU way (slot 1).
-class LRUTwoWayStream {
-  static constexpr uint64_t DirtyBit = uint64_t(1) << 63;
-  static constexpr uint64_t TagMask = ~DirtyBit;
-  static constexpr uint64_t Invalid = ~uint64_t(0);
+/// State encoding: one uint64_t per way (layout below), so a set of the
+/// paper's two-way cache is one 16-byte pair and a hit on slot 0 is one
+/// load, one mask and one compare. The valid bit sits outside the 32
+/// address bits, so address 0xFFFFFFFF cannot alias an empty way (an
+/// empty way is the all-zero word).
+///
+/// What slot order means per policy:
+///  * LRU, LivenessBypass: move-to-front. Among valid ways slot 0 is the
+///    most recently used, so a full set's victim is the last slot and no
+///    tick is kept.
+///  * FIFO: insertion order, newest first; a hit does not reorder.
+///  * Random, TreePLRU, SRRIP: fixed slots (slot = CacheModel's way
+///    index), so victim indices, Rng draws, tree bits and RRPV aging
+///    match CacheModel exactly.
+/// Frees invalidate in place, so invalid ways can sit anywhere. A miss
+/// fills the first invalid slot, as CacheModel::victimWay does; for the
+/// ordered policies the choice among invalid ways is unobservable.
+///
+/// Associativity and policy are template parameters: feed() dispatches
+/// once per chunk and the loop keeps its counters in locals. IgnoreHints
+/// is honoured here by masking the hint bits, so no stripped copy of the
+/// trace is needed.
+class PackedOneWordStream {
+  // Way word layout: [31:0] address, 32 valid, 33 dirty, 34 reused
+  // (LivenessBypass), [36:35] RRPV (SRRIP), [63:48] installer RefId.
+  static constexpr uint64_t AddrMask = 0xFFFFFFFFull;
+  static constexpr uint64_t ValidBit = uint64_t(1) << 32;
+  static constexpr uint64_t DirtyBit = uint64_t(1) << 33;
+  static constexpr uint64_t ReusedBit = uint64_t(1) << 34;
+  static constexpr unsigned RRPVShift = 35;
+  static constexpr uint64_t RRPVMask = uint64_t(3) << RRPVShift;
+  static constexpr unsigned RefShift = 48;
+  static_assert(sizeof(TraceEvent::Addr) * 8 == 32,
+                "the address must fit below the valid bit");
+  static_assert(sizeof(TraceEvent::RefId) * 8 == 64 - RefShift,
+                "the installer RefId fills the top bits");
+  static_assert(SRRIPMaxRRPV <= (RRPVMask >> RRPVShift) &&
+                    RRPVShift + 2 <= RefShift,
+                "the RRPV field holds every RRPV and overlaps nothing");
 
+  CachePolicy Policy;
+  uint32_t Assoc;
   uint64_t SetMask;
   bool Hinted;
-  std::vector<uint64_t> Tags;
+  std::vector<uint64_t> Ways;
+  /// Tree-PLRU node bits, one word per set (TreePLRU only).
+  std::vector<uint64_t> TreeBits;
+  /// LivenessBypass: per-RefId dead-on-arrival counters (see
+  /// CacheModel), indexed directly by the uint16 RefId.
+  std::vector<uint8_t> Dead;
+  uint64_t Probe = 0;
+  SplitMix64 Rng;
   CacheStats St;
-  /// Attribution table (null: off, the common case).
   RefAttribution *Attr = nullptr;
-  /// Installer RefId per way, parallel to Tags; sized by setAttribution.
-  std::vector<uint16_t> InstalledBy;
 
 public:
-  explicit LRUTwoWayStream(const SweepPoint &P)
-      : SetMask(P.Config.NumLines / 2 - 1), Hinted(!P.IgnoreHints),
-        Tags(P.Config.NumLines, Invalid) {
-    assert(lruTwoWayEligible(P));
+  /// The routing rule: every other point replays on CacheModel. The
+  /// associativities are the ones feedAssoc instantiates.
+  static bool eligible(const SweepPoint &P) {
+    const CacheConfig &C = P.Config;
+    const bool Compiled =
+        C.Assoc == 1 || C.Assoc == 2 || C.Assoc == 4 || C.Assoc == 8;
+    if (P.Policy == CachePolicy::MIN || C.LineWords != 1 ||
+        C.Write != WritePolicy::WriteBack || !Compiled ||
+        C.NumLines % C.Assoc != 0)
+      return false;
+    const uint32_t Sets = C.NumLines / C.Assoc;
+    return Sets != 0 && (Sets & (Sets - 1)) == 0;
   }
 
-  /// Routes attribution into \p A (see RefAttribution; counter sites
-  /// mirror TwoWayWB1Cache's).
-  void setAttribution(RefAttribution *A) {
-    Attr = A;
-    if (A)
-      InstalledBy.assign(Tags.size(), MemRefInfo::NoRefId);
+  explicit PackedOneWordStream(const SweepPoint &P)
+      : Policy(P.Policy), Assoc(P.Config.Assoc),
+        SetMask(P.Config.NumLines / P.Config.Assoc - 1),
+        Hinted(!P.IgnoreHints), Ways(P.Config.NumLines, 0),
+        Rng(P.Config.Seed) {
+    assert(eligible(P));
+    if (Policy == CachePolicy::TreePLRU)
+      TreeBits.assign(SetMask + 1, 0);
+    if (Policy == CachePolicy::LivenessBypass)
+      Dead.assign(size_t(1) << 16, 0);
   }
+
+  /// Routes attribution into \p A; counter sites mirror CacheModel's.
+  void setAttribution(RefAttribution *A) { Attr = A; }
 
   void feed(const TraceEvent *Events, size_t Count) {
     if (Attr)
-      feedImpl<true>(Events, Count);
+      feedAssoc<true>(Events, Count);
     else
-      feedImpl<false>(Events, Count);
+      feedAssoc<false>(Events, Count);
   }
 
   CacheStats finish() {
-    for (uint64_t T : Tags)
-      if (T != Invalid && (T & DirtyBit))
+    for (uint64_t V : Ways)
+      if ((V & (ValidBit | DirtyBit)) == (ValidBit | DirtyBit))
         ++St.FlushWriteBackWords;
     return St;
   }
 
 private:
-  template <bool Attrib>
-  void feedImpl(const TraceEvent *Events, size_t Count) {
-    // Tag pointer, set mask and counters live in registers for the
-    // whole chunk.
-    uint64_t *const Tags = this->Tags.data();
-    [[maybe_unused]] uint16_t *const IB =
-        Attrib ? InstalledBy.data() : nullptr;
+  template <bool A> void feedAssoc(const TraceEvent *Events, size_t Count) {
+    switch (Assoc) {
+    case 1:
+      return feedPolicy<1, A>(Events, Count);
+    case 2:
+      return feedPolicy<2, A>(Events, Count);
+    case 4:
+      return feedPolicy<4, A>(Events, Count);
+    case 8:
+      return feedPolicy<8, A>(Events, Count);
+    }
+    assert(false && "associativity the kernel is not compiled for");
+  }
+
+  template <uint32_t N, bool A>
+  void feedPolicy(const TraceEvent *Events, size_t Count) {
+    switch (Policy) {
+    case CachePolicy::LRU:
+      return feedLoop<N, CachePolicy::LRU, A>(Events, Count);
+    case CachePolicy::FIFO:
+      return feedLoop<N, CachePolicy::FIFO, A>(Events, Count);
+    case CachePolicy::Random:
+      return feedLoop<N, CachePolicy::Random, A>(Events, Count);
+    case CachePolicy::TreePLRU:
+      return feedLoop<N, CachePolicy::TreePLRU, A>(Events, Count);
+    case CachePolicy::SRRIP:
+      return feedLoop<N, CachePolicy::SRRIP, A>(Events, Count);
+    case CachePolicy::LivenessBypass:
+      return feedLoop<N, CachePolicy::LivenessBypass, A>(Events, Count);
+    case CachePolicy::MIN:
+      break;
+    }
+    assert(false && "MIN replays on CacheModel");
+  }
+
+  /// Slot holding \p Key (address | ValidBit), or N on a miss.
+  template <uint32_t N>
+  static uint32_t findWay(const uint64_t *S, uint64_t Key) {
+    for (uint32_t Way = 0; Way != N; ++Way)
+      if ((S[Way] & (AddrMask | ValidBit)) == Key)
+        return Way;
+    return N;
+  }
+
+  template <uint32_t N> static uint32_t firstInvalid(const uint64_t *S) {
+    for (uint32_t Way = 0; Way != N; ++Way)
+      if (!(S[Way] & ValidBit))
+        return Way;
+    return N;
+  }
+
+  static uint16_t installer(uint64_t V) {
+    return static_cast<uint16_t>(V >> RefShift);
+  }
+
+  /// LivenessBypass training, as CacheModel::trainLive / trainDead.
+  static void trainLive(uint8_t *Dead, uint64_t &V) {
+    if (V & ReusedBit)
+      return;
+    V |= ReusedBit;
+    uint8_t &C = Dead[installer(V)];
+    if (C > 0)
+      --C;
+  }
+  static void trainDead(uint8_t *Dead, uint64_t V) {
+    if (V & ReusedBit)
+      return;
+    uint8_t &C = Dead[installer(V)];
+    if (C < LivenessCounterMax)
+      ++C;
+  }
+
+  /// SRRIP's victim walk (detail::srripVictimWay) on packed RRPVs.
+  template <uint32_t N> static uint32_t srripVictim(uint64_t *S) {
+    for (;;) {
+      for (uint32_t Way = 0; Way != N; ++Way)
+        if (((S[Way] & RRPVMask) >> RRPVShift) >= SRRIPMaxRRPV)
+          return Way;
+      for (uint32_t Way = 0; Way != N; ++Way)
+        S[Way] += uint64_t(1) << RRPVShift;
+    }
+  }
+
+  template <uint32_t N, CachePolicy P, bool A>
+  void feedLoop(const TraceEvent *Events, size_t Count) {
+    constexpr bool MoveToFront =
+        P == CachePolicy::LRU || P == CachePolicy::LivenessBypass;
+    constexpr bool InsertAtFront = MoveToFront || P == CachePolicy::FIFO;
+    constexpr bool Tree = P == CachePolicy::TreePLRU && N > 1;
+    // Everything the loop touches lives in locals for the whole chunk.
+    uint64_t *const Ways = this->Ways.data();
+    [[maybe_unused]] uint64_t *const TreeBits = this->TreeBits.data();
+    [[maybe_unused]] uint8_t *const Dead = this->Dead.data();
     [[maybe_unused]] RefAttribution *const Attr = this->Attr;
     const uint64_t SetMask = this->SetMask;
-    const bool Hinted = this->Hinted;
+    const unsigned Hinted = this->Hinted;
+    SplitMix64 Rng = this->Rng;
+    uint64_t Probe = this->Probe;
     CacheStats St = this->St;
     for (const TraceEvent *E = Events, *End = Events + Count; E != End;
          ++E) {
-      const uint64_t A = E->Addr;
+      const uint64_t Addr = E->Addr;
       const bool W = E->IsWrite;
       [[maybe_unused]] const uint16_t Ref = E->RefId;
-      const uint64_t Set = A & SetMask;
-      uint64_t *P = Tags + (Set << 1);
-      [[maybe_unused]] uint16_t *B = Attrib ? IB + (Set << 1) : nullptr;
-      if (__builtin_expect(!(E->Info.Bypass & Hinted), 1)) {
-        uint64_t T0 = P[0];
+      const uint64_t SetIdx = Addr & SetMask;
+      uint64_t *const S = Ways + SetIdx * N;
+      const uint64_t Key = Addr | ValidBit;
+
+      if (__builtin_expect(E->Info.Bypass & Hinted, 0)) {
+        if constexpr (A)
+          ++Attr->row(Ref).Bypasses;
+        if (W) {
+          ++St.BypassWrites; // Changes no cache state.
+          continue;
+        }
+        const uint32_t Way = findWay<N>(S, Key);
+        if (Way == N) {
+          ++St.BypassReads;
+          continue;
+        }
+        // A resident line migrates to the register file (dirty lines
+        // write back first) and frees its slot.
+        ++St.BypassHitMigrations;
+        ++St.DeadFrees;
+        uint64_t V = S[Way];
+        if constexpr (P == CachePolicy::LivenessBypass)
+          trainLive(Dead, V); // The migration read is a reuse.
+        if (V & DirtyBit) {
+          ++St.WriteBacks;
+          ++St.WriteBackWords;
+          ++St.Evictions;
+          if constexpr (A) {
+            ++Attr->row(Ref).EvictionsCaused;
+            ++Attr->row(installer(V)).EvictionsSuffered;
+          }
+        }
+        S[Way] = 0;
+        continue;
+      }
+
+      uint32_t Way = findWay<N>(S, Key);
+      if constexpr (P == CachePolicy::LivenessBypass) {
+        if (Way == N && Dead[Ref] >= LivenessDeadThreshold &&
+            ++Probe % LivenessProbePeriod != 0) {
+          // Predicted dead on arrival: served from memory, no allocate.
+          if (W)
+            ++St.BypassWrites;
+          else
+            ++St.BypassReads;
+          if constexpr (A)
+            ++Attr->row(Ref).Bypasses;
+          continue;
+        }
+      }
+      if (W)
+        ++St.Writes;
+      else
+        ++St.Reads;
+
+      if (Way != N) {
         if (W)
-          ++St.Writes;
+          ++St.WriteHits;
         else
-          ++St.Reads;
-        if ((T0 & TagMask) == A) {
-          if constexpr (Attrib)
-            ++Attr->row(Ref).Hits;
-          if (W) {
-            ++St.WriteHits;
-            P[0] = T0 | DirtyBit;
-          } else {
-            ++St.ReadHits;
-          }
-        } else if (uint64_t T1 = P[1]; (T1 & TagMask) == A) {
-          if constexpr (Attrib) {
-            ++Attr->row(Ref).Hits;
-            const uint16_t Tmp = B[0];
-            B[0] = B[1];
-            B[1] = Tmp;
-          }
-          if (W) {
-            ++St.WriteHits;
-            T1 |= DirtyBit;
-          } else {
-            ++St.ReadHits;
-          }
-          P[1] = T0;
-          P[0] = T1;
-        } else {
-          // Miss. One-word write-allocate skips the fetch (the store
-          // overwrites the whole line).
-          if constexpr (Attrib)
-            ++Attr->row(Ref).Misses;
-          ++St.Fills;
-          if (!W)
-            ++St.FillWords;
-          uint64_t NewTag = W ? A | DirtyBit : A;
-          if (T0 == Invalid) {
-            P[0] = NewTag;
-            if constexpr (Attrib)
-              B[0] = Ref;
-          } else {
-            if (T1 != Invalid) {
-              ++St.Evictions;
-              if constexpr (Attrib) {
-                ++Attr->row(Ref).EvictionsCaused;
-                ++Attr->row(B[1]).EvictionsSuffered;
-              }
-              if (T1 & DirtyBit) {
-                ++St.WriteBacks;
-                ++St.WriteBackWords;
-              }
-            }
-            P[1] = T0;
-            P[0] = NewTag;
-            if constexpr (Attrib) {
-              B[1] = B[0];
-              B[0] = Ref;
-            }
-          }
+          ++St.ReadHits;
+        if constexpr (A)
+          ++Attr->row(Ref).Hits;
+        uint64_t V = S[Way] | (W ? DirtyBit : 0);
+        if constexpr (P == CachePolicy::LivenessBypass)
+          trainLive(Dead, V);
+        else if constexpr (P == CachePolicy::SRRIP)
+          V &= ~RRPVMask;
+        else if constexpr (Tree)
+          TreeBits[SetIdx] = detail::treePLRUTouch(TreeBits[SetIdx], N, Way);
+        if constexpr (MoveToFront) {
+          for (; Way != 0; --Way)
+            S[Way] = S[Way - 1];
         }
-        if (E->Info.LastRef & Hinted) {
-          // The accessed line sits in slot 0 after every path above.
-          ++St.DeadFrees;
-          if (P[0] & DirtyBit) {
-            ++St.DeadWriteBacksAvoided;
-            if constexpr (Attrib)
-              ++Attr->row(Ref).DeadWriteBacksSuppressed;
-          }
-          P[0] = Invalid;
-        }
-      } else if (W) {
-        ++St.BypassWrites;
-        if constexpr (Attrib)
-          ++Attr->row(Ref).Bypasses;
+        S[Way] = V;
       } else {
-        // Bypass read: a resident line migrates to the register file
-        // (dirty lines write back first) and frees its slot.
-        if constexpr (Attrib)
-          ++Attr->row(Ref).Bypasses;
-        uint64_t T0 = P[0], T1 = P[1];
-        uint64_t *Slot = (T0 & TagMask) == A   ? &P[0]
-                         : (T1 & TagMask) == A ? &P[1]
-                                               : nullptr;
-        if (Slot) {
-          ++St.BypassHitMigrations;
-          ++St.DeadFrees;
-          if (*Slot & DirtyBit) {
+        if constexpr (A)
+          ++Attr->row(Ref).Misses;
+        ++St.Fills;
+        if (!W)
+          ++St.FillWords; // One-word write-allocate skips the fetch.
+        Way = firstInvalid<N>(S);
+        if (Way == N) {
+          if constexpr (InsertAtFront)
+            Way = N - 1; // Least recent, or oldest.
+          else if constexpr (P == CachePolicy::Random)
+            Way = static_cast<uint32_t>(Rng.nextBelow(N));
+          else if constexpr (P == CachePolicy::TreePLRU)
+            Way = N == 1 ? 0 : detail::treePLRUVictimWay(TreeBits[SetIdx], N);
+          else
+            Way = srripVictim<N>(S);
+          const uint64_t Victim = S[Way];
+          ++St.Evictions;
+          if (Victim & DirtyBit) {
             ++St.WriteBacks;
             ++St.WriteBackWords;
-            ++St.Evictions;
-            if constexpr (Attrib) {
-              ++Attr->row(Ref).EvictionsCaused;
-              ++Attr->row(B[Slot - P]).EvictionsSuffered;
-            }
           }
-          *Slot = Invalid;
-        } else {
-          ++St.BypassReads;
+          if constexpr (A) {
+            ++Attr->row(Ref).EvictionsCaused;
+            ++Attr->row(installer(Victim)).EvictionsSuffered;
+          }
+          if constexpr (P == CachePolicy::LivenessBypass)
+            trainDead(Dead, Victim); // Died without reuse.
         }
+        uint64_t V = Key | (W ? DirtyBit : 0) | uint64_t(Ref) << RefShift;
+        if constexpr (P == CachePolicy::SRRIP)
+          V |= uint64_t(SRRIPInsertRRPV) << RRPVShift;
+        else if constexpr (Tree)
+          TreeBits[SetIdx] = detail::treePLRUTouch(TreeBits[SetIdx], N, Way);
+        if constexpr (InsertAtFront) {
+          for (; Way != 0; --Way)
+            S[Way] = S[Way - 1];
+        }
+        S[Way] = V;
+      }
+
+      if (E->Info.LastRef & Hinted) {
+        // The accessed line sits in slot Way after either path above.
+        const uint64_t V = S[Way];
+        ++St.DeadFrees;
+        if (V & DirtyBit) {
+          ++St.DeadWriteBacksAvoided;
+          if constexpr (A)
+            ++Attr->row(Ref).DeadWriteBacksSuppressed;
+        }
+        if constexpr (P == CachePolicy::LivenessBypass)
+          trainDead(Dead, V); // Install + immediate free is dead-on-arrival.
+        S[Way] = 0;
       }
     }
     this->St = St;
+    this->Rng = Rng;
+    this->Probe = Probe;
   }
 };
 

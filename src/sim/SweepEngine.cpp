@@ -42,7 +42,7 @@
 // Two Fenwick trees over the timestamp domain (all entries / holes
 // only) give O(log n) depth, topmost-hole and per-size victim queries.
 //
-// Every replay kernel here (the two-way-LRU kernel, the generic
+// Every replay kernel here (the packed one-word kernel, the generic
 // CacheModel, the stack-distance sweep) is written as a
 // chunk-fed stream — construct, feed(events), finish() — and the batch
 // entry points (replayTraceMulti, sweepLRUStackDistance,
@@ -69,6 +69,7 @@
 #include <atomic>
 #include <cassert>
 #include <map>
+#include <numeric>
 #include <type_traits>
 #include <variant>
 
@@ -97,6 +98,11 @@ URCM_STAT(NumParallelUnits, "sweep.parallel.units",
           "Replay units (kernels) in point-parallel streams");
 URCM_STAT(NumParallelWorkers, "sweep.parallel.workers",
           "Workers used, summed over point-parallel streams");
+URCM_STAT(NumReplayCheckedPoints, "check.replay.points",
+          "Replayed sweep points whose counters were checked against the "
+          "replay conservation laws");
+URCM_STAT(NumReplayViolations, "check.replay.violations",
+          "Replayed sweep points that broke a conservation law");
 URCM_STAT(NumPolicyLRUPoints, "sim.policy.lru",
           "Sweep points answered under the LRU policy");
 URCM_STAT(NumPolicyFIFOPoints, "sim.policy.fifo",
@@ -150,18 +156,25 @@ namespace {
 
 /// One independent replay job: a kernel plus the sweep points it
 /// answers. A stack walk answers every size of one hint view; the other
-/// kernels answer one point each. Padded to its own cache lines because
-/// CacheModel bumps its counters in place: two units sharing a line
-/// would ping-pong it between the workers replaying them.
+/// kernels answer one point each. Every kernel honours IgnoreHints
+/// itself, so all of them read the same chunk. Padded to its own cache
+/// lines because CacheModel bumps its counters in place: two units
+/// sharing a line would ping-pong it between the workers replaying them.
 struct alignas(DestructiveInterferenceSize) ReplayUnit {
-  std::variant<detail::StackDistanceStream, detail::LRUTwoWayStream,
+  std::variant<detail::StackDistanceStream, detail::PackedOneWordStream,
                CacheModel>
       Kernel;
   std::vector<size_t> PointIdx;
-  /// Feed the hint-stripped copy of each chunk (IgnoreHints CacheModel
-  /// points; the other kernels honour IgnoreHints themselves).
-  bool Stripped = false;
 };
+
+/// Relative per-event cost of a point's kernel, for the parallel claim
+/// order: the generic model, then the packed kernel's costlier shapes,
+/// then its two-way LRU (the cheapest and most common point).
+int kernelCost(const SweepPoint &P) {
+  if (!detail::PackedOneWordStream::eligible(P))
+    return 2;
+  return P.Policy != CachePolicy::LRU || P.Config.Assoc > 2 ? 1 : 0;
+}
 
 } // namespace
 
@@ -171,9 +184,10 @@ struct SweepPointStream::Impl {
   std::vector<ReplayUnit> Units;
   uint32_t Workers = 1;
   ThreadPool *Pool = nullptr;
-  bool AnyStripped = false;
-  std::vector<TraceEvent> Stripped; // Per-chunk scratch (hints cleared).
-  uint64_t RunningIndex = 0;        // Trace position of the next chunk.
+  uint64_t RunningIndex = 0; // Trace position of the next chunk.
+  /// Per point, the conservation law its counters broke (null: none);
+  /// filled by finish().
+  std::vector<const char *> Violated;
   /// Per-point attribution tables, parallel to Points (default-empty
   /// rows for points that did not request attribution); the kernels
   /// accumulate into these in place and takeAttribution moves them out.
@@ -225,8 +239,8 @@ SweepPointStream::SweepPointStream(
     }
     return;
   }
-  // One kernel per point: the policy-generic model first (the costlier
-  // kernel), then the specialized two-way LRU kernel. Each requesting
+  // One kernel per point: the packed one-word kernel where the point is
+  // eligible, the policy-generic model otherwise. Each requesting
   // point's table is allocated in Attrib, which was sized above and is
   // never resized again, so the kernels' table pointers stay valid.
   auto Attribute = [&](auto &Kernel, size_t I) {
@@ -240,32 +254,33 @@ SweepPointStream::SweepPointStream(
   std::map<std::pair<uint32_t, bool>,
            std::shared_ptr<const std::vector<uint64_t>>>
       NextUses;
-  for (size_t I = 0; I != Pts.size(); ++I) {
+  // Costliest kernels first, so the parallel claim order balances.
+  std::vector<size_t> Order(Pts.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t L, size_t R) {
+    return kernelCost(Pts[L]) > kernelCost(Pts[R]);
+  });
+  for (size_t I : Order) {
     const SweepPoint &Pt = Pts[I];
-    if (detail::lruTwoWayEligible(Pt))
+    if (detail::PackedOneWordStream::eligible(Pt)) {
+      detail::PackedOneWordStream Packed(Pt);
+      Attribute(Packed, I);
+      Units.push_back({std::move(Packed), {I}});
       continue;
+    }
     std::shared_ptr<const std::vector<uint64_t>> Next;
     if (Pt.Policy == TracePolicy::MIN) {
       assert(FullTrace && "MIN points require the materialized trace");
       auto &Slot = NextUses[{Pt.Config.LineWords, Pt.IgnoreHints}];
       if (!Slot)
-        Slot = Pt.IgnoreHints ? detail::computeNextLineUsesUnhinted(
-                                    *FullTrace, Pt.Config.LineWords)
-                              : computeNextLineUses(*FullTrace,
-                                                    Pt.Config.LineWords);
+        Slot = computeNextLineUses(*FullTrace, Pt.Config.LineWords,
+                                   Pt.IgnoreHints);
       Next = Slot;
     }
-    CacheModel Model(Pt.Config, Pt.Policy, std::move(Next));
+    CacheModel Model(Pt.Config, Pt.Policy, std::move(Next),
+                     Pt.IgnoreHints);
     Attribute(Model, I);
-    Units.push_back({std::move(Model), {I}, Pt.IgnoreHints});
-    P->AnyStripped |= Pt.IgnoreHints;
-  }
-  for (size_t I = 0; I != Pts.size(); ++I) {
-    if (!detail::lruTwoWayEligible(Pts[I]))
-      continue;
-    detail::LRUTwoWayStream TwoWay(Pts[I]);
-    Attribute(TwoWay, I);
-    Units.push_back({std::move(TwoWay), {I}});
+    Units.push_back({std::move(Model), {I}});
   }
 }
 
@@ -281,16 +296,6 @@ void SweepPointStream::feed(const TraceEvent *Events, size_t Count) {
   if (Count == 0)
     return;
   Impl &I = *P;
-  // IgnoreHints models see the chunk with its hint bits cleared,
-  // stripped once per chunk (not per point) and shared read-only.
-  if (I.AnyStripped) {
-    I.Stripped.assign(Events, Events + Count);
-    for (TraceEvent &E : I.Stripped) {
-      E.Info.Bypass = false;
-      E.Info.LastRef = false;
-    }
-  }
-  const TraceEvent *const Stripped = I.Stripped.data();
   const uint64_t Base = I.RunningIndex;
   I.RunningIndex += Count;
   auto Replay = [&](ReplayUnit &U) {
@@ -298,7 +303,7 @@ void SweepPointStream::feed(const TraceEvent *Events, size_t Count) {
         [&](auto &K) {
           if constexpr (std::is_same_v<std::decay_t<decltype(K)>,
                                        CacheModel>)
-            K.feed(U.Stripped ? Stripped : Events, Count, Base);
+            K.feed(Events, Count, Base);
           else
             K.feed(Events, Count);
         },
@@ -339,7 +344,20 @@ std::vector<CacheStats> SweepPointStream::finish() {
     NumParallelUnits.add(P->Units.size());
     NumParallelWorkers.add(std::min<size_t>(P->Workers, P->Units.size()));
   }
+  P->Violated.assign(Out.size(), nullptr);
+  for (size_t I = 0; I != Out.size(); ++I) {
+    P->Violated[I] =
+        replayConservationViolation(Out[I], P->Points[I].Config);
+    if (P->Violated[I])
+      NumReplayViolations.add();
+  }
+  NumReplayCheckedPoints.add(Out.size());
   return Out;
+}
+
+const char *SweepPointStream::violatedLaw(size_t PointIndex) const {
+  assert(PointIndex < P->Violated.size() && "call after finish()");
+  return P->Violated[PointIndex];
 }
 
 RefAttribution SweepPointStream::takeAttribution(size_t PointIndex) {
@@ -358,6 +376,27 @@ urcm::replayTraceMulti(const std::vector<TraceEvent> &Trace,
   SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/false);
   Stream.feed(Trace.data(), Trace.size());
   return Stream.finish();
+}
+
+bool urcm::packedReplayEligible(const SweepPoint &Point) {
+  return detail::PackedOneWordStream::eligible(Point);
+}
+
+const char *urcm::replayConservationViolation(const CacheStats &S,
+                                              const CacheConfig &Config) {
+  if (S.ReadHits > S.Reads)
+    return "ReadHits <= Reads";
+  if (S.WriteHits > S.Writes)
+    return "WriteHits <= Writes";
+  if (Config.Write == WritePolicy::WriteBack && S.Fills != S.misses())
+    return "Fills == misses (write-back)";
+  if (S.WriteBacks > S.Evictions)
+    return "WriteBacks <= Evictions";
+  if (S.WriteBackWords != S.WriteBacks * Config.LineWords)
+    return "WriteBackWords == WriteBacks * LineWords";
+  if (S.DeadWriteBacksAvoided > S.DeadFrees)
+    return "DeadWriteBacksAvoided <= DeadFrees";
+  return nullptr;
 }
 
 bool urcm::stackDistanceEligible(const SweepPoint &Point) {
@@ -398,31 +437,50 @@ urcm::replaySweepPoints(const std::vector<TraceEvent> &Trace,
 
 namespace {
 
-/// Extracts the attribution tables of every requesting point from a
-/// finished stream into \p Attrib (parallel to \p Points; default rows
-/// elsewhere). Shared by the streaming, store-serve and materialized
-/// paths.
-void collectAttribution(SweepPointStream &Stream,
-                        const std::vector<SweepPoint> &Points,
-                        std::vector<RefAttribution> &Attrib) {
+/// "FIFO, 128 lines, 2-way, 1-word lines, write-back, hints stripped".
+std::string describePoint(const SweepPoint &P) {
+  const CacheConfig &C = P.Config;
+  return std::string(cachePolicyName(P.Policy)) + ", " +
+         std::to_string(C.NumLines) + " lines, " + std::to_string(C.Assoc) +
+         "-way, " + std::to_string(C.LineWords) + "-word lines, " +
+         (C.Write == WritePolicy::WriteBack ? "write-back" : "write-through") +
+         (P.IgnoreHints ? ", hints stripped" : ", hinted");
+}
+
+/// Extracts what a finished stream holds besides its counters: the
+/// attribution tables of every requesting point into \p Attrib
+/// (parallel to \p Points; default rows elsewhere), and a diagnostic
+/// naming the first point that broke a replay conservation law into
+/// \p Violation (left empty when none did). Shared by the streaming,
+/// store-serve and materialized paths.
+void collectStreamResults(SweepPointStream &Stream,
+                          const std::vector<SweepPoint> &Points,
+                          std::vector<RefAttribution> &Attrib,
+                          std::string &Violation) {
   Attrib.assign(Points.size(), RefAttribution());
-  for (size_t R = 0; R != Points.size(); ++R)
+  for (size_t R = 0; R != Points.size(); ++R) {
     if (Points[R].wantsAttribution())
       Attrib[R] = Stream.takeAttribution(R);
+    if (const char *Law = Stream.violatedLaw(R); Law && Violation.empty())
+      Violation = "replay conservation law '" + std::string(Law) +
+                  "' violated by sweep point (" + describePoint(Points[R]) +
+                  ")";
+  }
 }
 
 /// Materialized-trace replay (the Belady MIN path): replaySweepPoints
-/// plus attribution extraction for the points that request it.
+/// plus the extras collectStreamResults extracts.
 std::vector<CacheStats>
 replayMaterialized(const std::vector<TraceEvent> &Trace,
                    const std::vector<SweepPoint> &Points, uint32_t Workers,
-                   ThreadPool *Pool, std::vector<RefAttribution> &Attrib) {
+                   ThreadPool *Pool, std::vector<RefAttribution> &Attrib,
+                   std::string &Violation) {
   SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/true,
                           Workers, Pool);
   Stream.reserve(Trace.size());
   Stream.feed(Trace.data(), Trace.size());
   std::vector<CacheStats> Out = Stream.finish();
-  collectAttribution(Stream, Points, Attrib);
+  collectStreamResults(Stream, Points, Attrib, Violation);
   return Out;
 }
 
@@ -469,7 +527,8 @@ bool SweepEngine::serveFromStore(Experiment &E,
                                  uint32_t Workers,
                                  uint64_t &TraceEvents,
                                  std::vector<CacheStats> &Replayed,
-                                 std::vector<RefAttribution> &ReplayedAttrib) {
+                                 std::vector<RefAttribution> &ReplayedAttrib,
+                                 std::string &Violation) {
   DiagnosticEngine OpenDiags;
   TraceStoreReader Reader;
   const std::string Path = traceStorePath(StoreDir, E.ContentHash);
@@ -531,7 +590,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
       Replayed = Stream.finish();
       if (T0)
         ReplayNs += telemetry::nowNanos() - T0;
-      collectAttribution(Stream, Work, ReplayedAttrib);
+      collectStreamResults(Stream, Work, ReplayedAttrib, Violation);
     }
     SweepReplayNs.add(ReplayNs);
   } else {
@@ -542,8 +601,8 @@ bool SweepEngine::serveFromStore(Experiment &E,
     if (Ok) {
       telemetry::ScopedPhase Replay("sweep.replay");
       uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
-      Replayed =
-          replayMaterialized(Trace, Work, Workers, Pool, ReplayedAttrib);
+      Replayed = replayMaterialized(Trace, Work, Workers, Pool,
+                                    ReplayedAttrib, Violation);
       if (T0)
         SweepReplayNs.add(telemetry::nowNanos() - T0);
       NumSweepBytesFreed.add(Trace.capacity() * sizeof(TraceEvent));
@@ -559,6 +618,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
     forwardStoreDiags(Local);
     Replayed.clear();
     ReplayedAttrib.clear();
+    Violation.clear();
     return false;
   }
   E.Result = Reader.summary();
@@ -619,10 +679,11 @@ void SweepEngine::run() {
     uint64_t TraceEvents = 0;
     std::vector<CacheStats> Replayed;
     std::vector<RefAttribution> ReplayedAttrib;
+    std::string Violation;
     const bool StoreEnabled = !StoreDir.empty() && E.ContentHash != 0;
     const bool Served =
         StoreEnabled && serveFromStore(E, Rest, Workers, TraceEvents,
-                                       Replayed, ReplayedAttrib);
+                                       Replayed, ReplayedAttrib, Violation);
 
     // On a store miss the live run tees its trace into a writer so the
     // next process (or a rerun) is served warm. The writer observes; it
@@ -702,7 +763,7 @@ void SweepEngine::run() {
           Replayed = Stream.finish();
           if (T0)
             ReplayNs += telemetry::nowNanos() - T0;
-          collectAttribution(Stream, Rest, ReplayedAttrib);
+          collectStreamResults(Stream, Rest, ReplayedAttrib, Violation);
         }
         SweepReplayNs.add(ReplayNs);
       }
@@ -725,7 +786,7 @@ void SweepEngine::run() {
           telemetry::ScopedPhase Replay("sweep.replay");
           uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
           Replayed = replayMaterialized(E.Result.Trace, Rest, Workers,
-                                        Pool, ReplayedAttrib);
+                                        Pool, ReplayedAttrib, Violation);
           if (T0)
             SweepReplayNs.add(telemetry::nowNanos() - T0);
         }
@@ -735,6 +796,11 @@ void SweepEngine::run() {
       E.Result.Trace.clear();
       E.Result.Trace.shrink_to_fit();
     }
+
+    // Counters that break a conservation law fail the experiment, like a
+    // coherence violation fails a live run (and never reach the store).
+    if (E.Result.ok() && !Violation.empty())
+      E.Result.Error = Violation;
 
     if (Writer.isOpen()) {
       if (E.Result.ok()) {

@@ -287,6 +287,68 @@ TEST(CacheModelLive, MatchesDataCacheForEveryLivePolicy) {
 }
 
 //===----------------------------------------------------------------------===//
+// The model as oracle: its IgnoreHints flag, and the packed one-word
+// replay kernel on real workload traces.
+//===----------------------------------------------------------------------===//
+
+TEST(CacheModelOracle, IgnoreHintsFlagEqualsStrippedTrace) {
+  const std::vector<TraceEvent> Trace = hintedTrace(19, 20000, 600);
+  std::vector<TraceEvent> Stripped = Trace;
+  for (TraceEvent &E : Stripped) {
+    E.Info.Bypass = false;
+    E.Info.LastRef = false;
+  }
+  for (const SweepPoint &Pt : policyGridPoints()) {
+    std::shared_ptr<const std::vector<uint64_t>> Next, Copy;
+    if (Pt.Policy == CachePolicy::MIN) {
+      Next = computeNextLineUses(Trace, Pt.Config.LineWords,
+                                 /*IgnoreHints=*/true);
+      Copy = computeNextLineUses(Stripped, Pt.Config.LineWords);
+      EXPECT_EQ(*Next, *Copy);
+    }
+    CacheModel Flagged(Pt.Config, Pt.Policy, Next, /*IgnoreHints=*/true);
+    CacheModel Copied(Pt.Config, Pt.Policy, Copy);
+    Flagged.feed(Trace.data(), Trace.size(), 0);
+    Copied.feed(Stripped.data(), Stripped.size(), 0);
+    EXPECT_EQ(Flagged.finish(), Copied.finish())
+        << cachePolicyName(Pt.Policy) << " " << Pt.Config.NumLines << "x"
+        << Pt.Config.Assoc << "x" << Pt.Config.LineWords;
+  }
+}
+
+TEST(CacheModelOracle, PackedKernelMatchesModelOnWorkloadTraces) {
+  // The sweep engine replays these points on the packed one-word
+  // kernel; this model, fed the (hint-stripped) trace, is its oracle.
+  std::vector<SweepPoint> Points;
+  for (CachePolicy P : AllPolicies)
+    for (uint32_t Assoc : {2u, 4u})
+      for (bool IgnoreHints : {false, true}) {
+        SweepPoint Pt{config(128, Assoc), P, IgnoreHints};
+        Pt.Config.Policy = P;
+        if (P != CachePolicy::MIN)
+          Points.push_back(Pt);
+      }
+  for (const char *Name : {"Queen", "Sieve", "Bubble", "Intmm"}) {
+    const std::vector<TraceEvent> Trace =
+        tracedWorkloadRun(*findWorkload(Name));
+    std::vector<TraceEvent> Stripped = Trace;
+    for (TraceEvent &E : Stripped) {
+      E.Info.Bypass = false;
+      E.Info.LastRef = false;
+    }
+    const std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
+    for (size_t I = 0; I != Points.size(); ++I) {
+      const SweepPoint &Pt = Points[I];
+      ASSERT_TRUE(packedReplayEligible(Pt));
+      EXPECT_EQ(Got[I], replayTrace(Pt.IgnoreHints ? Stripped : Trace,
+                                    Pt.Config, Pt.Policy))
+          << Name << ": " << cachePolicyName(Pt.Policy) << " assoc "
+          << Pt.Config.Assoc << " ignore=" << Pt.IgnoreHints;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Mode agreement: sequential == parallel == warm store, per policy.
 //===----------------------------------------------------------------------===//
 

@@ -10,6 +10,7 @@
 #include "urcm/ir/Interpreter.h"
 
 #include "urcm/driver/Driver.h"
+#include "urcm/ir/IRParser.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -83,6 +84,48 @@ TEST(Interpreter, StepLimit) {
   InterpResult R = interpretModule(*Module.IR, Config);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.Error.find("step limit"), std::string::npos);
+}
+
+TEST(Interpreter, RunawayRecursionHitsCallDepthLimit) {
+  // The reproducer: a self-call inserted into a dumped `solve`. It has
+  // no frame slots, so only the call-depth bound stops it before the
+  // interpreter's native stack overflows.
+  const char *Text = "func solve(params=1, regs=1, returns=int)\n"
+                     ".entry:\n"
+                     "  r0 = add r0, 1\n"
+                     "  r0 = call solve, r0\n"
+                     "  ret r0\n"
+                     "\n"
+                     "func main(params=0, regs=1, returns=void)\n"
+                     ".entry:\n"
+                     "  r0 = call solve, 0\n"
+                     "  print r0\n"
+                     "  ret\n";
+  DiagnosticEngine Diags;
+  std::unique_ptr<IRModule> M = parseIR(Text, Diags);
+  ASSERT_TRUE(M) << Diags.str();
+  InterpResult R = interpretModule(*M);
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "call depth limit exceeded");
+
+  // The same recursion from MC source: the interpreter stops at the
+  // depth bound, and the compiled program ends in a simulated-stack
+  // error, not a crash.
+  const char *Source = "int solve(int n) { return solve(n + 1); }\n"
+                       "void main() { print(solve(0)); }\n";
+  InterpResult FromSource = interpretSource(Source);
+  EXPECT_EQ(FromSource.Error, "call depth limit exceeded");
+  SimResult Sim = compileAndRun(Source, CompileOptions(), SimConfig(), Diags);
+  EXPECT_FALSE(Sim.ok());
+  EXPECT_FALSE(Sim.Error.empty());
+
+  // Recursion well inside the bound still runs.
+  InterpResult Deep = interpretSource(
+      "int depth(int n) { if (n == 0) { return 0; } "
+      "return depth(n - 1) + 1; }\n"
+      "void main() { print(depth(4000)); }\n");
+  ASSERT_TRUE(Deep.ok()) << Deep.Error;
+  EXPECT_EQ(Deep.Output, (std::vector<int64_t>{4000}));
 }
 
 TEST(Interpreter, WildAddressCaught) {

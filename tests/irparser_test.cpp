@@ -173,6 +173,65 @@ TEST(IRParser, OutOfRangeNumbersAreDiagnosed) {
       << Header.str();
 }
 
+TEST(IRParser, NarrowedFieldsAreRangeChecked) {
+  // Offsets are int32_t; counts, sizes and register numbers are 32-bit
+  // unsigned. A value the field cannot hold ends in a line-numbered
+  // diagnostic instead of a silent wrap.
+  const struct {
+    const char *Text;
+    const char *Where;
+    const char *Message;
+  } Cases[] = {
+      {"global @g : 4294967296 words\n", "1:1: error",
+       "global size '4294967296' out of range"},
+      {"global @g : -1 words\n", "1:1: error",
+       "global size '-1' out of range"},
+      {"func f(params=4294967296, regs=1, returns=void)\n.entry:\n  ret\n",
+       "1:1: error", "params count '4294967296' out of range"},
+      {"func f(params=-1, regs=1, returns=void)\n.entry:\n  ret\n",
+       "1:1: error", "params count '-1' out of range"},
+      {"func f(params=0, regs=4294967296, returns=void)\n.entry:\n  ret\n",
+       "1:1: error", "regs count '4294967296' out of range"},
+      {"func f(params=1, regs=1, returns=void, paramregs=[r4294967295])\n"
+       ".entry:\n  ret\n",
+       "1:1: error", "register number 'r4294967295' out of range"},
+      {"func f(params=1, regs=1, returns=void, paramregs=[r-1])\n"
+       ".entry:\n  ret\n",
+       "1:1: error", "register number 'r-1' out of range"},
+      {"func f(params=0, regs=1, returns=void)\n"
+       "frame %s : 4294967296 words\n.entry:\n  ret\n",
+       "2:1: error", "frame slot size '4294967296' out of range"},
+      {"func f(params=0, regs=1, returns=void)\n"
+       "frame %s : 1 words\n.entry:\n  r0 = load %s+2147483648\n  ret\n",
+       "4:1: error", "offset '2147483648' out of range"},
+      {"global @g : 1 words\nfunc f(params=0, regs=1, returns=void)\n"
+       ".entry:\n  r0 = load @g-2147483649\n  ret\n",
+       "4:1: error", "offset '-2147483649' out of range"},
+      {"func f(params=0, regs=1, returns=void)\n"
+       ".entry:\n  r0 = load [r0+4294967296]\n  ret\n",
+       "3:1: error", "offset '4294967296' out of range"},
+  };
+  for (const auto &Case : Cases) {
+    DiagnosticEngine Diags;
+    EXPECT_EQ(parseIR(Case.Text, Diags), nullptr) << Case.Text;
+    EXPECT_NE(Diags.str().find(Case.Where), std::string::npos)
+        << Case.Text << "\n" << Diags.str();
+    EXPECT_NE(Diags.str().find(Case.Message), std::string::npos)
+        << Case.Text << "\n" << Diags.str();
+  }
+
+  // The extremes that do fit still parse.
+  auto M = parseOk("global @g : 4294967295 words\n"
+                   "func main(params=0, regs=1, returns=void)\n"
+                   "frame %s : 1 words\n"
+                   ".entry:\n"
+                   "  r0 = load %s+2147483647\n"
+                   "  r0 = load @g-2147483648\n"
+                   "  r0 = load [r0+2147483647]\n"
+                   "  ret\n");
+  ASSERT_NE(M, nullptr);
+}
+
 TEST(IRParser, RoundTripStability) {
   // print -> parse -> print must be a fixed point, at every pipeline
   // stage, for every workload.

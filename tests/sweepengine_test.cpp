@@ -14,6 +14,7 @@
 #include "urcm/sim/SweepEngine.h"
 
 #include "urcm/driver/Driver.h"
+#include "urcm/sim/CacheModel.h"
 #include "urcm/sim/TraceStream.h"
 #include "urcm/support/RNG.h"
 #include "urcm/support/ThreadPool.h"
@@ -50,6 +51,55 @@ std::vector<TraceEvent> hintedTrace(uint64_t Seed, size_t N,
     E.Addr = static_cast<uint32_t>(
         Roll < 60 ? (Hot + Rng.nextBelow(8)) % AddressRange
                   : Rng.nextBelow(AddressRange));
+    if (Roll == 99)
+      Hot = static_cast<uint32_t>(Rng.nextBelow(AddressRange));
+    E.IsWrite = Rng.nextBelow(4) == 0;
+    E.Info.Bypass = Rng.nextBelow(10) == 0;
+    E.Info.LastRef = !E.Info.Bypass && Rng.nextBelow(13) == 0;
+    Trace.push_back(E);
+  }
+  return Trace;
+}
+
+/// The policies the packed one-word kernel serves (all but MIN).
+const CachePolicy PackedPolicies[] = {
+    CachePolicy::LRU,      CachePolicy::FIFO,  CachePolicy::Random,
+    CachePolicy::TreePLRU, CachePolicy::SRRIP, CachePolicy::LivenessBypass};
+
+/// A fuzzed trace for the packed kernel. Besides a hot window and random
+/// addresses it touches the extremes 0 and 0xFFFFFFFF, carries RefIds
+/// from a small pool (MemRefInfo::NoRefId and an id past a 16-row
+/// attribution table included), and has streaming references whose
+/// lines are never reused, so LivenessBypass's predictor trains.
+std::vector<TraceEvent> fuzzedTrace(uint64_t Seed, size_t N,
+                                    uint32_t AddressRange) {
+  SplitMix64 Rng(Seed);
+  std::vector<TraceEvent> Trace;
+  Trace.reserve(N);
+  uint32_t Hot = 0;
+  uint32_t Stream = 0;
+  for (size_t I = 0; I != N; ++I) {
+    const uint64_t Roll = Rng.nextBelow(100);
+    TraceEvent E;
+    if (Roll < 45) {
+      E.Addr = static_cast<uint32_t>((Hot + Rng.nextBelow(8)) % AddressRange);
+      E.RefId = static_cast<uint16_t>(4 + Rng.nextBelow(8));
+    } else if (Roll < 65) {
+      E.Addr = AddressRange + Stream++; // Never reused.
+      E.RefId = static_cast<uint16_t>(Rng.nextBelow(4));
+    } else if (Roll < 75) {
+      E.Addr = static_cast<uint32_t>(Rng.nextBelow(AddressRange));
+      E.RefId = MemRefInfo::NoRefId;
+    } else if (Roll < 80) {
+      E.Addr = 0;
+      E.RefId = 40;
+    } else if (Roll < 85) {
+      E.Addr = 0xFFFFFFFFu - static_cast<uint32_t>(Rng.nextBelow(2) * 64);
+      E.RefId = 12;
+    } else {
+      E.Addr = static_cast<uint32_t>(Rng.nextBelow(AddressRange));
+      E.RefId = static_cast<uint16_t>(Rng.nextBelow(16));
+    }
     if (Roll == 99)
       Hot = static_cast<uint32_t>(Rng.nextBelow(AddressRange));
     E.IsWrite = Rng.nextBelow(4) == 0;
@@ -117,15 +167,235 @@ TEST(ReplayMulti, MatchesPerPointReplayAcrossConfigurations) {
 
 TEST(ReplayMulti, TwoWayKernelOddTrafficPatterns) {
   // Dead-tag and bypass interplay at tiny sizes (constant eviction
-  // pressure) and at sizes big enough that nothing evicts.
+  // pressure) and at sizes big enough that nothing evicts, on the
+  // packed one-word kernel under every policy it serves.
   std::vector<TraceEvent> Trace = hintedTrace(21, 30000, 4000);
   std::vector<SweepPoint> Points;
-  for (uint32_t Lines : {2u, 4u, 16u, 4096u})
-    for (bool Ignore : {false, true})
-      Points.push_back({config(Lines, 2), TracePolicy::LRU, Ignore});
+  for (CachePolicy Policy : PackedPolicies)
+    for (uint32_t Lines : {2u, 4u, 16u, 4096u})
+      for (bool Ignore : {false, true})
+        Points.push_back({config(Lines, 2), Policy, Ignore});
+  std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
+  for (size_t I = 0; I != Points.size(); ++I) {
+    EXPECT_TRUE(packedReplayEligible(Points[I])) << "point " << I;
+    EXPECT_EQ(Got[I], groundTruth(Trace, Points[I])) << "point " << I;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The packed one-word kernel against its oracle, CacheModel.
+//===----------------------------------------------------------------------===//
+
+/// Every shape the packed kernel serves, at \p Sets sets.
+std::vector<SweepPoint> packedPoints(uint32_t Sets) {
+  std::vector<SweepPoint> Points;
+  for (CachePolicy Policy : PackedPolicies)
+    for (uint32_t Assoc : {1u, 2u, 4u, 8u})
+      for (bool Ignore : {false, true}) {
+        SweepPoint P{config(Sets * Assoc, Assoc), Policy, Ignore};
+        P.Config.Policy = Policy;
+        P.Config.Seed = 0x5eed + Sets + Assoc; // Distinct Random streams.
+        Points.push_back(P);
+      }
+  return Points;
+}
+
+/// CacheModel's attribution table for \p P, fed the (possibly
+/// hint-stripped) trace: the oracle for the kernel's tables.
+RefAttribution oracleAttribution(const std::vector<TraceEvent> &Trace,
+                                 const SweepPoint &P, CacheStats &Stats) {
+  RefAttribution Table(P.AttributionRefs);
+  CacheModel Model(P.Config, P.Policy);
+  Model.setAttribution(&Table);
+  const std::vector<TraceEvent> Fed = P.IgnoreHints ? stripped(Trace) : Trace;
+  Model.feed(Fed.data(), Fed.size(), 0);
+  Stats = Model.finish();
+  return Table;
+}
+
+void expectSameTables(const RefAttribution &Got, const RefAttribution &Want,
+                      const std::string &What) {
+  ASSERT_EQ(Got.numRefs(), Want.numRefs()) << What;
+  for (uint32_t R = 0; R <= Want.numRefs(); ++R)
+    EXPECT_EQ(Got.row(R), Want.row(R)) << What << " row " << R;
+}
+
+TEST(PackedKernel, MatchesCacheModelOnEveryPolicyAndShape) {
+  std::vector<TraceEvent> Trace = fuzzedTrace(31, 20000, 900);
+  for (uint32_t Sets : {1u, 2u, 16u, 64u}) {
+    std::vector<SweepPoint> Points = packedPoints(Sets);
+    std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
+    for (size_t I = 0; I != Points.size(); ++I) {
+      const SweepPoint &P = Points[I];
+      ASSERT_TRUE(packedReplayEligible(P));
+      EXPECT_EQ(Got[I], groundTruth(Trace, P))
+          << cachePolicyName(P.Policy) << " sets=" << Sets
+          << " assoc=" << P.Config.Assoc << " ignore=" << P.IgnoreHints;
+    }
+  }
+}
+
+TEST(PackedKernel, LivenessPredictorEngagesOnTheFuzzedTrace) {
+  // The fuzzed trace's streaming references must train the predictor,
+  // or the LivenessBypass comparisons above would only test LRU.
+  std::vector<TraceEvent> Trace = fuzzedTrace(31, 20000, 900);
+  SweepPoint P{config(32, 2), CachePolicy::LivenessBypass, true};
+  SweepPoint L{config(32, 2), CachePolicy::LRU, true};
+  std::vector<CacheStats> Got = replayTraceMulti(Trace, {P, L});
+  EXPECT_GT(Got[0].BypassReads + Got[0].BypassWrites, 100u);
+  EXPECT_EQ(Got[1].BypassReads + Got[1].BypassWrites, 0u);
+}
+
+TEST(PackedKernel, AttributionTablesMatchCacheModelRowByRow) {
+  std::vector<TraceEvent> Trace = fuzzedTrace(37, 20000, 900);
+  std::vector<SweepPoint> Points = packedPoints(16);
+  for (SweepPoint &P : Points)
+    P.AttributionRefs = 16; // Ref 40 and NoRefId land in the overflow row.
+  SweepPointStream Stream(Points);
+  Stream.feed(Trace.data(), Trace.size());
+  std::vector<CacheStats> Got = Stream.finish();
+  for (size_t I = 0; I != Points.size(); ++I) {
+    const SweepPoint &P = Points[I];
+    const std::string What = std::string(cachePolicyName(P.Policy)) +
+                             " assoc=" + std::to_string(P.Config.Assoc) +
+                             " ignore=" + std::to_string(P.IgnoreHints);
+    CacheStats Want;
+    RefAttribution Table = oracleAttribution(Trace, P, Want);
+    EXPECT_EQ(Got[I], Want) << What;
+    expectSameTables(Stream.takeAttribution(I), Table, What);
+  }
+}
+
+TEST(PackedKernel, ChunkSizesDoNotChangeCountersOrTables) {
+  std::vector<TraceEvent> Trace = fuzzedTrace(41, 12000, 700);
+  std::vector<SweepPoint> Points;
+  for (const SweepPoint &P : packedPoints(8))
+    if (P.Config.Assoc == 2 || P.Config.Assoc == 8)
+      Points.push_back(P);
+  for (size_t I = 0; I != Points.size(); I += 3)
+    Points[I].AttributionRefs = 16; // Attribution on and off in one batch.
+  std::vector<CacheStats> Want(Points.size());
+  std::vector<RefAttribution> WantTables(Points.size());
+  for (size_t I = 0; I != Points.size(); ++I) {
+    if (Points[I].wantsAttribution())
+      WantTables[I] = oracleAttribution(Trace, Points[I], Want[I]);
+    else
+      Want[I] = groundTruth(Trace, Points[I]);
+  }
+  for (size_t ChunkSize : {size_t(1), size_t(7), size_t(4096), Trace.size()}) {
+    SweepPointStream Stream(Points);
+    for (size_t At = 0; At < Trace.size(); At += ChunkSize)
+      Stream.feed(Trace.data() + At, std::min(ChunkSize, Trace.size() - At));
+    EXPECT_EQ(Stream.finish(), Want) << "chunk size " << ChunkSize;
+    for (size_t I = 0; I != Points.size(); ++I)
+      if (Points[I].wantsAttribution())
+        expectSameTables(Stream.takeAttribution(I), WantTables[I],
+                         "chunk size " + std::to_string(ChunkSize) +
+                             " point " + std::to_string(I));
+  }
+}
+
+TEST(PackedKernel, RoutingKeepsOtherPointsOnCacheModel) {
+  SweepPoint MIN{config(128, 2), CachePolicy::MIN, false};
+  SweepPoint MultiWord{config(32, 2, 4), CachePolicy::LRU, false};
+  SweepPoint WriteThrough{config(128, 2), CachePolicy::FIFO, false};
+  WriteThrough.Config.Write = WritePolicy::WriteThrough;
+  SweepPoint OddSets{config(96, 2), CachePolicy::SRRIP, false}; // 48 sets.
+  SweepPoint WideAssoc{config(64, 16), CachePolicy::LRU, false};
+  SweepPoint OddAssoc{config(96, 3), CachePolicy::Random, false};
+  SweepPoint Empty{config(0, 2), CachePolicy::LRU, false};
+  std::vector<SweepPoint> Generic = {MIN,      MultiWord, WriteThrough,
+                                     OddSets,  WideAssoc, OddAssoc};
+  for (const SweepPoint &P : Generic)
+    EXPECT_FALSE(packedReplayEligible(P))
+        << cachePolicyName(P.Policy) << " " << P.Config.NumLines << "x"
+        << P.Config.Assoc << "x" << P.Config.LineWords;
+  EXPECT_FALSE(packedReplayEligible(Empty));
+  for (uint32_t Assoc : {1u, 2u, 4u, 8u})
+    for (CachePolicy Policy : PackedPolicies)
+      EXPECT_TRUE(packedReplayEligible({config(16 * Assoc, Assoc), Policy}));
+
+  // The CacheModel points honour IgnoreHints without a stripped copy.
+  std::vector<TraceEvent> Trace = fuzzedTrace(43, 15000, 600);
+  std::vector<SweepPoint> Points;
+  for (SweepPoint P : Generic)
+    for (bool Ignore : {false, true}) {
+      P.IgnoreHints = Ignore;
+      Points.push_back(P);
+    }
   std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
   for (size_t I = 0; I != Points.size(); ++I)
     EXPECT_EQ(Got[I], groundTruth(Trace, Points[I])) << "point " << I;
+}
+
+//===----------------------------------------------------------------------===//
+// Replay conservation laws.
+//===----------------------------------------------------------------------===//
+
+TEST(ReplayConservation, LawsHoldAcrossKernelsPoliciesAndConfigs) {
+  std::vector<TraceEvent> Trace = fuzzedTrace(47, 15000, 600);
+  std::vector<SweepPoint> Points = packedPoints(16);
+  for (CachePolicy Policy :
+       {CachePolicy::LRU, CachePolicy::FIFO, CachePolicy::Random,
+        CachePolicy::MIN, CachePolicy::TreePLRU, CachePolicy::SRRIP,
+        CachePolicy::LivenessBypass})
+    for (bool Ignore : {false, true}) {
+      Points.push_back({config(32, 2, 4), Policy, Ignore});
+      SweepPoint WT{config(64, 4), Policy, Ignore};
+      WT.Config.Write = WritePolicy::WriteThrough;
+      Points.push_back(WT);
+      Points.push_back({config(96, 2), Policy, Ignore});
+    }
+  SweepPointStream Stream(Points, &Trace);
+  Stream.feed(Trace.data(), Trace.size());
+  std::vector<CacheStats> Got = Stream.finish();
+  for (size_t I = 0; I != Points.size(); ++I) {
+    EXPECT_EQ(Stream.violatedLaw(I), nullptr) << "point " << I;
+    EXPECT_EQ(replayConservationViolation(Got[I], Points[I].Config), nullptr)
+        << "point " << I;
+  }
+  // And the stack walk's counters.
+  const std::vector<uint32_t> Sizes = {1, 8, 100};
+  for (bool Ignore : {false, true})
+    for (const CacheStats &S : sweepLRUStackDistance(Trace, Sizes, Ignore))
+      EXPECT_EQ(replayConservationViolation(S, config(8, 8)), nullptr);
+}
+
+TEST(ReplayConservation, BrokenCountersNameTheLaw) {
+  CacheStats Ok;
+  Ok.Reads = 10;
+  Ok.Writes = 5;
+  Ok.ReadHits = 6;
+  Ok.WriteHits = 2;
+  Ok.Fills = 7;
+  Ok.Evictions = 4;
+  Ok.WriteBacks = 3;
+  Ok.WriteBackWords = 3;
+  Ok.DeadFrees = 2;
+  Ok.DeadWriteBacksAvoided = 1;
+  const CacheConfig WB = config(64, 2);
+  EXPECT_EQ(replayConservationViolation(Ok, WB), nullptr);
+  auto Law = [&](auto Break, const CacheConfig &C = config(64, 2)) {
+    CacheStats S = Ok;
+    Break(S);
+    const char *L = replayConservationViolation(S, C);
+    return std::string(L ? L : "");
+  };
+  EXPECT_EQ(Law([](CacheStats &S) { S.ReadHits = 11; }), "ReadHits <= Reads");
+  EXPECT_EQ(Law([](CacheStats &S) { S.WriteHits = 6; }),
+            "WriteHits <= Writes");
+  EXPECT_EQ(Law([](CacheStats &S) { S.Fills = 6; }),
+            "Fills == misses (write-back)");
+  CacheConfig WT = WB;
+  WT.Write = WritePolicy::WriteThrough;
+  EXPECT_EQ(Law([](CacheStats &S) { S.Fills = 6; }, WT), "");
+  EXPECT_EQ(Law([](CacheStats &S) { S.WriteBacks = S.WriteBackWords = 5; }),
+            "WriteBacks <= Evictions");
+  EXPECT_EQ(Law([](CacheStats &S) { S.WriteBackWords = 3; },
+                config(64, 2, 4)),
+            "WriteBackWords == WriteBacks * LineWords");
+  EXPECT_EQ(Law([](CacheStats &S) { S.DeadWriteBacksAvoided = 3; }),
+            "DeadWriteBacksAvoided <= DeadFrees");
 }
 
 TEST(StackDistance, MatchesReplayAtEveryFullyAssociativeSize) {
