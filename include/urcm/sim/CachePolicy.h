@@ -73,6 +73,18 @@ constexpr bool cachePolicyLiveEligible(CachePolicy Policy) {
   return Policy != CachePolicy::MIN && Policy != CachePolicy::LivenessBypass;
 }
 
+struct CacheConfig;
+
+/// The policy whose replay is bit-identical to replaying \p Config's
+/// geometry under \p Policy: LRU for TreePLRU at two ways with one-word
+/// lines (a one-node tree is a single LRU bit), \p Policy itself
+/// otherwise. Multi-word lines stay TreePLRU: their dead frees demote,
+/// and LRU and the tree break a demotion tie differently. The sweep
+/// engine keys its point partition on this, so equivalent points share
+/// one replay (pinned by CacheModelProperties.TreePLRUIsExactlyLRUAtTwoWays).
+CachePolicy canonicalReplayPolicy(const CacheConfig &Config,
+                                  CachePolicy Policy);
+
 /// SRRIP's re-reference prediction values (2-bit counters).
 enum : uint8_t {
   SRRIPInsertRRPV = 2, ///< Long re-reference interval on install.

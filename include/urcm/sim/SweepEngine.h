@@ -75,8 +75,9 @@ struct SweepPoint {
   /// which sizes the table. Attribution pins the point to the
   /// per-event replay kernels — the stack-distance fast path answers
   /// many capacities from shared positional state and cannot attribute
-  /// — and disables the engine's base-counter reuse, so it costs replay
-  /// time; zero (the default) keeps every fast path.
+  /// — and disables the engine's counter sharing (base reuse and
+  /// equivalent points), so it costs replay time; zero (the default)
+  /// keeps every fast path.
   uint32_t AttributionRefs = 0;
 
   bool wantsAttribution() const { return AttributionRefs != 0; }
@@ -277,10 +278,14 @@ public:
   /// The base functional run (trace dropped). Valid after run().
   const SimResult &base(const std::string &Key) const;
 
-  /// The replayed counters of point \p Index. When a point's geometry
-  /// and policy equal the base run's cache configuration, the base
-  /// run's own counters are returned (replay is bit-identical, so this
-  /// is pure reuse). Valid after run().
+  /// The replayed counters of point \p Index. Points compare by
+  /// canonical configuration (canonicalReplayPolicy, so TreePLRU at two
+  /// ways and one-word lines is LRU): a hinted point equal to the base
+  /// run's cache configuration returns the base run's own counters, and
+  /// points equal to each other share one replay (replay is
+  /// bit-identical, so this is pure reuse). Points that request
+  /// attribution, and MIN points, always replay on their own. Valid
+  /// after run().
   const CacheStats &point(const std::string &Key, size_t Index) const;
 
   /// The per-reference attribution of point \p Index, which must have

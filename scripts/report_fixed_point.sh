@@ -6,7 +6,11 @@
 #   2. recording a trace store, then warm from that store;
 # and the warm run's telemetry must show the store served it and that
 # every replayed point obeyed the replay conservation laws
-# (check.replay.points > 0, check.replay.violations == 0).
+# (check.replay.points > 0, check.replay.violations == 0). The work is
+# pinned too, so a redundant simulation or replay fails the check: the
+# recording pass stores exactly 12 traces (two simulations per
+# workload), and the cold default-width pass replays exactly 54 points
+# (nine distinct policy points per workload) with no violation.
 # The expected file is only read here, never written.
 #
 # Usage: scripts/report_fixed_point.sh [build-dir]   (default: build)
@@ -21,17 +25,31 @@ EXPECTED=urcmbench/expected/report.md
 OUT=$(mktemp -d /tmp/urcm_report.XXXXXX)
 trap 'rm -rf "$OUT"' EXIT
 
+"$REPORT" --replay-workers=1 > "$OUT/cold.1.md"
+"$REPORT" --replay-workers=auto --telemetry-json="$OUT/cold.json" \
+  > "$OUT/cold.auto.md"
 for workers in 1 auto; do
-  "$REPORT" --replay-workers="$workers" > "$OUT/cold.$workers.md"
   cmp "$EXPECTED" "$OUT/cold.$workers.md" || {
     echo "report (cold, --replay-workers=$workers) drifted from $EXPECTED" >&2
     exit 1; }
 done
+python3 - "$OUT/cold.json" <<'PY'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+if c.get("check.replay.points", 0) != 54:
+    sys.exit("cold report replayed %d points, expected 54"
+             % c.get("check.replay.points", 0))
+if c.get("check.replay.violations", 0) != 0:
+    sys.exit("cold replayed counters broke a conservation law")
+PY
 
 "$REPORT" --trace-store="$OUT/store" > "$OUT/record.md"
 cmp "$EXPECTED" "$OUT/record.md" || {
   echo "report (recording a trace store) drifted from $EXPECTED" >&2
   exit 1; }
+traces=$(find "$OUT/store" -name '*.urctrc' | wc -l)
+[ "$traces" -eq 12 ] || {
+  echo "recording pass stored $traces traces, expected 12" >&2; exit 1; }
 "$REPORT" --trace-store="$OUT/store" --telemetry-json="$OUT/warm.json" \
   > "$OUT/warm.md"
 cmp "$EXPECTED" "$OUT/warm.md" || {

@@ -34,6 +34,14 @@ const char *urcm::cachePolicyName(CachePolicy Policy) {
   return "?";
 }
 
+CachePolicy urcm::canonicalReplayPolicy(const CacheConfig &Config,
+                                        CachePolicy Policy) {
+  if (Policy == CachePolicy::TreePLRU && Config.Assoc == 2 &&
+      Config.LineWords == 1)
+    return CachePolicy::LRU;
+  return Policy;
+}
+
 bool urcm::parseCachePolicy(const char *Spelling, CachePolicy &Out) {
   std::string Lower;
   for (const char *P = Spelling; *P; ++P)

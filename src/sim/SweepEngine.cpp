@@ -71,6 +71,7 @@
 #include <map>
 #include <numeric>
 #include <type_traits>
+#include <utility>
 #include <variant>
 
 using namespace urcm;
@@ -82,7 +83,8 @@ URCM_STAT(NumSweepMemoHits, "sweep.memo-hits",
 URCM_STAT(NumSweepPointsReplayed, "sweep.points-replayed",
           "Sweep points answered by trace replay");
 URCM_STAT(NumSweepPointsReused, "sweep.points-reused",
-          "Sweep points answered by reusing the base run's counters");
+          "Sweep points answered without a replay of their own (the base "
+          "run's or an equivalent point's counters)");
 URCM_STAT(NumSweepTraceEvents, "sweep.trace-events",
           "Trace events generated across all experiments");
 URCM_STAT(NumSweepBytesFreed, "sweep.trace-bytes-freed",
@@ -656,24 +658,46 @@ void SweepEngine::run() {
     NumSweepExperiments.add();
     SimConfig Config = E.Base;
 
-    // A point matching the base run's own cache configuration reuses
-    // the base counters (replay is bit-identical, so this is pure
-    // reuse); everything else replays. The partition depends only on
-    // configurations, so it is computed up front and shared by both
-    // trace modes. Attribution requests force a point into the replay
-    // set — the base run carries no table to reuse.
+    // Each distinct cache behaviour replays once. Points compare by
+    // canonical configuration (the replay policy mapped through
+    // canonicalReplayPolicy and written into Config.Policy, which replay
+    // ignores) and hint view. A hinted point equal to the base run's
+    // configuration reuses the base counters (replay is bit-identical,
+    // so this is pure reuse); a point equal to an earlier replayed one
+    // copies its counters; everything else replays. The partition
+    // depends only on configurations, so it is computed up front and
+    // shared by both trace modes. Attribution points always replay —
+    // no other counters come with their table — and so do MIN points.
+    using PointKey = std::pair<CacheConfig, bool>;
+    auto KeyOf = [](CacheConfig C, CachePolicy Policy, bool IgnoreHints) {
+      C.Policy = canonicalReplayPolicy(C, Policy);
+      return PointKey(C, IgnoreHints);
+    };
+    const PointKey BaseKey =
+        KeyOf(Config.Cache, Config.Cache.Policy, /*IgnoreHints=*/false);
     std::vector<SweepPoint> Rest;
+    std::vector<PointKey> RestKey;
     std::vector<size_t> RestIndex, ReusedIndex;
+    /// (point, index into Rest) for points answered by another's replay.
+    std::vector<std::pair<size_t, size_t>> SharedIndex;
     for (size_t P = 0; P != E.Points.size(); ++P) {
       const SweepPoint &Pt = E.Points[P];
       countPolicyPoint(Pt.Policy);
-      if (!Pt.IgnoreHints && !Pt.wantsAttribution() &&
-          Pt.Config == Config.Cache && Pt.Policy == Config.Cache.Policy) {
-        ReusedIndex.push_back(P);
-      } else {
-        Rest.push_back(Pt);
-        RestIndex.push_back(P);
+      const PointKey Key = KeyOf(Pt.Config, Pt.Policy, Pt.IgnoreHints);
+      if (!Pt.wantsAttribution() && Pt.Policy != CachePolicy::MIN) {
+        if (Key == BaseKey) {
+          ReusedIndex.push_back(P);
+          continue;
+        }
+        auto Same = std::find(RestKey.begin(), RestKey.end(), Key);
+        if (Same != RestKey.end()) {
+          SharedIndex.emplace_back(P, Same - RestKey.begin());
+          continue;
+        }
       }
+      Rest.push_back(Pt);
+      RestKey.push_back(Key);
+      RestIndex.push_back(P);
     }
 
     uint64_t TraceEvents = 0;
@@ -819,11 +843,13 @@ void SweepEngine::run() {
         Hint = std::max<uint64_t>(Hint, TraceEvents);
       }
       NumSweepTraceEvents.add(TraceEvents);
-      NumSweepPointsReused.add(ReusedIndex.size());
+      NumSweepPointsReused.add(ReusedIndex.size() + SharedIndex.size());
       NumSweepPointsReplayed.add(RestIndex.size());
       E.Stats.resize(E.Points.size());
       for (size_t P : ReusedIndex)
         E.Stats[P] = E.Result.Cache;
+      for (auto [P, R] : SharedIndex)
+        E.Stats[P] = Replayed[R];
       E.Attrib.resize(E.Points.size());
       for (size_t R = 0; R != RestIndex.size(); ++R) {
         E.Stats[RestIndex[R]] = Replayed[R];

@@ -192,14 +192,50 @@ TEST(CacheModelProperties, TreePLRUIsExactlyLRUAtTwoWays) {
   // invalidating, and a demotion tie (both ways at LastUsed 0) is
   // broken by scan order under LRU but by the last pointed way under
   // the tree, so the exact correspondence is deliberately not claimed
-  // for multi-word lines.
+  // for multi-word lines. The sweep engine shares one replay between
+  // such points (canonicalReplayPolicy), hinted and hint-stripped, on
+  // whichever kernel serves them: the packed one-word kernel for
+  // write-back, the generic model for write-through.
+  CacheConfig WriteThrough = config(64, 2);
+  WriteThrough.Write = WritePolicy::WriteThrough;
   for (uint64_t Seed : {3u, 44u}) {
     auto Trace = hintedTrace(Seed, 20000, 700);
-    for (auto Geometry : {config(128, 2), config(16, 2), config(64, 2)})
-      EXPECT_EQ(replayTrace(Trace, Geometry, CachePolicy::TreePLRU),
-                replayTrace(Trace, Geometry, CachePolicy::LRU))
-          << "seed " << Seed << " lines " << Geometry.NumLines;
+    for (auto Geometry :
+         {config(128, 2), config(16, 2), config(64, 2), WriteThrough}) {
+      const std::string What = "seed " + std::to_string(Seed) + " lines " +
+                               std::to_string(Geometry.NumLines) +
+                               (Geometry == WriteThrough ? " write-through"
+                                                         : "");
+      EXPECT_EQ(canonicalReplayPolicy(Geometry, CachePolicy::TreePLRU),
+                CachePolicy::LRU)
+          << What;
+      const CacheStats Hinted =
+          replayTrace(Trace, Geometry, CachePolicy::TreePLRU);
+      EXPECT_EQ(Hinted, replayTrace(Trace, Geometry, CachePolicy::LRU))
+          << What;
+      for (bool IgnoreHints : {false, true}) {
+        std::vector<SweepPoint> Points = {
+            {Geometry, CachePolicy::TreePLRU, IgnoreHints},
+            {Geometry, CachePolicy::LRU, IgnoreHints}};
+        EXPECT_EQ(packedReplayEligible(Points[0]), !(Geometry == WriteThrough))
+            << What;
+        std::vector<CacheStats> Got = replaySweepPoints(Trace, Points);
+        EXPECT_EQ(Got[0], Got[1]) << What << " ignore=" << IgnoreHints;
+        if (!IgnoreHints)
+          EXPECT_EQ(Got[0], Hinted) << What;
+      }
+    }
   }
+  // Everywhere else every policy is its own canonical form.
+  for (CachePolicy P : AllPolicies)
+    for (auto Geometry : {config(64, 4), config(32, 2, 4), config(8, 1)})
+      EXPECT_EQ(canonicalReplayPolicy(Geometry, P), P)
+          << cachePolicyName(P) << " " << Geometry.NumLines << "x"
+          << Geometry.Assoc << "x" << Geometry.LineWords;
+  for (CachePolicy P : AllPolicies)
+    if (P != CachePolicy::TreePLRU)
+      EXPECT_EQ(canonicalReplayPolicy(config(128, 2), P), P)
+          << cachePolicyName(P);
 }
 
 namespace {

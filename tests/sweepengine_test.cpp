@@ -15,14 +15,17 @@
 
 #include "urcm/driver/Driver.h"
 #include "urcm/sim/CacheModel.h"
+#include "urcm/sim/Simulator.h"
 #include "urcm/sim/TraceStream.h"
 #include "urcm/support/RNG.h"
+#include "urcm/support/Telemetry.h"
 #include "urcm/support/ThreadPool.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <algorithm>
 #include <atomic>
 #include <gtest/gtest.h>
+#include <iterator>
 
 using namespace urcm;
 
@@ -454,26 +457,157 @@ TEST(ReplayEquivalence, HintStrippedReplayMatchesConventionalRun) {
   // bits on an identical instruction stream, so replaying the unified
   // trace with hints ignored must reproduce the conventional scheme's
   // live cache counters exactly — at the traced geometry and at others.
+  // urcm_report's era-baseline row rests on this at the paper geometry
+  // (it is the Figure-5 hint-stripped LRU point, not a simulation of
+  // its own), so every paper workload is checked, against a live
+  // paranoid conventional run whose coherence check the row used to
+  // carry. The engine streams each unified trace into the replay, so
+  // none is materialized.
   CompileOptions Uni;
   Uni.IRGen.ScalarLocalsInMemory = true;
   Uni.Scheme = UnifiedOptions::unified();
   CompileOptions Conv = Uni;
   Conv.Scheme = UnifiedOptions::conventional();
+  const uint32_t Lines[] = {128, 16};
+  auto Producer = [](const Workload &W, const CompileOptions &O) {
+    return [&W, O](const SimConfig &Sim) {
+      DiagnosticEngine Diags;
+      return compileAndRun(W.Source, O, Sim, Diags);
+    };
+  };
+  SweepEngine Engine;
+  for (const Workload &W : paperWorkloads()) {
+    SimConfig Base;
+    Base.Cache = config(Lines[0], 2);
+    ASSERT_TRUE(Base.Paranoid);
+    std::vector<SweepPoint> Stripped;
+    for (uint32_t N : Lines) {
+      Stripped.push_back(
+          {config(N, 2), TracePolicy::LRU, /*IgnoreHints=*/true});
+      SimConfig Sim = Base;
+      Sim.Cache = config(N, 2);
+      Engine.schedule(W.Name + "/conventional/" + std::to_string(N), W.Name,
+                      Sim, {}, Producer(W, Conv));
+    }
+    Engine.schedule(W.Name + "/unified", W.Name, Base, Stripped,
+                    Producer(W, Uni));
+  }
+  Engine.run();
+  for (const Workload &W : paperWorkloads()) {
+    const SimResult &U = Engine.base(W.Name + "/unified");
+    ASSERT_TRUE(U.ok()) << W.Name << ": " << U.Error;
+    EXPECT_EQ(U.CoherenceViolations, 0u) << W.Name;
+    for (size_t I = 0; I != std::size(Lines); ++I) {
+      const std::string What = W.Name + " lines " + std::to_string(Lines[I]);
+      const SimResult &C =
+          Engine.base(W.Name + "/conventional/" + std::to_string(Lines[I]));
+      ASSERT_TRUE(C.ok()) << What << ": " << C.Error;
+      EXPECT_EQ(C.CoherenceViolations, 0u) << What;
+      EXPECT_EQ(C.Cache, Engine.point(W.Name + "/unified", I)) << What;
+      EXPECT_EQ(C.Output, U.Output) << What;
+      EXPECT_EQ(C.Steps, U.Steps) << What;
+    }
+  }
+}
 
-  SimConfig Traced;
-  Traced.Cache = config(128, 2);
+/// Enables telemetry from a clean slate for one test.
+struct TelemetryGuard {
+  TelemetryGuard() {
+    telemetry::setEnabled(true);
+    telemetry::reset();
+  }
+  ~TelemetryGuard() {
+    telemetry::setEnabled(false);
+    telemetry::reset();
+  }
+};
+
+/// The current value of telemetry counter \p Name (0 if never bumped).
+uint64_t counterValue(const char *Name) {
+  std::string JSON = telemetry::snapshotJSON();
+  std::string Key = std::string("\"") + Name + "\": ";
+  size_t At = JSON.find(Key);
+  if (At == std::string::npos)
+    return 0;
+  return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
+}
+
+TEST(Engine, EquivalentPointsReplayOnce) {
+  // TreePLRU at two ways and one-word lines is LRU
+  // (canonicalReplayPolicy): such points share the base counters or one
+  // replay. The 4-way and 4-word-line TreePLRU points are not LRU and
+  // replay on their own; so do the attributed points and the MIN points.
+  TelemetryGuard Guard;
+  CompileOptions O;
+  O.IRGen.ScalarLocalsInMemory = true;
+  O.Scheme = UnifiedOptions::unified();
+  DiagnosticEngine Diags;
+  CompileResult Compiled =
+      compileProgram(findWorkload("Queen")->Source, O, Diags);
+  ASSERT_TRUE(Compiled.Ok) << Diags.str();
+  auto Prog = std::make_shared<MachineProgram>(std::move(Compiled.Program));
+  auto Producer = [Prog](const SimConfig &Sim) {
+    Simulator S(Sim);
+    return S.run(*Prog);
+  };
+  auto Point = [](CacheConfig C, CachePolicy Policy, bool IgnoreHints) {
+    C.Policy = Policy;
+    return SweepPoint{C, Policy, IgnoreHints};
+  };
+  const CachePolicy LRU = CachePolicy::LRU, PLRU = CachePolicy::TreePLRU;
+  std::vector<SweepPoint> Points = {
+      Point(config(128, 2), LRU, false),     // the base run's counters
+      Point(config(128, 2), PLRU, false),    // the base run's counters
+      Point(config(128, 2), LRU, true),      // replayed
+      Point(config(128, 2), PLRU, true),     // shares point 2's replay
+      Point(config(64, 4), LRU, false),      // replayed
+      Point(config(64, 4), PLRU, false),     // replayed
+      Point(config(32, 2, 4), LRU, false),   // replayed
+      Point(config(32, 2, 4), PLRU, false),  // replayed
+      Point(config(128, 2), PLRU, false),    // replayed, attributed
+      Point(config(128, 2), PLRU, true),     // replayed, attributed
+  };
+  const size_t Attributed[] = {Points.size() - 2, Points.size() - 1};
+  for (size_t I : Attributed)
+    Points[I].AttributionRefs = static_cast<uint32_t>(Prog->RefTable.size());
+  std::vector<SweepPoint> MINPoints(
+      2, Point(config(128, 2), CachePolicy::MIN, true)); // both replayed
+  SimConfig Base;
+  Base.Cache = config(128, 2);
+  SweepEngine Engine;
+  Engine.schedule("queen", "Queen", Base, Points, Producer);
+  Engine.schedule("queen/min", "Queen", Base, MINPoints, Producer);
+  Engine.run();
+  ASSERT_TRUE(Engine.base("queen").ok()) << Engine.base("queen").Error;
+  ASSERT_TRUE(Engine.base("queen/min").ok());
+
+  const uint64_t Scheduled = Points.size() + MINPoints.size();
+  EXPECT_EQ(counterValue("sweep.points-reused"), 3u);
+  EXPECT_EQ(counterValue("sweep.points-replayed"), Scheduled - 3);
+  EXPECT_EQ(counterValue("check.replay.points"), Scheduled - 3);
+  EXPECT_EQ(counterValue("sweep.points-reused") +
+                counterValue("sweep.points-replayed"),
+            Scheduled);
+  EXPECT_EQ(counterValue("sim.policy.tree-plru"), 6u);
+
+  SimConfig Traced = Base;
   Traced.RecordTrace = true;
-  SimResult U = runWorkload("Queen", Uni, Traced);
-
-  for (uint32_t Lines : {16u, 128u}) {
-    SimConfig Sim;
-    Sim.Cache = config(Lines, 2);
-    SimResult C = runWorkload("Queen", Conv, Sim);
-    SweepPoint P{Sim.Cache, TracePolicy::LRU, /*IgnoreHints=*/true};
-    EXPECT_EQ(C.Cache, replayTraceMulti(U.Trace, {P})[0])
-        << "lines " << Lines;
-    EXPECT_EQ(C.Output, U.Output);
-    EXPECT_EQ(C.Steps, U.Steps);
+  Simulator S(Traced);
+  SimResult Fresh = S.run(*Prog);
+  ASSERT_TRUE(Fresh.ok());
+  for (size_t I = 0; I != Points.size(); ++I)
+    EXPECT_EQ(Engine.point("queen", I), groundTruth(Fresh.Trace, Points[I]))
+        << "point " << I;
+  for (size_t I = 0; I != MINPoints.size(); ++I)
+    EXPECT_EQ(Engine.point("queen/min", I),
+              groundTruth(Fresh.Trace, MINPoints[I]))
+        << "MIN point " << I;
+  for (size_t I : Attributed) {
+    CacheStats Want;
+    RefAttribution Table = oracleAttribution(Fresh.Trace, Points[I], Want);
+    EXPECT_EQ(Engine.point("queen", I), Want) << "point " << I;
+    expectSameTables(Engine.attribution("queen", I), Table,
+                     "attributed point " + std::to_string(I));
   }
 }
 

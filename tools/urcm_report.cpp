@@ -77,8 +77,10 @@ constexpr size_t NumReportPolicies =
 /// workload up front (in parallel) so the tables below are lookups;
 /// fig5 in particular feeds two tables.
 struct WorkloadData {
+  /// Fig5.Conventional doubles as the memory-access-time table's era
+  /// baseline: that program is compiled with exactly the Figure-5
+  /// conventional options, so its counters are the hint-stripped point.
   SchemeComparison Fig5;
-  SimResult EraBaseline;
   SimResult CompleteUnified;
   /// Per-policy counters of the hinted / hint-stripped Figure-5 replay,
   /// parallel to ReportPolicies ([0] == the LRU Figure-5 points).
@@ -93,7 +95,6 @@ struct WorkloadData {
 /// regardless of how the dynamic counters are served.
 struct Prepared {
   std::shared_ptr<MachineProgram> Fig5Unified;
-  std::shared_ptr<MachineProgram> EraBaseline;
   std::shared_ptr<MachineProgram> CompleteUnified;
 };
 
@@ -140,11 +141,6 @@ std::vector<Prepared> compileAll(std::vector<WorkloadData> &Data) {
     }
     Programs[I].Fig5Unified =
         std::make_shared<MachineProgram>(std::move(U));
-
-    CompileOptions Baseline = Era;
-    Baseline.Scheme = UnifiedOptions::conventional();
-    Programs[I].EraBaseline =
-        std::make_shared<MachineProgram>(compileOrDie(W, Baseline));
 
     CompileOptions Complete;
     Complete.PromoteLoopScalars = true;
@@ -210,8 +206,8 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 /// Runs the whole grid on one engine: the Figure-5 pair-replays (each
 /// workload compiled under both schemes, ONE traced unified run serving
 /// both sides — the unified counters replay the trace as recorded, the
-/// conventional counters replay it with the hints stripped) plus the
-/// era-baseline and complete-unified system runs. Counters are
+/// conventional counters replay it with the hints stripped, and double
+/// as the era baseline) plus the complete-unified system run. Counters are
 /// bit-identical to running each scheme live (tests/sweepengine_test),
 /// \p ReplayWorkers spreads each replay's points across the pool
 /// without changing a single bit (tests/shardedreplay_test), and
@@ -262,8 +258,6 @@ std::vector<WorkloadData> computeAll(uint32_t ReplayWorkers,
                       return S.run(*Prog);
                     },
                     Hash);
-    scheduleRun(Engine, W.Name + "/era-baseline", W.Name,
-                Programs[I].EraBaseline);
     scheduleRun(Engine, W.Name + "/complete-unified", W.Name,
                 Programs[I].CompleteUnified);
   }
@@ -291,8 +285,6 @@ std::vector<WorkloadData> computeAll(uint32_t ReplayWorkers,
       Data[I].PolicyHinted[P] = Engine.point(W.Name, 2 * P);
       Data[I].PolicyStripped[P] = Engine.point(W.Name, 2 * P + 1);
     }
-    Data[I].EraBaseline =
-        baseOrDie(Engine, W, W.Name + "/era-baseline");
     Data[I].CompleteUnified =
         baseOrDie(Engine, W, W.Name + "/complete-unified");
   }
@@ -512,7 +504,7 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I != paperWorkloads().size(); ++I) {
     const Workload &W = paperWorkloads()[I];
     uint64_t BaseCycles =
-        memoryAccessCycles(Data[I].EraBaseline.Cache, Model);
+        memoryAccessCycles(Data[I].Fig5.Conventional.Cache, Model);
     uint64_t UniCycles =
         memoryAccessCycles(Data[I].CompleteUnified.Cache, Model);
     double Speedup = static_cast<double>(BaseCycles) /
