@@ -85,6 +85,23 @@ struct CacheConfig;
 CachePolicy canonicalReplayPolicy(const CacheConfig &Config,
                                   CachePolicy Policy);
 
+/// Largest line size, and largest total capacity in words, a cache
+/// configuration may ask for (the live cache allocates its payload up
+/// front, so an absurd geometry must be refused before it sizes one).
+constexpr uint32_t MaxCacheLineWords = 1u << 12;
+constexpr uint64_t MaxCacheWords = uint64_t(1) << 24;
+
+/// Checks that \p Config is a cache every simulator and replay kernel
+/// can build under \p Policy: at least one line, an associativity that
+/// divides the line count, a line size of 1..MaxCacheLineWords words, at
+/// most MaxCacheWords words in all, and for TreePLRU a power-of-two
+/// associativity of at most 64. Returns what is wrong, or null when
+/// nothing is. Flag parsing and the trace-store reader call this so that
+/// bad input ends in a diagnostic; the cache constructors keep asserting
+/// the same conditions as internal invariants.
+const char *validateCacheConfig(const CacheConfig &Config,
+                                CachePolicy Policy);
+
 /// SRRIP's re-reference prediction values (2-bit counters).
 enum : uint8_t {
   SRRIPInsertRRPV = 2, ///< Long re-reference interval on install.

@@ -259,10 +259,12 @@ public:
   /// \p Dir — empty disables (the default). With a store configured,
   /// every experiment scheduled with a non-zero content hash first
   /// consults `<Dir>/<hash>.urctrc`: on a hit the whole experiment is
-  /// served by decoding the stored trace into the replay pipeline (the
-  /// Simulator is never invoked — the base result comes from the stored
-  /// summary); on a miss the live run tees its trace into the store for
-  /// the next process. Store problems (unwritable dir, corrupt or stale
+  /// served from the store (the Simulator is never invoked — the base
+  /// result comes from the stored summary): points the recording run
+  /// replayed read their stored counters, and only the others decode
+  /// the stored trace into the replay pipeline. On a miss the live run
+  /// tees its trace, and then its replayed points' counters, into the
+  /// store for the next process. Store problems (unwritable dir, corrupt or stale
   /// files) are reported to \p Diags (when non-null; rejected files
   /// surface as errors, see TraceStoreReader) and the experiment falls
   /// back to live simulation — the store can slow an experiment down,
@@ -311,8 +313,10 @@ private:
 
   const Experiment &finished(const std::string &Key) const;
 
-  /// Serves \p E entirely from the trace store. True on success; false
-  /// (missing/rejected file, decode failure) means run the live path.
+  /// Serves \p E entirely from the trace store: stored point records
+  /// first, decode and replay for the points without one. True on
+  /// success; false (missing/rejected file, a stored record that breaks
+  /// a conservation law, decode failure) means run the live path.
   /// \p ReplayedAttrib receives attribution tables parallel to \p Rest
   /// (empty rows for points that did not request attribution).
   bool serveFromStore(Experiment &E, const std::vector<SweepPoint> &Rest,

@@ -13,7 +13,7 @@
 /// urcm_report, the bench binaries and the tests can all serve their
 /// sweeps from one recorded trace.
 ///
-/// ## Container format (version 3, little-endian)
+/// ## Container format (version 4, little-endian)
 ///
 ///   header   : magic "URCMTRC\x01" (8) | version u32 | flags u32 (0) |
 ///              content-hash u64 | nominal chunk events u32 |
@@ -23,7 +23,10 @@
 ///   sentinel : u32 0xFFFFFFFF (end of chunks)
 ///   summary  : bytes u32 | measured-under policy u8 (0xFF = unknown) |
 ///              seed varint | serialized trace-free SimResult |
-///              crc32(summary) u32
+///              point count varint | points | crc32(summary) u32
+///   point    : lines varint | assoc varint | line-words varint |
+///              policy u8 | write u8 | seed varint | ignore-hints u8 |
+///              16 CacheStats varints
 ///   footer   : total-events u64 | chunk-count u64 |
 ///              end magic "URCMEND\x01" (8)
 ///
@@ -43,9 +46,12 @@
 /// nothing); clear, a zigzag varint of the difference from the
 /// prediction follows the address delta. Version 3 records in the
 /// summary the data-cache replacement policy and seed its cache row was
-/// measured under (see SummaryCachePolicy). The hint/kind bits are packed
-/// separately from the varint stream so both stay byte-aligned and
-/// branch-predictable to decode. Encoded size on the paper benchmarks
+/// measured under (see SummaryCachePolicy). Version 4 appends to the
+/// summary one record per sweep point the recording run replayed (see
+/// StoredPoint), so a later run asking for the same points reads their
+/// counters instead of decoding and replaying the trace. The hint/kind
+/// bits are packed separately from the varint stream so both stay
+/// byte-aligned and branch-predictable to decode. Encoded size on the paper benchmarks
 /// runs well under 1/3 of the raw 8-byte-per-event form (asserted by
 /// bench/trace_store).
 ///
@@ -79,7 +85,9 @@
 /// is recycled as soon as its replay consumers finish, and peak memory
 /// stays O(chunk) exactly as on the live streaming path. A summary whose
 /// cache row was measured under the reader's own base configuration
-/// answers that configuration without any decode at all.
+/// answers that configuration without any decode at all, and so does a
+/// stored point record for the point it describes: a run whose points
+/// all have records decodes nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -131,6 +139,17 @@ struct SummaryCachePolicy {
   }
 };
 
+/// The counters of one sweep point the recording run replayed, stored in
+/// the summary (format v4). Config is canonical: its Policy field is the
+/// point's replay policy mapped through canonicalReplayPolicy, so every
+/// point that replays identically finds the same record. No attribution
+/// table is stored; points that want one are always replayed.
+struct StoredPoint {
+  CacheConfig Config;
+  bool IgnoreHints = false;
+  CacheStats Stats;
+};
+
 /// Records one trace into a store directory. Lifecycle: open() creates
 /// the directory (if needed) and a temp file; append() encodes events
 /// (any batch sizes — the writer re-chunks internally, so the file
@@ -166,10 +185,13 @@ public:
   /// atomically renames the temp file into place. \p Measured is the
   /// data-cache configuration \p Summary's cache row was measured
   /// under; its policy and seed are recorded so a reader with the same
-  /// base configuration can use the row as is. Returns false (with a
-  /// diagnostic) on I/O failure; the temp file is removed either way.
+  /// base configuration can use the row as is. \p Points are the
+  /// counters of replayed sweep points, stored so a later run can read
+  /// them instead of replaying. Returns false (with a diagnostic) on I/O
+  /// failure; the temp file is removed either way.
   bool commit(const SimResult &Summary, const CacheConfig &Measured,
-              DiagnosticEngine &Diags);
+              DiagnosticEngine &Diags,
+              const std::vector<StoredPoint> &Points = {});
   /// As above for a summary whose cache row was measured under an
   /// unknown policy: readers never use that row as base counters.
   bool commit(const SimResult &Summary, DiagnosticEngine &Diags);
@@ -186,6 +208,7 @@ private:
   bool flushChunk(); ///< Encodes and writes Pending; false on I/O error.
   bool commitSummary(const SimResult &Summary,
                      const std::optional<SummaryCachePolicy> &Measured,
+                     const std::vector<StoredPoint> &Points,
                      DiagnosticEngine &Diags);
 
   std::FILE *File = nullptr;
@@ -253,6 +276,11 @@ public:
     return SummaryPolicy;
   }
 
+  /// The sweep points recorded with their counters, in the order the
+  /// writer stored them. Each record's configuration passed
+  /// validateCacheConfig. Valid after OpenStatus::Ok.
+  const std::vector<StoredPoint> &storedPoints() const { return Points; }
+
   /// Total recorded events (footer count). Valid after OpenStatus::Ok.
   uint64_t eventCount() const { return TotalEvents; }
 
@@ -278,6 +306,7 @@ private:
   std::FILE *File = nullptr;
   SimResult Summary;
   std::optional<SummaryCachePolicy> SummaryPolicy;
+  std::vector<StoredPoint> Points;
   uint64_t TotalEvents = 0;
   uint64_t ChunkCount = 0;
   long ChunksBegin = 0;

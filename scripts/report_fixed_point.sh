@@ -4,13 +4,16 @@
 #   1. cold, with point-parallel replay off (--replay-workers=1) and at
 #      the default width (--replay-workers=auto);
 #   2. recording a trace store, then warm from that store;
-# and the warm run's telemetry must show the store served it and that
-# every replayed point obeyed the replay conservation laws
-# (check.replay.points > 0, check.replay.violations == 0). The work is
-# pinned too, so a redundant simulation or replay fails the check: the
-# recording pass stores exactly 12 traces (two simulations per
-# workload), and the cold default-width pass replays exactly 54 points
-# (nine distinct policy points per workload) with no violation.
+# and the warm run's telemetry must show the store served it from the
+# stored point records alone (sim.store.points-served == 54, no chunk
+# decoded, no replay) and that every served point obeyed the replay
+# conservation laws (check.replay.points == 54,
+# check.replay.violations == 0), so a warm report that silently falls
+# back to decode and replay fails. The work is pinned too, so a
+# redundant simulation or replay fails the check: the recording pass
+# stores exactly 12 traces (two simulations per workload), and the cold
+# default-width pass replays exactly 54 points (nine distinct policy
+# points per workload) with no violation.
 # The expected file is only read here, never written.
 #
 # Usage: scripts/report_fixed_point.sh [build-dir]   (default: build)
@@ -60,8 +63,14 @@ import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
 if c.get("sim.store.misses", 0) != 0 or c.get("sim.store.hits", 0) < 1:
     sys.exit("warm report was not served from the trace store")
-if c.get("check.replay.points", 0) < 1:
-    sys.exit("warm report checked no replayed point")
+if c.get("sim.store.points-served", 0) != 54:
+    sys.exit("warm report served %d points from stored records, expected 54"
+             % c.get("sim.store.points-served", 0))
+if c.get("sim.store.decode-ns", 0) != 0 or c.get("sweep.replay-ns", 0) != 0:
+    sys.exit("warm report decoded or replayed a stored trace")
+if c.get("check.replay.points", 0) != 54:
+    sys.exit("warm report checked %d points, expected 54"
+             % c.get("check.replay.points", 0))
 if c.get("check.replay.violations", 0) != 0:
     sys.exit("replayed counters broke a conservation law")
 PY

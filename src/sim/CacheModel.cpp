@@ -42,6 +42,22 @@ CachePolicy urcm::canonicalReplayPolicy(const CacheConfig &Config,
   return Policy;
 }
 
+const char *urcm::validateCacheConfig(const CacheConfig &Config,
+                                      CachePolicy Policy) {
+  if (Config.NumLines == 0)
+    return "the cache needs at least one line";
+  if (Config.Assoc == 0 || Config.NumLines % Config.Assoc != 0)
+    return "the associativity must divide the line count";
+  if (Config.LineWords == 0 || Config.LineWords > MaxCacheLineWords)
+    return "the line size must be 1 to 4096 words";
+  if (uint64_t(Config.NumLines) * Config.LineWords > MaxCacheWords)
+    return "the cache must hold at most 16M words";
+  if (Policy == CachePolicy::TreePLRU &&
+      (Config.Assoc > 64 || (Config.Assoc & (Config.Assoc - 1)) != 0))
+    return "TreePLRU needs a power-of-two associativity of at most 64";
+  return nullptr;
+}
+
 bool urcm::parseCachePolicy(const char *Spelling, CachePolicy &Out) {
   std::string Lower;
   for (const char *P = Spelling; *P; ++P)

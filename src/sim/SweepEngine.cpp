@@ -94,6 +94,9 @@ URCM_STAT(SweepReplayNs, "sweep.replay-ns",
 URCM_STAT(NumStoreSummaryServed, "sim.store.summary-served",
           "Warm experiments whose base counters came from the stored "
           "summary (no base-config replay)");
+URCM_STAT(NumStorePointsServed, "sim.store.points-served",
+          "Sweep points answered from a stored point record (no decode, "
+          "no replay)");
 URCM_STAT(NumParallelStreams, "sweep.parallel.streams",
           "Point sets replayed by more than one worker");
 URCM_STAT(NumParallelUnits, "sweep.parallel.units",
@@ -101,10 +104,10 @@ URCM_STAT(NumParallelUnits, "sweep.parallel.units",
 URCM_STAT(NumParallelWorkers, "sweep.parallel.workers",
           "Workers used, summed over point-parallel streams");
 URCM_STAT(NumReplayCheckedPoints, "check.replay.points",
-          "Replayed sweep points whose counters were checked against the "
-          "replay conservation laws");
+          "Replayed or stored sweep points whose counters were checked "
+          "against the replay conservation laws");
 URCM_STAT(NumReplayViolations, "check.replay.violations",
-          "Replayed sweep points that broke a conservation law");
+          "Replayed or stored sweep points that broke a conservation law");
 URCM_STAT(NumPolicyLRUPoints, "sim.policy.lru",
           "Sweep points answered under the LRU policy");
 URCM_STAT(NumPolicyFIFOPoints, "sim.policy.fifo",
@@ -439,6 +442,27 @@ urcm::replaySweepPoints(const std::vector<TraceEvent> &Trace,
 
 namespace {
 
+/// A sweep point's canonical configuration and hint view: the replay
+/// policy mapped through canonicalReplayPolicy and written into
+/// Config.Policy (which replay ignores). Points with equal keys replay
+/// identically, so the engine shares one replay between them and the
+/// store keys its point records on it.
+using PointKey = std::pair<CacheConfig, bool>;
+
+PointKey pointKey(CacheConfig C, CachePolicy Policy, bool IgnoreHints) {
+  C.Policy = canonicalReplayPolicy(C, Policy);
+  return PointKey(C, IgnoreHints);
+}
+
+/// The stored record answering \p Key, or null.
+const StoredPoint *findStoredPoint(const std::vector<StoredPoint> &Records,
+                                   const PointKey &Key) {
+  for (const StoredPoint &R : Records)
+    if (R.Config == Key.first && R.IgnoreHints == Key.second)
+      return &R;
+  return nullptr;
+}
+
 /// "FIFO, 128 lines, 2-way, 1-word lines, write-back, hints stripped".
 std::string describePoint(const SweepPoint &P) {
   const CacheConfig &C = P.Config;
@@ -540,17 +564,15 @@ bool SweepEngine::serveFromStore(Experiment &E,
   if (Status != TraceStoreReader::OpenStatus::Ok)
     return false;
 
-  // Warm hit: every replay point is fed from decoded chunks — the
-  // Simulator is never invoked (no sim.run span on this path; asserted
-  // by tests and check.sh). The store's content hash deliberately
-  // ignores the data-cache policy and seed (the recorded trace is
-  // policy-independent, so one stored trace serves the whole policy
-  // grid). The summary records the policy and seed its cache row was
-  // measured under: when they are the base configuration's, that row
-  // is the base counters and a base-only experiment is done without
-  // decoding a chunk. Otherwise a synthetic point at the base
-  // configuration rides the replay set and its counters replace the
-  // stored row below.
+  // Warm hit: the Simulator is never invoked (no sim.run span on this
+  // path; asserted by tests and check.sh). The store's content hash
+  // deliberately ignores the data-cache policy and seed (the recorded
+  // trace is policy-independent, so one stored trace serves the whole
+  // policy grid). The summary records the policy and seed its cache row
+  // was measured under: when they are the base configuration's, that
+  // row is the base counters. Otherwise a synthetic point at the base
+  // configuration joins the work below and its counters replace the
+  // stored row.
   const std::optional<SummaryCachePolicy> &Measured =
       Reader.summaryCachePolicy();
   const bool SummaryServes = Measured && Measured->measures(E.Base.Cache);
@@ -561,18 +583,59 @@ bool SweepEngine::serveFromStore(Experiment &E,
     BasePt.Policy = E.Base.Cache.Policy;
     Work.push_back(BasePt);
   }
+
+  // A point with a stored record reads its counters from it; the rest
+  // (points the recording run did not replay, and every point that
+  // wants attribution, whose table is not stored) decode and replay.
+  // The writer never stores counters that break a conservation law, so
+  // a CRC-valid record that does is hand-made or corrupt: the whole
+  // file is rejected before anything is decoded.
+  std::vector<CacheStats> Stats(Work.size());
+  std::vector<SweepPoint> Live;
+  std::vector<size_t> LiveIndex;
+  for (size_t W = 0; W != Work.size(); ++W) {
+    const SweepPoint &Pt = Work[W];
+    const StoredPoint *Record =
+        Pt.wantsAttribution()
+            ? nullptr
+            : findStoredPoint(Reader.storedPoints(),
+                              pointKey(Pt.Config, Pt.Policy, Pt.IgnoreHints));
+    if (!Record) {
+      Live.push_back(Pt);
+      LiveIndex.push_back(W);
+      continue;
+    }
+    NumReplayCheckedPoints.add();
+    if (const char *Law = replayConservationViolation(Record->Stats,
+                                                      Pt.Config)) {
+      NumReplayViolations.add();
+      DiagnosticEngine Local;
+      Local.error({}, "trace store: rejecting '" + Path +
+                          "': stored sweep point (" + describePoint(Pt) +
+                          ") breaks replay conservation law '" + Law +
+                          "' (falling back to live simulation)");
+      forwardStoreDiags(Local);
+      return false;
+    }
+    Stats[W] = Record->Stats;
+  }
+  NumStorePointsServed.add(Work.size() - Live.size());
+
   telemetry::ScopedPhase Serve("sweep.store-serve",
-                               Work.empty()  ? "summary"
-                               : Workers > 1 ? "parallel"
-                                             : "streaming");
+                               Work.empty()   ? "summary"
+                               : Live.empty() ? "points"
+                               : Workers > 1  ? "parallel"
+                                              : "streaming");
   bool Ok = true;
-  if (Work.empty()) {
-    // Base-only and answered by the summary: no decode thread, no
-    // replay.
-  } else if (SweepPointStream::streamable(Work)) {
+  std::vector<CacheStats> LiveStats;
+  std::vector<RefAttribution> LiveAttrib;
+  if (Live.empty()) {
+    // Every counter came from the summary and its records: no decode
+    // thread, no replay.
+  } else if (SweepPointStream::streamable(Live)) {
     // Same shape as the live streaming path: decode overlaps replay
     // through the recycled-buffer SPSC pipeline, peak memory O(chunk).
-    SweepPointStream Stream(Work, nullptr, /*AllowStackFastPath=*/true,
+    SweepPointStream Stream(Live, nullptr, /*AllowStackFastPath=*/true,
                             Workers, Pool);
     Stream.reserve(Reader.eventCount());
     const bool Metered = telemetry::enabled();
@@ -589,10 +652,10 @@ bool SweepEngine::serveFromStore(Experiment &E,
         });
     if (Ok) {
       uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
-      Replayed = Stream.finish();
+      LiveStats = Stream.finish();
       if (T0)
         ReplayNs += telemetry::nowNanos() - T0;
-      collectStreamResults(Stream, Work, ReplayedAttrib, Violation);
+      collectStreamResults(Stream, Live, LiveAttrib, Violation);
     }
     SweepReplayNs.add(ReplayNs);
   } else {
@@ -603,8 +666,8 @@ bool SweepEngine::serveFromStore(Experiment &E,
     if (Ok) {
       telemetry::ScopedPhase Replay("sweep.replay");
       uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
-      Replayed = replayMaterialized(Trace, Work, Workers, Pool,
-                                    ReplayedAttrib, Violation);
+      LiveStats = replayMaterialized(Trace, Live, Workers, Pool, LiveAttrib,
+                                     Violation);
       if (T0)
         SweepReplayNs.add(telemetry::nowNanos() - T0);
       NumSweepBytesFreed.add(Trace.capacity() * sizeof(TraceEvent));
@@ -618,11 +681,16 @@ bool SweepEngine::serveFromStore(Experiment &E,
     Local.error({}, "trace store: decode failed mid-stream for '" + Path +
                         "'; falling back to live simulation");
     forwardStoreDiags(Local);
-    Replayed.clear();
-    ReplayedAttrib.clear();
     Violation.clear();
     return false;
   }
+  // Merge the replayed points back into work order.
+  ReplayedAttrib.assign(Work.size(), RefAttribution());
+  for (size_t L = 0; L != Live.size(); ++L) {
+    Stats[LiveIndex[L]] = LiveStats[L];
+    ReplayedAttrib[LiveIndex[L]] = std::move(LiveAttrib[L]);
+  }
+  Replayed = std::move(Stats);
   E.Result = Reader.summary();
   if (SummaryServes) {
     NumStoreSummaryServed.add();
@@ -632,8 +700,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
     // policy-invariant (ICache stats, occupancy, instruction counts).
     E.Result.Cache = Replayed.back();
     Replayed.pop_back();
-    if (ReplayedAttrib.size() > Rest.size())
-      ReplayedAttrib.resize(Rest.size());
+    ReplayedAttrib.pop_back();
   }
   TraceEvents = Reader.eventCount();
   return true;
@@ -659,22 +726,16 @@ void SweepEngine::run() {
     SimConfig Config = E.Base;
 
     // Each distinct cache behaviour replays once. Points compare by
-    // canonical configuration (the replay policy mapped through
-    // canonicalReplayPolicy and written into Config.Policy, which replay
-    // ignores) and hint view. A hinted point equal to the base run's
-    // configuration reuses the base counters (replay is bit-identical,
-    // so this is pure reuse); a point equal to an earlier replayed one
-    // copies its counters; everything else replays. The partition
+    // pointKey (canonical configuration and hint view). A hinted point
+    // equal to the base run's configuration reuses the base counters
+    // (replay is bit-identical, so this is pure reuse); a point equal to
+    // an earlier replayed one copies its counters; everything else
+    // replays. The partition
     // depends only on configurations, so it is computed up front and
     // shared by both trace modes. Attribution points always replay —
     // no other counters come with their table — and so do MIN points.
-    using PointKey = std::pair<CacheConfig, bool>;
-    auto KeyOf = [](CacheConfig C, CachePolicy Policy, bool IgnoreHints) {
-      C.Policy = canonicalReplayPolicy(C, Policy);
-      return PointKey(C, IgnoreHints);
-    };
     const PointKey BaseKey =
-        KeyOf(Config.Cache, Config.Cache.Policy, /*IgnoreHints=*/false);
+        pointKey(Config.Cache, Config.Cache.Policy, /*IgnoreHints=*/false);
     std::vector<SweepPoint> Rest;
     std::vector<PointKey> RestKey;
     std::vector<size_t> RestIndex, ReusedIndex;
@@ -683,7 +744,7 @@ void SweepEngine::run() {
     for (size_t P = 0; P != E.Points.size(); ++P) {
       const SweepPoint &Pt = E.Points[P];
       countPolicyPoint(Pt.Policy);
-      const PointKey Key = KeyOf(Pt.Config, Pt.Policy, Pt.IgnoreHints);
+      const PointKey Key = pointKey(Pt.Config, Pt.Policy, Pt.IgnoreHints);
       if (!Pt.wantsAttribution() && Pt.Policy != CachePolicy::MIN) {
         if (Key == BaseKey) {
           ReusedIndex.push_back(P);
@@ -828,8 +889,17 @@ void SweepEngine::run() {
 
     if (Writer.isOpen()) {
       if (E.Result.ok()) {
+        // Every replayed point's counters ride along, so the next run
+        // asking for the same points reads them instead of replaying.
+        // Attribution points are left out: their tables are not stored.
+        std::vector<StoredPoint> Records;
+        for (size_t R = 0; R != Rest.size(); ++R)
+          if (!Rest[R].wantsAttribution() &&
+              !findStoredPoint(Records, RestKey[R]))
+            Records.push_back({RestKey[R].first, RestKey[R].second,
+                               Replayed[R]});
         DiagnosticEngine CommitDiags;
-        Writer.commit(E.Result, Config.Cache, CommitDiags);
+        Writer.commit(E.Result, Config.Cache, CommitDiags, Records);
         forwardStoreDiags(CommitDiags);
       } else {
         Writer.discard(); // Never publish a failed run's trace.

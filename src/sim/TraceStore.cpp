@@ -78,10 +78,11 @@ constexpr char HeaderMagic[8] = {'U', 'R', 'C', 'M', 'T', 'R', 'C', '\x01'};
 constexpr char FooterMagic[8] = {'U', 'R', 'C', 'M', 'E', 'N', 'D', '\x01'};
 // v2: the per-event flag stream grew from 5 to 6 bits to carry the
 // static reference id (attribution profiler). v3: the summary records
-// the data-cache policy and seed its cache row was measured under. The
+// the data-cache policy and seed its cache row was measured under. v4:
+// the summary ends with one record per replayed sweep point. The
 // version is part of the content-hash salt below, so bumping it retires
 // existing files as plain misses — no migration path needed.
-constexpr uint32_t FormatVersion = 3;
+constexpr uint32_t FormatVersion = 4;
 constexpr uint32_t ChunkSentinel = 0xFFFFFFFFu;
 /// Sanity bounds a corrupt length field must not exceed (decode buffers
 /// are allocated from these numbers, so garbage must be caught before
@@ -338,6 +339,7 @@ constexpr uint8_t UnknownSummaryPolicy = 0xFF;
 
 void serializeSummary(const SimResult &R,
                       const std::optional<SummaryCachePolicy> &Measured,
+                      const std::vector<StoredPoint> &Points,
                       std::vector<uint8_t> &Out) {
   Out.clear();
   Out.push_back(Measured ? static_cast<uint8_t>(Measured->Policy)
@@ -366,12 +368,66 @@ void serializeSummary(const SimResult &R,
   appendVarint(Out, R.InstructionFetches);
   appendVarint(Out, R.BypassTransitions);
   appendVarint(Out, R.CoherenceViolations);
+  appendVarint(Out, Points.size());
+  for (const StoredPoint &P : Points) {
+    appendVarint(Out, P.Config.NumLines);
+    appendVarint(Out, P.Config.Assoc);
+    appendVarint(Out, P.Config.LineWords);
+    Out.push_back(static_cast<uint8_t>(P.Config.Policy));
+    Out.push_back(static_cast<uint8_t>(P.Config.Write));
+    appendVarint(Out, P.Config.Seed);
+    Out.push_back(P.IgnoreHints ? 1 : 0);
+    CacheStats Stats = P.Stats;
+    for (uint64_t *F : statsFields(Stats))
+      appendVarint(Out, *F);
+  }
 }
 
-/// Decodes a summary into \p R and \p Measured. On failure returns
-/// false with the reason in \p Why.
+/// Decodes one point record at \p Pos into \p P. On failure returns
+/// false with the reason in \p Why (left alone for a plain overrun).
+bool deserializePoint(const uint8_t *Bytes, size_t Size, size_t &Pos,
+                      StoredPoint &P, std::string &Why) {
+  uint64_t Geometry[3];
+  for (uint64_t &G : Geometry)
+    if (!readVarint(Bytes, Size, Pos, G) || G > UINT32_MAX)
+      return false;
+  if (Size - Pos < 2)
+    return false;
+  const uint8_t PolicyByte = Bytes[Pos++], WriteByte = Bytes[Pos++];
+  if (PolicyByte > static_cast<uint8_t>(CachePolicy::LivenessBypass)) {
+    Why = "stored point records unknown cache policy " +
+          std::to_string(PolicyByte);
+    return false;
+  }
+  if (WriteByte > 1) {
+    Why = "stored point records unknown write policy " +
+          std::to_string(WriteByte);
+    return false;
+  }
+  P.Config.NumLines = static_cast<uint32_t>(Geometry[0]);
+  P.Config.Assoc = static_cast<uint32_t>(Geometry[1]);
+  P.Config.LineWords = static_cast<uint32_t>(Geometry[2]);
+  P.Config.Policy = static_cast<CachePolicy>(PolicyByte);
+  P.Config.Write = static_cast<WritePolicy>(WriteByte);
+  if (const char *Bad = validateCacheConfig(P.Config, P.Config.Policy)) {
+    Why = std::string("stored point records an invalid cache: ") + Bad;
+    return false;
+  }
+  if (!readVarint(Bytes, Size, Pos, P.Config.Seed) || Pos >= Size ||
+      Bytes[Pos] > 1)
+    return false;
+  P.IgnoreHints = Bytes[Pos++] != 0;
+  for (uint64_t *F : statsFields(P.Stats))
+    if (!readVarint(Bytes, Size, Pos, *F))
+      return false;
+  return true;
+}
+
+/// Decodes a summary into \p R, \p Measured and \p Points. On failure
+/// returns false with the reason in \p Why.
 bool deserializeSummary(const uint8_t *Bytes, size_t Size, SimResult &R,
                         std::optional<SummaryCachePolicy> &Measured,
+                        std::vector<StoredPoint> &Points,
                         std::string &Why) {
   Why = "malformed summary";
   size_t Pos = 0;
@@ -426,6 +482,14 @@ bool deserializeSummary(const uint8_t *Bytes, size_t Size, SimResult &R,
       !readVarint(Bytes, Size, Pos, R.BypassTransitions) ||
       !readVarint(Bytes, Size, Pos, R.CoherenceViolations))
     return false;
+  // Every record takes well over one byte, so a count above the bytes
+  // left is corrupt; checking it first bounds the reservation.
+  if (!readVarint(Bytes, Size, Pos, V) || V > Size - Pos)
+    return false;
+  Points.assign(static_cast<size_t>(V), StoredPoint());
+  for (StoredPoint &P : Points)
+    if (!deserializePoint(Bytes, Size, Pos, P, Why))
+      return false;
   R.Trace.clear();
   return Pos == Size;
 }
@@ -640,27 +704,29 @@ bool TraceStoreWriter::flushChunk() {
 
 bool TraceStoreWriter::commit(const SimResult &Summary,
                               const CacheConfig &Measured,
-                              DiagnosticEngine &Diags) {
-  return commitSummary(
-      Summary, SummaryCachePolicy{Measured.Policy, Measured.Seed}, Diags);
+                              DiagnosticEngine &Diags,
+                              const std::vector<StoredPoint> &Points) {
+  return commitSummary(Summary,
+                       SummaryCachePolicy{Measured.Policy, Measured.Seed},
+                       Points, Diags);
 }
 
 bool TraceStoreWriter::commit(const SimResult &Summary,
                               DiagnosticEngine &Diags) {
-  return commitSummary(Summary, std::nullopt, Diags);
+  return commitSummary(Summary, std::nullopt, {}, Diags);
 }
 
 bool TraceStoreWriter::commitSummary(
     const SimResult &Summary,
     const std::optional<SummaryCachePolicy> &Measured,
-    DiagnosticEngine &Diags) {
+    const std::vector<StoredPoint> &Points, DiagnosticEngine &Diags) {
   if (!File)
     return false; // open() already reported.
   flushChunk();
   if (!Failed) {
     std::vector<uint8_t> Tail;
     appendLE32(Tail, ChunkSentinel);
-    serializeSummary(Summary, Measured, Encoded);
+    serializeSummary(Summary, Measured, Points, Encoded);
     appendLE32(Tail, static_cast<uint32_t>(Encoded.size()));
     Tail.insert(Tail.end(), Encoded.begin(), Encoded.end());
     appendLE32(Tail, detail::crc32(Encoded.data(), Encoded.size()));
@@ -806,7 +872,7 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
     return Reject("summary CRC mismatch");
   std::string Why;
   if (!deserializeSummary(Payload.data(), SummaryBytes, Summary,
-                          SummaryPolicy, Why))
+                          SummaryPolicy, Points, Why))
     return Reject(Why);
 
   uint8_t Footer[24];

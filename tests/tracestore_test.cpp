@@ -12,9 +12,10 @@
 //     rejected with a clean diagnostic (never an assert or a crash) and
 //     the engine falls back to live simulation automatically;
 //  3. the warm path really is warm — on a store hit the producer (and
-//     the Simulator inside it) is never invoked, and a base-only
-//     experiment whose summary was measured under its own cache policy
-//     decodes nothing at all.
+//     the Simulator inside it) is never invoked, a base-only experiment
+//     whose summary was measured under its own cache policy decodes
+//     nothing at all, and neither does a sweep whose every point has a
+//     stored record: only points without one decode and replay.
 //
 //===----------------------------------------------------------------------===//
 
@@ -327,6 +328,131 @@ TEST(TraceStoreFile, SummaryRoundTripsEveryField) {
       << Diags.str();
   EXPECT_FALSE(UnmeasuredReader.summaryCachePolicy().has_value());
   EXPECT_EQ(UnmeasuredReader.summary().Cache, R.Cache);
+}
+
+/// Distinct, law-abiding-looking counters for record \p I.
+CacheStats recordStats(uint64_t I) {
+  CacheStats S;
+  S.Reads = 1000 + I;
+  S.Writes = 500 + I;
+  S.ReadHits = 900 + I;
+  S.WriteHits = 400 + I;
+  S.Fills = 200;
+  S.FillWords = 200;
+  S.WriteBacks = 50 + I;
+  S.WriteBackWords = 50 + I;
+  S.Evictions = 150 + I;
+  S.DeadFrees = 7 * I;
+  S.DeadWriteBacksAvoided = 3 * I;
+  S.BypassReads = I;
+  S.BypassWrites = 2 * I;
+  S.BypassHitMigrations = I / 2;
+  S.WriteThroughWords = 11 * I;
+  S.FlushWriteBackWords = uint64_t(1) << (I % 64);
+  return S;
+}
+
+/// Writes a store file at \p Hash holding \p Points and reopens it.
+TraceStoreReader::OpenStatus
+writeAndOpenRecords(const std::string &Dir, uint64_t Hash,
+                    const std::vector<StoredPoint> &Points,
+                    TraceStoreReader &Reader, DiagnosticEngine &Diags) {
+  TraceStoreWriter Writer;
+  EXPECT_TRUE(Writer.open(Dir, Hash, Diags));
+  std::vector<TraceEvent> Trace = hintedTrace(Hash, 500);
+  Writer.append(Trace.data(), Trace.size());
+  SimResult Summary;
+  Summary.Halted = true;
+  EXPECT_TRUE(Writer.commit(Summary, CacheConfig(), Diags, Points))
+      << Diags.str();
+  return Reader.open(traceStorePath(Dir, Hash), Hash, Diags);
+}
+
+TEST(TraceStoreFile, PointRecordsRoundTripEveryPolicyAndWritePolicy) {
+  ScratchDir Dir("records");
+  std::vector<StoredPoint> Points;
+  for (CachePolicy Policy :
+       {CachePolicy::LRU, CachePolicy::FIFO, CachePolicy::Random,
+        CachePolicy::MIN, CachePolicy::TreePLRU, CachePolicy::SRRIP,
+        CachePolicy::LivenessBypass})
+    for (WritePolicy Write :
+         {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+      StoredPoint P;
+      const uint32_t N = static_cast<uint32_t>(Points.size());
+      P.Config.NumLines = 64u << (N % 4);
+      P.Config.Assoc = 1u << (N % 4);
+      P.Config.LineWords = 1u << (N % 3);
+      P.Config.Policy = Policy;
+      P.Config.Write = Write;
+      P.Config.Seed = 0xFEDCBA9876543210ull ^ N;
+      P.IgnoreHints = N % 2 == 1;
+      P.Stats = recordStats(N);
+      Points.push_back(P);
+    }
+
+  DiagnosticEngine Diags;
+  TraceStoreReader Reader;
+  ASSERT_EQ(writeAndOpenRecords(Dir.str(), 31, Points, Reader, Diags),
+            TraceStoreReader::OpenStatus::Ok)
+      << Diags.str();
+  const std::vector<StoredPoint> &Read = Reader.storedPoints();
+  ASSERT_EQ(Read.size(), Points.size());
+  for (size_t I = 0; I != Points.size(); ++I) {
+    EXPECT_EQ(Read[I].Config, Points[I].Config) << I;
+    EXPECT_EQ(Read[I].IgnoreHints, Points[I].IgnoreHints) << I;
+    EXPECT_EQ(Read[I].Stats, Points[I].Stats) << I;
+  }
+  std::vector<TraceEvent> Decoded;
+  EXPECT_TRUE(Reader.readAll(Decoded));
+  EXPECT_EQ(Decoded.size(), 500u);
+
+  // A file without records reads back an empty list.
+  TraceStoreReader Empty;
+  ASSERT_EQ(writeAndOpenRecords(Dir.str(), 32, {}, Empty, Diags),
+            TraceStoreReader::OpenStatus::Ok)
+      << Diags.str();
+  EXPECT_TRUE(Empty.storedPoints().empty());
+}
+
+TEST(TraceStoreFile, RejectsMalformedPointRecords) {
+  // The writer stores whatever it is given, so these files are CRC-valid
+  // and only the reader's record checks can refuse them.
+  ScratchDir Dir("bad_records");
+  StoredPoint Good;
+  Good.Stats = recordStats(1);
+  const struct {
+    const char *Name;
+    void (*Break)(StoredPoint &);
+    const char *Why;
+  } Cases[] = {
+      {"policy byte", [](StoredPoint &P) {
+         P.Config.Policy = static_cast<CachePolicy>(9);
+       }, "unknown cache policy 9"},
+      {"write byte", [](StoredPoint &P) {
+         P.Config.Write = static_cast<WritePolicy>(2);
+       }, "unknown write policy 2"},
+      {"assoc", [](StoredPoint &P) { P.Config.Assoc = 3; },
+       "associativity must divide"},
+      {"lines", [](StoredPoint &P) { P.Config.NumLines = 0; },
+       "at least one line"},
+      {"tree", [](StoredPoint &P) {
+         P.Config.NumLines = P.Config.Assoc = 128;
+         P.Config.Policy = CachePolicy::TreePLRU;
+       }, "TreePLRU needs"},
+  };
+  uint64_t Hash = 100;
+  for (const auto &Case : Cases) {
+    StoredPoint Bad = Good;
+    Case.Break(Bad);
+    DiagnosticEngine Diags;
+    TraceStoreReader Reader;
+    EXPECT_EQ(writeAndOpenRecords(Dir.str(), ++Hash, {Good, Bad}, Reader,
+                                  Diags),
+              TraceStoreReader::OpenStatus::Invalid)
+        << Case.Name;
+    EXPECT_NE(Diags.str().find(Case.Why), std::string::npos)
+        << Case.Name << ": " << Diags.str();
+  }
 }
 
 TEST(TraceStoreFile, StreamedDecodeMatchesReadAll) {
@@ -696,9 +822,14 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   SimConfig Base;
   const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
 
+  // The cold run records only the first two points, so the warm run
+  // has five points without a stored record and must still decode and
+  // replay them in parallel.
+  const std::vector<SweepPoint> ColdPoints(Points.begin(),
+                                           Points.begin() + 2);
   SweepEngine Cold;
   Cold.setTraceStore(Dir.str());
-  Cold.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Cold.schedule("exp", "g", Base, ColdPoints, Queen.producer(), Hash);
   Cold.run();
   ASSERT_EQ(Queen.Calls->load(), 1);
 
@@ -865,6 +996,191 @@ TEST(TraceStoreEngine, OutOfRangeSummaryPolicyFallsBackToLive) {
   expectSameBase(Fallback.base("exp"), Cold.base("exp"));
   for (size_t P = 0; P != mixedPoints().size(); ++P)
     EXPECT_EQ(Fallback.point("exp", P), Cold.point("exp", P)) << P;
+}
+
+TEST(TraceStoreEngine, WarmServesEveryRecordedPointWithoutDecoding) {
+  // The cold run stores the counters of every point it replayed — MIN
+  // included — so a warm run of the same grid decodes and replays
+  // nothing, and still matches cold bit for bit.
+  TelemetryGuard Guard;
+  ScratchDir Dir("all_records");
+  CountedProducer Queen("Queen");
+  std::vector<SweepPoint> Points = mixedPoints();
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
+
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Cold.run();
+  ASSERT_EQ(Queen.Calls->load(), 1);
+  ASSERT_TRUE(Cold.base("exp").ok());
+
+  for (uint32_t Workers : {1u, 0u}) {
+    telemetry::reset();
+    DiagnosticEngine Diags;
+    SweepEngine Warm;
+    Warm.setReplayWorkers(Workers);
+    Warm.setTraceStore(Dir.str(), &Diags);
+    Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+    Warm.run();
+    SCOPED_TRACE(Workers);
+    EXPECT_EQ(Queen.Calls->load(), 1);
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+    EXPECT_EQ(counterValue("sim.runs"), 0u);
+    EXPECT_EQ(counterValue("sim.store.hits"), 1u);
+    EXPECT_EQ(counterValue("sim.store.decode-ns"), 0u);
+    EXPECT_EQ(counterValue("sweep.replay-ns"), 0u);
+    // Point 0 is the base configuration (reused); the other six were
+    // replayed cold and are served from their records now.
+    EXPECT_EQ(counterValue("sim.store.points-served"), 6u);
+    EXPECT_EQ(counterValue("check.replay.points"), 6u);
+    EXPECT_EQ(counterValue("check.replay.violations"), 0u);
+    expectSameBase(Warm.base("exp"), Cold.base("exp"));
+    for (size_t P = 0; P != Points.size(); ++P)
+      EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
+  }
+}
+
+TEST(TraceStoreEngine, PartialRecordsReplayOnlyMissingPoints) {
+  TelemetryGuard Guard;
+  ScratchDir Dir("partial_records");
+  CountedProducer Queen("Queen");
+  std::vector<SweepPoint> Points = mixedPoints();
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
+
+  SweepEngine Plain;
+  Plain.schedule("exp", "g", Base, Points, Queen.producer(), 0);
+  Plain.run();
+
+  // Records for points 1-3 only; Random and both MIN points have none.
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base,
+                std::vector<SweepPoint>(Points.begin(), Points.begin() + 4),
+                Queen.producer(), Hash);
+  Cold.run();
+  ASSERT_EQ(Queen.Calls->load(), 2);
+
+  telemetry::reset();
+  DiagnosticEngine Diags;
+  SweepEngine Warm;
+  Warm.setTraceStore(Dir.str(), &Diags);
+  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Queen.Calls->load(), 2) << "warm run was not warm";
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  EXPECT_EQ(counterValue("sim.store.points-served"), 3u);
+  // Three served plus the three that replayed.
+  EXPECT_EQ(counterValue("check.replay.points"), 6u);
+  EXPECT_GT(counterValue("sim.store.decode-ns"), 0u);
+  for (size_t P = 0; P != Points.size(); ++P)
+    EXPECT_EQ(Warm.point("exp", P), Plain.point("exp", P)) << P;
+}
+
+TEST(TraceStoreEngine, AttributionPointReplaysNextToRecordedPoints) {
+  TelemetryGuard Guard;
+  ScratchDir Dir("attrib_records");
+  CountedProducer Queen("Queen");
+  const uint32_t NumRefs =
+      static_cast<uint32_t>(Queen.Prog->RefTable.size());
+  ASSERT_GT(NumRefs, 0u);
+  std::vector<SweepPoint> Points = mixedPoints();
+  SweepPoint Attributed = Points[2]; // 64 lines, 4-way, LRU, hinted.
+  Attributed.AttributionRefs = NumRefs;
+  Points.push_back(Attributed);
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
+
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Cold.run();
+  ASSERT_TRUE(Cold.base("exp").ok());
+  const size_t A = Points.size() - 1;
+
+  telemetry::reset();
+  DiagnosticEngine Diags;
+  SweepEngine Warm;
+  Warm.setTraceStore(Dir.str(), &Diags);
+  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Queen.Calls->load(), 1);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  // Six points from their records; the attribution point alone replays.
+  EXPECT_EQ(counterValue("sim.store.points-served"), 6u);
+  EXPECT_EQ(counterValue("check.replay.points"), 7u);
+  EXPECT_GT(counterValue("sim.store.decode-ns"), 0u);
+  for (size_t P = 0; P != Points.size(); ++P)
+    EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
+  EXPECT_EQ(Warm.point("exp", A), Warm.point("exp", 2));
+  EXPECT_TRUE(Warm.attribution("exp", A) == Cold.attribution("exp", A));
+  uint64_t Accesses = Warm.attribution("exp", A).overflow().accesses();
+  for (uint32_t R = 0; R != NumRefs; ++R)
+    Accesses += Warm.attribution("exp", A).row(R).accesses();
+  EXPECT_GT(Accesses, 0u);
+}
+
+TEST(TraceStoreEngine, LawBreakingRecordFallsBackToLiveAndHeals) {
+  TelemetryGuard Guard;
+  ScratchDir Dir("law_record");
+  CountedProducer Queen("Queen");
+  std::vector<SweepPoint> Points = mixedPoints();
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
+
+  SweepEngine Cold;
+  Cold.schedule("exp", "g", Base, Points, Queen.producer(), 0);
+  Cold.run();
+  ASSERT_TRUE(Cold.base("exp").ok());
+
+  // A CRC-valid file whose record for point 2 (64 lines, 4-way, LRU,
+  // hinted) claims more read hits than reads.
+  {
+    StoredPoint Bad;
+    Bad.Config = Points[2].Config;
+    Bad.Stats = Cold.point("exp", 2);
+    Bad.Stats.ReadHits = Bad.Stats.Reads + 1;
+    DiagnosticEngine Diags;
+    TraceStoreWriter Writer;
+    ASSERT_TRUE(Writer.open(Dir.str(), Hash, Diags));
+    ASSERT_TRUE(Writer.commit(Cold.base("exp"), Base.Cache, Diags, {Bad}))
+        << Diags.str();
+  }
+
+  telemetry::reset();
+  DiagnosticEngine Diags;
+  SweepEngine Fallback;
+  Fallback.setTraceStore(Dir.str(), &Diags);
+  Fallback.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Fallback.run();
+  EXPECT_EQ(Queen.Calls->load(), 2) << "the bad record was served";
+  EXPECT_NE(Diags.str().find("conservation law 'ReadHits <= Reads'"),
+            std::string::npos)
+      << Diags.str();
+  EXPECT_NE(Diags.str().find("LRU, 64 lines, 4-way"), std::string::npos)
+      << Diags.str();
+  EXPECT_EQ(counterValue("check.replay.violations"), 1u);
+  ASSERT_TRUE(Fallback.base("exp").ok());
+  expectSameBase(Fallback.base("exp"), Cold.base("exp"));
+  for (size_t P = 0; P != Points.size(); ++P)
+    EXPECT_EQ(Fallback.point("exp", P), Cold.point("exp", P)) << P;
+
+  // The live fallback re-recorded the file: the next run is warm, clean
+  // and served from the new records.
+  telemetry::reset();
+  DiagnosticEngine WarmDiags;
+  SweepEngine Warm;
+  Warm.setTraceStore(Dir.str(), &WarmDiags);
+  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Queen.Calls->load(), 2) << "re-record did not heal the file";
+  EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
+  EXPECT_EQ(counterValue("sim.store.points-served"), 6u);
+  EXPECT_EQ(counterValue("check.replay.violations"), 0u);
+  for (size_t P = 0; P != Points.size(); ++P)
+    EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
 }
 
 TEST(TraceStoreEngine, ZeroHashOptsOut) {

@@ -52,6 +52,9 @@ void line(const char *Fmt, ...) {
   std::fputc('\n', Out);
 }
 
+/// An empty line (line("") would be a zero-length printf format).
+void blank() { std::fputc('\n', Out); }
+
 CacheConfig paperCache() {
   CacheConfig C;
   C.NumLines = 128;
@@ -452,15 +455,15 @@ int main(int argc, char **argv) {
       computeAll(ReplayWorkers, TraceStoreDir, ProfileDir);
 
   line("# URCM reproduction report");
-  line("");
+  blank();
   line("Chi & Dietz, *Unified Management of Registers and Cache Using "
        "Liveness and Cache Bypass*, PLDI 1989.");
   line("Configuration: era compiler, 128-line 2-way LRU data cache, "
        "1-word lines.");
-  line("");
+  blank();
 
   line("## Figure 5 — data-cache traffic reduction (paper: ~60%% mean)");
-  line("");
+  blank();
   line("| bench | conventional | unified | reduction | dynamic "
        "unambiguous |");
   line("|---|---|---|---|---|");
@@ -478,10 +481,10 @@ int main(int argc, char **argv) {
   }
   line("| **mean** | | | **%.1f%%** | |",
        Sum / paperWorkloads().size());
-  line("");
+  blank();
 
   line("## Static classification (paper: 70-80%% unambiguous)");
-  line("");
+  blank();
   line("| bench | static unambiguous | refs |");
   line("|---|---|---|");
   for (size_t I = 0; I != paperWorkloads().size(); ++I) {
@@ -491,11 +494,11 @@ int main(int argc, char **argv) {
          C.StaticStats.unambiguousFraction() * 100.0,
          static_cast<unsigned long long>(C.StaticStats.totalRefs()));
   }
-  line("");
+  blank();
 
   line("## Memory-access time (mem word = 10 cycles; paper section 4.4 "
        "claims \"factors of 2 or more\")");
-  line("");
+  blank();
   line("| bench | era baseline (cycles) | complete unified (cycles) | "
        "speedup |");
   line("|---|---|---|---|");
@@ -516,10 +519,10 @@ int main(int argc, char **argv) {
   }
   line("| **geomean** | | | **%.2fx** |",
        std::pow(Product, 1.0 / paperWorkloads().size()));
-  line("");
+  blank();
 
   line("## Replacement-policy grid — unified cache-traffic reduction");
-  line("");
+  blank();
   line("Every column replays the same recorded trace under a different "
        "replacement policy (128-line 2-way cache); cells are the "
        "hinted-vs-stripped cache-traffic reduction, i.e. what the "
@@ -527,7 +530,7 @@ int main(int argc, char **argv) {
        "LivenessBypass is the hardware predictor that learns "
        "dead-on-arrival references at runtime — the closest "
        "hardware-only stand-in for the paper's compiler hints.");
-  line("");
+  blank();
   {
     std::string Header = "| bench |", Rule = "|---|";
     for (size_t P = 0; P != NumReportPolicies; ++P) {
@@ -553,15 +556,15 @@ int main(int argc, char **argv) {
     }
     line("%s", Row.c_str());
   }
-  line("");
+  blank();
 
   line("## Bypass vs RRIP — hint-free bus traffic by policy");
-  line("");
+  blank();
   line("The hint-stripped replay isolates what the replacement policy "
        "achieves on its own: compare SRRIP's re-reference intervals "
        "against the LivenessBypass predictor (and both against plain "
        "LRU) with no compiler involvement.");
-  line("");
+  blank();
   {
     std::string Header = "| bench |", Rule = "|---|";
     for (size_t P = 0; P != NumReportPolicies; ++P) {
@@ -584,10 +587,10 @@ int main(int argc, char **argv) {
     }
     line("%s", Row.c_str());
   }
-  line("");
+  blank();
 
   line("## Sanity");
-  line("");
+  blank();
   line("All schemes produced identical program outputs with zero "
        "coherence violations (checked per run above).");
   if (Out != stdout)

@@ -108,6 +108,9 @@ struct CliOptions {
   uint32_t MetricsIntervalMs = 200;
   bool TelemetrySummary = false;
   bool ClassifyRemarks = false;
+  /// A cache-geometry value too large for its field (first one seen);
+  /// reported with the other cache-configuration errors after parsing.
+  std::string CacheError;
 
   bool wantsTelemetry() const {
     return !TraceOut.empty() || !TelemetryJson.empty() ||
@@ -186,12 +189,74 @@ void usage(std::FILE *Out) {
       "  --help --version\n");
 }
 
+/// Parses all of \p Text as a decimal number. Values past UINT64_MAX
+/// saturate, so "too large" stays distinct from "not a number".
+bool parseDecimal(const char *Text, uint64_t &Out) {
+  if (*Text == '\0')
+    return false;
+  uint64_t V = 0;
+  for (; *Text; ++Text) {
+    if (*Text < '0' || *Text > '9')
+      return false;
+    const uint64_t Digit = static_cast<uint64_t>(*Text - '0');
+    V = V > (UINT64_MAX - Digit) / 10 ? UINT64_MAX : V * 10 + Digit;
+  }
+  Out = V;
+  return true;
+}
+
+/// The fully-associative cache of one --sweep row.
+CacheConfig sweepRowConfig(const CliOptions &Cli, uint32_t Size) {
+  CacheConfig C;
+  C.NumLines = Size;
+  C.Assoc = Size;
+  C.LineWords = 1;
+  C.Write = WritePolicy::WriteBack;
+  C.Policy = Cli.Policy;
+  C.Seed = Cli.Sim.Cache.Seed;
+  return C;
+}
+
+/// The first problem with the data caches the flags describe (the live
+/// cache and every --sweep row), or empty.
+std::string cacheConfigError(const CliOptions &Cli) {
+  if (!Cli.CacheError.empty())
+    return Cli.CacheError;
+  if (const char *Bad =
+          validateCacheConfig(Cli.Sim.Cache, Cli.Sim.Cache.Policy))
+    return Bad;
+  for (uint32_t Size : Cli.SweepSizes)
+    if (const char *Bad =
+            validateCacheConfig(sweepRowConfig(Cli, Size), Cli.Policy))
+      return "--sweep size " + std::to_string(Size) + " under " +
+             cachePolicyName(Cli.Policy) + ": " + Bad;
+  return "";
+}
+
 bool parseFlag(CliOptions &Cli, const std::string &Arg) {
   auto Value = [&](const char *Prefix) -> const char * {
     size_t Len = std::strlen(Prefix);
     if (Arg.compare(0, Len, Prefix) == 0)
       return Arg.c_str() + Len;
     return nullptr;
+  };
+  // A cache size that does not fit its 32-bit field is a configuration
+  // error, reported after parsing with the other geometry checks.
+  auto FitsField = [&](const std::string &What, const char *Text,
+                       uint64_t N) {
+    if (N <= UINT32_MAX)
+      return true;
+    if (Cli.CacheError.empty())
+      Cli.CacheError = What + " " + Text + " is above 4294967295";
+    return false;
+  };
+  auto Geometry = [&](const char *Flag, const char *Text, uint32_t &Field) {
+    uint64_t N;
+    if (!parseDecimal(Text, N))
+      return false;
+    if (FitsField(Flag, Text, N))
+      Field = static_cast<uint32_t>(N);
+    return true;
   };
 
   if (Arg == "--era") {
@@ -262,8 +327,11 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     return true;
   }
   if (const char *V = Value("--regs=")) {
-    Cli.Compile.RegAlloc.NumColors = std::atoi(V);
-    return Cli.Compile.RegAlloc.NumColors >= 8;
+    uint64_t N;
+    if (!parseDecimal(V, N) || N < 8 || N > UINT32_MAX)
+      return false;
+    Cli.Compile.RegAlloc.NumColors = static_cast<uint32_t>(N);
+    return true;
   }
   if (const char *V = Value("--alloc=")) {
     std::string S = V;
@@ -275,18 +343,12 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
       return false;
     return true;
   }
-  if (const char *V = Value("--cache-lines=")) {
-    Cli.Sim.Cache.NumLines = std::atoi(V);
-    return Cli.Sim.Cache.NumLines > 0;
-  }
-  if (const char *V = Value("--assoc=")) {
-    Cli.Sim.Cache.Assoc = std::atoi(V);
-    return Cli.Sim.Cache.Assoc > 0;
-  }
-  if (const char *V = Value("--line-words=")) {
-    Cli.Sim.Cache.LineWords = std::atoi(V);
-    return Cli.Sim.Cache.LineWords > 0;
-  }
+  if (const char *V = Value("--cache-lines="))
+    return Geometry("--cache-lines", V, Cli.Sim.Cache.NumLines);
+  if (const char *V = Value("--assoc="))
+    return Geometry("--assoc", V, Cli.Sim.Cache.Assoc);
+  if (const char *V = Value("--line-words="))
+    return Geometry("--line-words", V, Cli.Sim.Cache.LineWords);
   if (const char *V = Value("--policy=")) {
     if (!parseCachePolicy(V, Cli.Policy))
       return false;
@@ -304,17 +366,15 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
   }
   if (const char *V = Value("--sweep=")) {
     Cli.SweepSizes.clear();
-    for (const char *P = V; *P;) {
-      char *End = nullptr;
-      long Size = std::strtol(P, &End, 10);
-      if (End == P || Size <= 0)
+    std::stringstream List(V);
+    for (std::string Item; std::getline(List, Item, ',');) {
+      uint64_t Size;
+      if (!parseDecimal(Item.c_str(), Size))
         return false;
-      Cli.SweepSizes.push_back(static_cast<uint32_t>(Size));
-      P = *End == ',' ? End + 1 : End;
-      if (End != P && *End != ',')
-        return false;
+      if (FitsField("--sweep size", Item.c_str(), Size))
+        Cli.SweepSizes.push_back(static_cast<uint32_t>(Size));
     }
-    return !Cli.SweepSizes.empty();
+    return !Cli.SweepSizes.empty() || !Cli.CacheError.empty();
   }
   const char *Workers = Value("--replay-workers=");
   if (!Workers)
@@ -425,26 +485,10 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 /// LRU), hinted and hint-stripped, and prints a traffic table. One
 /// traced simulation serves every row (see SweepEngine.h).
 int runSweep(const CliOptions &Cli, const MachineProgram &Program) {
-  if (Cli.Policy == CachePolicy::TreePLRU) {
-    for (uint32_t Size : Cli.SweepSizes)
-      if (Size > 64 || (Size & (Size - 1)) != 0) {
-        std::fprintf(stderr,
-                     "error: --policy=plru needs power-of-two sweep "
-                     "sizes <= 64 (tree bits live in one word per set; "
-                     "sweep rows are fully associative); got %u\n",
-                     Size);
-        return 2;
-      }
-  }
   std::vector<SweepPoint> Points;
   for (uint32_t Size : Cli.SweepSizes) {
     SweepPoint P;
-    P.Config.NumLines = Size;
-    P.Config.Assoc = Size;
-    P.Config.LineWords = 1;
-    P.Config.Write = WritePolicy::WriteBack;
-    P.Config.Policy = Cli.Policy;
-    P.Config.Seed = Cli.Sim.Cache.Seed;
+    P.Config = sweepRowConfig(Cli, Size);
     P.Policy = Cli.Policy;
     Points.push_back(P);
     P.IgnoreHints = true;
@@ -707,6 +751,14 @@ int main(int argc, char **argv) {
                  "recorded trace); combine it with --sweep=\n",
                  cachePolicyName(Cli.Policy));
     return 2;
+  }
+
+  // Geometry the simulator cannot build (main() checks it once, for the
+  // live cache and every sweep row, so no later stage can abort on it).
+  if (std::string Bad = cacheConfigError(Cli); !Bad.empty()) {
+    std::fprintf(stderr, "error: invalid cache configuration: %s\n",
+                 Bad.c_str());
+    return 1;
   }
 
   // --print-pipeline needs no input: it reports what the flags resolve
