@@ -40,7 +40,7 @@ std::vector<SweepPoint> grid() {
   for (uint32_t Lines : cacheSizes()) {
     CacheConfig Cache = paperCache();
     Cache.NumLines = Lines;
-    G.push_back({Cache, TracePolicy::LRU, /*IgnoreHints=*/false});
+    G.push_back({Cache, CachePolicy::LRU, /*IgnoreHints=*/false});
   }
   return G;
 }

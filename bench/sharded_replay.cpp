@@ -46,19 +46,19 @@ std::vector<SweepPoint> grid() {
   for (uint32_t Lines : {32u, 64u, 128u, 256u, 512u}) {
     CacheConfig C = paperCache();
     C.NumLines = Lines;
-    G.push_back({C, TracePolicy::LRU, /*IgnoreHints=*/false});
-    G.push_back({C, TracePolicy::LRU, /*IgnoreHints=*/true});
+    G.push_back({C, CachePolicy::LRU, /*IgnoreHints=*/false});
+    G.push_back({C, CachePolicy::LRU, /*IgnoreHints=*/true});
   }
   CacheConfig FourWay = paperCache();
   FourWay.Assoc = 4;
-  G.push_back({FourWay, TracePolicy::LRU, false});
+  G.push_back({FourWay, CachePolicy::LRU, false});
   CacheConfig Fifo = paperCache();
-  Fifo.Policy = ReplacementPolicy::FIFO;
-  G.push_back({Fifo, TracePolicy::FIFO, false});
+  Fifo.Policy = CachePolicy::FIFO;
+  G.push_back({Fifo, CachePolicy::FIFO, false});
   CacheConfig Wide = paperCache();
   Wide.LineWords = 4;
   Wide.NumLines = 32;
-  G.push_back({Wide, TracePolicy::LRU, false});
+  G.push_back({Wide, CachePolicy::LRU, false});
   return G;
 }
 

@@ -6,12 +6,9 @@
 ///
 /// \file
 /// The single replacement-policy vocabulary shared by every cache model
-/// in the tree: the live DataCache, the specialized two-way fast caches,
-/// the policy-generic replay kernel (urcm/sim/CacheModel.h) and the
-/// sweep engine's replay streams. Historically the live
-/// cache had its own three-policy `ReplacementPolicy` and the replayer a
-/// four-policy `TracePolicy` with a lossy translation between them; both
-/// are now aliases of `CachePolicy` below and the translation is gone.
+/// in the tree: the policy-generic CacheModel (urcm/sim/CacheModel.h;
+/// live and replay), the specialized two-way fast caches and the sweep
+/// engine's replay streams.
 ///
 /// The policy families (paper section 3.2 argues dead-line freeing is
 /// compatible with any of them):
@@ -96,9 +93,10 @@ constexpr uint64_t MaxCacheWords = uint64_t(1) << 24;
 /// divides the line count, a line size of 1..MaxCacheLineWords words, at
 /// most MaxCacheWords words in all, and for TreePLRU a power-of-two
 /// associativity of at most 64. Returns what is wrong, or null when
-/// nothing is. Flag parsing and the trace-store reader call this so that
-/// bad input ends in a diagnostic; the cache constructors keep asserting
-/// the same conditions as internal invariants.
+/// nothing is. Flag parsing, the trace-store reader, Simulator::run
+/// (liveCacheConfigError) and SweepEngine::schedule call this so that
+/// bad input ends in a diagnostic; CacheModel's constructor asserts it
+/// as an internal invariant.
 const char *validateCacheConfig(const CacheConfig &Config,
                                 CachePolicy Policy);
 
@@ -121,8 +119,8 @@ enum : uint8_t {
 namespace detail {
 
 /// Shared victim-selection mechanisms. Each helper returns a way index
-/// in [0, Assoc) and is used verbatim by both the live DataCache and
-/// the replay kernel so the two can never drift. All helpers assume
+/// in [0, Assoc) and is used verbatim by both CacheModel and the packed
+/// replay kernel so the two can never drift. All helpers assume
 /// every way of the set is valid (callers prefer an invalid way first;
 /// the choice among invalid ways has no observable effect).
 

@@ -23,7 +23,7 @@
 #ifndef URCM_SIM_OCCUPANCY_H
 #define URCM_SIM_OCCUPANCY_H
 
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 
 namespace urcm {
 

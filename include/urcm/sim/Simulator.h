@@ -49,7 +49,7 @@ struct TraceEvent {
     Hints(const MemRefInfo &Info)
         : Bypass(Info.Bypass), LastRef(Info.LastRef), Unused(0) {}
     /// TraceEvent hints feed APIs taking full reference info (e.g. the
-    /// live DataCache in tests). The RefId is not part of the hints —
+    /// live CacheModel in tests). The RefId is not part of the hints —
     /// attribution consumers read TraceEvent::RefId directly.
     operator MemRefInfo() const {
       MemRefInfo Info;
@@ -136,7 +136,7 @@ struct SimConfig {
   /// indexes; multi-word lines capture sequential fetch locality.
   bool ModelICache = false;
   CacheConfig ICache = {/*NumLines=*/64, /*Assoc=*/2, /*LineWords=*/4,
-                        ReplacementPolicy::LRU, WritePolicy::WriteBack,
+                        CachePolicy::LRU, WritePolicy::WriteBack,
                         /*Seed=*/0x1ce};
   /// When set, the data cache accumulates per-static-reference
   /// attribution (urcm/sim/RefAttribution.h) into this table (not
@@ -191,6 +191,13 @@ struct SimResult {
 
 struct PredecodedProgram;
 
+/// The first problem with the caches \p Config asks a live run to build
+/// — a data or (with ModelICache) instruction cache geometry that
+/// validateCacheConfig rejects, or a replay-only policy — as
+/// "invalid cache configuration: ...", or empty when there is none.
+/// Simulator::run returns it as the result's Error instead of running.
+std::string liveCacheConfigError(const SimConfig &Config);
+
 /// Executes machine programs.
 class Simulator {
 public:
@@ -198,7 +205,10 @@ public:
 
   /// Runs \p Prog to completion (Halt), error, or the step limit,
   /// through the engine selected by SimConfig::Engine (predecoding on
-  /// the fly for SimEngine::Predecoded).
+  /// the fly for SimEngine::Predecoded). A cache configuration no live
+  /// run can build (liveCacheConfigError) is returned as the Error of a
+  /// result that never ran; data-cache counters that break a
+  /// conservation law (replayConservationViolation) fail the run.
   SimResult run(const MachineProgram &Prog);
 
   /// Runs an already-predecoded program (always the predecoded engine).

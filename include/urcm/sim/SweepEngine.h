@@ -30,8 +30,10 @@
 ///     experiments concurrently, and the points of one experiment
 ///     replay concurrently too (point-parallel replay).
 ///
-/// Replay counters are bit-identical to the live DataCache's (asserted
-/// by tests/sweepengine_test.cpp), so exhibits that moved from
+/// Replay counters are bit-identical to a live run's (every kernel is
+/// pinned against CacheModel, which is also the live cache for every
+/// geometry but the paper's two-way fast path; asserted by
+/// tests/sweepengine_test.cpp), so exhibits that moved from
 /// re-simulation to replay print unchanged numbers.
 ///
 //===----------------------------------------------------------------------===//
@@ -40,7 +42,7 @@
 #define URCM_SIM_SWEEPENGINE_H
 
 #include "urcm/sim/RefAttribution.h"
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 #include "urcm/support/ThreadPool.h"
 
 #include <functional>
@@ -95,15 +97,6 @@ replayTraceMulti(const std::vector<TraceEvent> &Trace,
 /// the generic CacheModel: one-word lines, write-back, a power-of-two
 /// set count, associativity 1, 2, 4 or 8, and any policy but MIN.
 bool packedReplayEligible(const SweepPoint &Point);
-
-/// The replay conservation laws every point's counters obey, whatever
-/// the policy, geometry or kernel: ReadHits <= Reads, WriteHits <=
-/// Writes, Fills == misses (write-back only), WriteBacks <= Evictions,
-/// WriteBackWords == WriteBacks * LineWords and DeadWriteBacksAvoided
-/// <= DeadFrees. Returns the first law \p S breaks under \p Config, or
-/// null when it breaks none.
-const char *replayConservationViolation(const CacheStats &S,
-                                        const CacheConfig &Config);
 
 /// True if \p Point can be served by the stack-distance fast path:
 /// fully-associative LRU, write-back, one-word lines (the paper's
@@ -162,7 +155,7 @@ public:
   /// backwards, so they require batch mode (\p FullTrace).
   static bool streamable(const std::vector<SweepPoint> &Points);
 
-  /// \p FullTrace must be non-null when any point uses TracePolicy::MIN
+  /// \p FullTrace must be non-null when any point uses CachePolicy::MIN
   /// and is ignored otherwise. \p Workers is a resolved count (>= 1;
   /// see resolveReplayWorkers); \p Pool null uses the global pool.
   explicit SweepPointStream(std::vector<SweepPoint> Points,
@@ -226,7 +219,11 @@ public:
   /// Schedules one experiment. \p HintGroup names a family of runs with
   /// similar trace lengths (e.g. the workload name): the first run in a
   /// group sizes later runs' trace reservations. Re-scheduling an
-  /// existing \p Key is a no-op (the points must match).
+  /// existing \p Key is a no-op (the points must match). A base
+  /// configuration liveCacheConfigError rejects, or a point
+  /// validateCacheConfig rejects, fails the experiment at once: its
+  /// base() Error reads "invalid cache configuration: ..." and it has
+  /// no point stats.
   ///
   /// \p ContentHash is the experiment's traceContentHash
   /// (urcm/sim/TraceStore.h) — the fingerprint of the compiled program

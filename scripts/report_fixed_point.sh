@@ -13,7 +13,9 @@
 # redundant simulation or replay fails the check: the recording pass
 # stores exactly 12 traces (two simulations per workload), and the cold
 # default-width pass replays exactly 54 points (nine distinct policy
-# points per workload) with no violation.
+# points per workload) with no violation, and checks every one of its
+# live runs' data-cache counters against the same laws
+# (check.live.runs == sim.runs, check.live.violations == 0).
 # The expected file is only read here, never written.
 #
 # Usage: scripts/report_fixed_point.sh [build-dir]   (default: build)
@@ -44,6 +46,11 @@ if c.get("check.replay.points", 0) != 54:
              % c.get("check.replay.points", 0))
 if c.get("check.replay.violations", 0) != 0:
     sys.exit("cold replayed counters broke a conservation law")
+if c.get("check.live.runs", 0) != c.get("sim.runs", 0):
+    sys.exit("cold report checked %d of %d live runs"
+             % (c.get("check.live.runs", 0), c.get("sim.runs", 0)))
+if c.get("check.live.violations", 0) != 0:
+    sys.exit("cold live counters broke a conservation law")
 PY
 
 "$REPORT" --trace-store="$OUT/store" > "$OUT/record.md"

@@ -110,6 +110,32 @@ urcm::computeNextLineUses(const std::vector<TraceEvent> &Trace,
   return Next;
 }
 
+// Word addresses fit the trace event's 32 bits: the simulated memory is
+// far smaller.
+int64_t CacheModel::liveAccess(uint64_t Addr, bool IsWrite,
+                               const MemRefInfo &Info, int64_t Value) {
+  assert(Mem && "read/write need the live form");
+  assert(Addr < Mem->size() && "address outside the simulated memory");
+  const TraceEvent E{static_cast<uint32_t>(Addr), IsWrite,
+                     TraceEvent::Hints(Info), Info.RefId};
+  switch (Policy) {
+#define URCM_LIVE_STEP(P)                                                    \
+  case P:                                                                    \
+    return Attr ? stepOne<P, true, true>(E, 0, Value)                        \
+                : stepOne<P, false, true>(E, 0, Value);
+    URCM_LIVE_STEP(CachePolicy::LRU)
+    URCM_LIVE_STEP(CachePolicy::FIFO)
+    URCM_LIVE_STEP(CachePolicy::Random)
+    URCM_LIVE_STEP(CachePolicy::TreePLRU)
+    URCM_LIVE_STEP(CachePolicy::SRRIP)
+#undef URCM_LIVE_STEP
+  case CachePolicy::MIN:
+  case CachePolicy::LivenessBypass:
+    break; // Replay-only; rejected by the live constructor.
+  }
+  return 0;
+}
+
 CacheStats urcm::replayTrace(const std::vector<TraceEvent> &Trace,
                              const CacheConfig &Config,
                              CachePolicy Policy) {
@@ -119,4 +145,21 @@ CacheStats urcm::replayTrace(const std::vector<TraceEvent> &Trace,
   CacheModel R(Config, Policy, std::move(NextUses));
   R.feed(Trace.data(), Trace.size(), 0);
   return R.finish();
+}
+
+const char *urcm::replayConservationViolation(const CacheStats &S,
+                                              const CacheConfig &Config) {
+  if (S.ReadHits > S.Reads)
+    return "ReadHits <= Reads";
+  if (S.WriteHits > S.Writes)
+    return "WriteHits <= Writes";
+  if (Config.Write == WritePolicy::WriteBack && S.Fills != S.misses())
+    return "Fills == misses (write-back)";
+  if (S.WriteBacks > S.Evictions)
+    return "WriteBacks <= Evictions";
+  if (S.WriteBackWords != S.WriteBacks * Config.LineWords)
+    return "WriteBackWords == WriteBacks * LineWords";
+  if (S.DeadWriteBacksAvoided > S.DeadFrees)
+    return "DeadWriteBacksAvoided <= DeadFrees";
+  return nullptr;
 }

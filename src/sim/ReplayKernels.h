@@ -24,8 +24,8 @@
 #ifndef URCM_SIM_REPLAYKERNELS_H
 #define URCM_SIM_REPLAYKERNELS_H
 
+#include "urcm/sim/CacheModel.h"
 #include "urcm/sim/SweepEngine.h"
-#include "urcm/sim/TraceSim.h"
 #include "urcm/support/RNG.h"
 
 #include <algorithm>
@@ -530,7 +530,7 @@ public:
           continue;
         }
         // UmAm_LOAD: sizes holding the line migrate-and-free it (dirty
-        // copies are written back first, see DataCache::read); the rest
+        // copies are written back first, see CacheModel::stepOne); the rest
         // read memory directly.
         const uint64_t D = depthOf(It->second.Ts);
         const uint64_t DirtyMin = It->second.DirtyMin;

@@ -20,7 +20,7 @@
 // *hole*: depth arithmetic still counts it, and the number of holes
 // among the top S entries is exactly the number of free slots in the
 // size-S cache. The update rules (derived positionally, asserted
-// bit-identical to TraceReplayer by tests/sweepengine_test.cpp):
+// bit-identical to CacheModel by tests/sweepengine_test.cpp):
 //
 //  * free (dead tag / bypass migration): the line's entry becomes a
 //    hole in place;
@@ -201,7 +201,7 @@ struct SweepPointStream::Impl {
 
 bool SweepPointStream::streamable(const std::vector<SweepPoint> &Points) {
   return std::none_of(Points.begin(), Points.end(), [](const SweepPoint &P) {
-    return P.Policy == TracePolicy::MIN;
+    return P.Policy == CachePolicy::MIN;
   });
 }
 
@@ -274,7 +274,7 @@ SweepPointStream::SweepPointStream(
       continue;
     }
     std::shared_ptr<const std::vector<uint64_t>> Next;
-    if (Pt.Policy == TracePolicy::MIN) {
+    if (Pt.Policy == CachePolicy::MIN) {
       assert(FullTrace && "MIN points require the materialized trace");
       auto &Slot = NextUses[{Pt.Config.LineWords, Pt.IgnoreHints}];
       if (!Slot)
@@ -387,25 +387,8 @@ bool urcm::packedReplayEligible(const SweepPoint &Point) {
   return detail::PackedOneWordStream::eligible(Point);
 }
 
-const char *urcm::replayConservationViolation(const CacheStats &S,
-                                              const CacheConfig &Config) {
-  if (S.ReadHits > S.Reads)
-    return "ReadHits <= Reads";
-  if (S.WriteHits > S.Writes)
-    return "WriteHits <= Writes";
-  if (Config.Write == WritePolicy::WriteBack && S.Fills != S.misses())
-    return "Fills == misses (write-back)";
-  if (S.WriteBacks > S.Evictions)
-    return "WriteBacks <= Evictions";
-  if (S.WriteBackWords != S.WriteBacks * Config.LineWords)
-    return "WriteBackWords == WriteBacks * LineWords";
-  if (S.DeadWriteBacksAvoided > S.DeadFrees)
-    return "DeadWriteBacksAvoided <= DeadFrees";
-  return nullptr;
-}
-
 bool urcm::stackDistanceEligible(const SweepPoint &Point) {
-  return Point.Policy == TracePolicy::LRU &&
+  return Point.Policy == CachePolicy::LRU &&
          Point.Config.Write == WritePolicy::WriteBack &&
          Point.Config.LineWords == 1 &&
          Point.Config.Assoc == Point.Config.NumLines &&
@@ -538,6 +521,19 @@ void SweepEngine::schedule(const std::string &Key,
   E.Points = std::move(Points);
   E.Run = std::move(Run);
   E.ContentHash = ContentHash;
+  // A cache no kernel can build fails the experiment here, before any
+  // simulation or replay could trip over it; run() skips it.
+  std::string Error = liveCacheConfigError(Base);
+  for (size_t I = 0; I != E.Points.size() && Error.empty(); ++I)
+    if (const char *Bad =
+            validateCacheConfig(E.Points[I].Config, E.Points[I].Policy))
+      Error = "invalid cache configuration: sweep point " +
+              std::to_string(I) + " (" + describePoint(E.Points[I]) +
+              "): " + Bad;
+  if (!Error.empty()) {
+    E.Result.Error = std::move(Error);
+    E.Done = true;
+  }
 }
 
 void SweepEngine::forwardStoreDiags(const DiagnosticEngine &Local) {

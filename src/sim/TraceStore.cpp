@@ -549,7 +549,7 @@ void hashCacheConfig(Fnv1a &H, const CacheConfig &C) {
 /// policy stay salted conservatively: they are cheap to keep, and
 /// narrowing the invariant to "policy and seed are observers" is the
 /// exact guarantee the sweep's policy grid needs.
-void hashDataCacheConfig(Fnv1a &H, const CacheConfig &C) {
+void hashDataGeometry(Fnv1a &H, const CacheConfig &C) {
   H.u32(C.NumLines);
   H.u32(C.Assoc);
   H.u32(C.LineWords);
@@ -598,7 +598,7 @@ uint64_t urcm::traceContentHash(const MachineProgram &Prog,
   // observers and deliberately excluded.
   H.u64(Config.MaxSteps);
   H.u8(Config.Paranoid ? 1 : 0);
-  hashDataCacheConfig(H, Config.Cache);
+  hashDataGeometry(H, Config.Cache);
   H.u8(Config.ModelICache ? 1 : 0);
   if (Config.ModelICache)
     hashCacheConfig(H, Config.ICache);

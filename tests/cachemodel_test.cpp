@@ -5,9 +5,10 @@
 // The unified CacheModel's contract, pinned here from four directions:
 //
 //  1. live agreement — for every live-eligible policy (LRU, FIFO,
-//     Random, TreePLRU, SRRIP) the model's counters are bit-identical
-//     to driving a DataCache with the same geometry over the same
-//     reference stream, hints included;
+//     Random, TreePLRU, SRRIP) the live form's counters are
+//     bit-identical to replaying the same reference stream, hints
+//     included, and on the paper geometry they also equal the
+//     independent two-way fast path (TwoWayWB1Cache);
 //  2. mode agreement — for every policy, sequential replay, parallel
 //     replay at several worker counts, and warm trace-store serving all
 //     produce bit-identical CacheStats and attribution tables, over all
@@ -272,10 +273,11 @@ TEST(CacheModelProperties, SRRIPAgingBoundsAndTermination) {
 }
 
 //===----------------------------------------------------------------------===//
-// Live agreement: model == DataCache for every live-eligible policy.
+// Live agreement: the live form == replay for every live-eligible
+// policy, and == the two-way fast path on the paper geometry.
 //===----------------------------------------------------------------------===//
 
-TEST(CacheModelLive, MatchesDataCacheForEveryLivePolicy) {
+TEST(CacheModelLive, LiveFormMatchesReplayForEveryLivePolicy) {
   for (CachePolicy P : AllPolicies) {
     if (!cachePolicyLiveEligible(P))
       continue;
@@ -284,39 +286,37 @@ TEST(CacheModelLive, MatchesDataCacheForEveryLivePolicy) {
       Geometry.Policy = P;
       for (uint64_t Seed : {11u, 31u}) {
         auto Trace = hintedTrace(Seed, 8000, 300);
-        MainMemory Mem(4096);
-        DataCache Live(Geometry, Mem);
+        MainMemory Mem(4096), FastMem(4096);
+        CacheModel Live(Geometry, Mem);
+        const bool Fast = TwoWayWB1Cache::eligible(Geometry);
+        TwoWayWB1Cache FastPath(Fast ? Geometry : config(128, 2), FastMem);
+        int64_t Value = 0;
         for (const TraceEvent &E : Trace) {
-          if (E.IsWrite)
-            Live.write(E.Addr, 1, E.Info);
-          else
-            Live.read(E.Addr, E.Info);
+          if (E.IsWrite) {
+            ++Value;
+            Live.write(E.Addr, Value, E.Info);
+            if (Fast)
+              FastPath.write(E.Addr, Value, E.Info);
+          } else {
+            const int64_t Got = Live.read(E.Addr, E.Info);
+            if (Fast) {
+              ASSERT_EQ(Got, FastPath.read(E.Addr, E.Info))
+                  << cachePolicyName(P) << " seed " << Seed;
+            }
+          }
         }
-        CacheStats Replayed = replayTrace(Trace, Geometry, P);
-        CacheStats LiveStats = Live.stats();
-        // Latency ticks are the live cache's own; every traffic counter
-        // must agree.
-        LiveStats.FlushWriteBackWords = Replayed.FlushWriteBackWords;
-        EXPECT_EQ(LiveStats.Reads, Replayed.Reads);
-        EXPECT_EQ(LiveStats.Writes, Replayed.Writes);
-        EXPECT_EQ(LiveStats.ReadHits, Replayed.ReadHits)
+        Live.flush();
+        const CacheStats Replayed = replayTrace(Trace, Geometry, P);
+        EXPECT_EQ(Live.stats(), Replayed)
             << cachePolicyName(P) << " seed " << Seed << " lines "
-            << Geometry.NumLines << "x" << Geometry.Assoc;
-        EXPECT_EQ(LiveStats.WriteHits, Replayed.WriteHits)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.Fills, Replayed.Fills)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.FillWords, Replayed.FillWords);
-        EXPECT_EQ(LiveStats.WriteBacks, Replayed.WriteBacks)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.WriteBackWords, Replayed.WriteBackWords);
-        EXPECT_EQ(LiveStats.Evictions, Replayed.Evictions)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.DeadFrees, Replayed.DeadFrees);
-        EXPECT_EQ(LiveStats.DeadWriteBacksAvoided,
-                  Replayed.DeadWriteBacksAvoided);
-        EXPECT_EQ(LiveStats.BypassReads, Replayed.BypassReads);
-        EXPECT_EQ(LiveStats.BypassWrites, Replayed.BypassWrites);
+            << Geometry.NumLines << "x" << Geometry.Assoc << "x"
+            << Geometry.LineWords;
+        if (Fast) {
+          FastPath.flush();
+          EXPECT_EQ(FastPath.stats(), Replayed) << "seed " << Seed;
+          for (uint64_t A = 0; A != 4096; ++A)
+            ASSERT_EQ(Mem.read(A), FastMem.read(A)) << "word " << A;
+        }
       }
     }
   }

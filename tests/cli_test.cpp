@@ -3,7 +3,7 @@
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
 // Every cache geometry a user can type ends in a diagnostic, never an
-// abort: each case below used to trip an assertion in the DataCache
+// abort: each case below used to trip an assertion in the live cache's
 // constructor or a divide by zero in the sweep, and must now exit 1 with
 // an "error:" line. The binary under test is the urcmc built alongside
 // this test (URCMC_PATH).

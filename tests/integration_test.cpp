@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "urcm/driver/Driver.h"
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ struct SweepParam {
   const char *WorkloadName;
   uint32_t NumLines;
   uint32_t Assoc;
-  ReplacementPolicy Policy;
+  CachePolicy Policy;
   bool EraMode;
 };
 
@@ -85,21 +85,21 @@ INSTANTIATE_TEST_SUITE_P(
     GeometryGrid, SchemeSweep,
     ::testing::Values(
         // The Figure-5 configuration (era compiler) across geometries.
-        SweepParam{"Bubble", 128, 2, ReplacementPolicy::LRU, true},
-        SweepParam{"Bubble", 32, 1, ReplacementPolicy::LRU, true},
-        SweepParam{"Intmm", 128, 2, ReplacementPolicy::LRU, true},
-        SweepParam{"Intmm", 64, 4, ReplacementPolicy::FIFO, true},
-        SweepParam{"Queen", 128, 2, ReplacementPolicy::LRU, true},
-        SweepParam{"Queen", 16, 2, ReplacementPolicy::Random, true},
-        SweepParam{"Sieve", 128, 2, ReplacementPolicy::LRU, true},
-        SweepParam{"Sieve", 256, 8, ReplacementPolicy::FIFO, true},
-        SweepParam{"Towers", 128, 2, ReplacementPolicy::LRU, true},
-        SweepParam{"Towers", 64, 2, ReplacementPolicy::Random, true},
+        SweepParam{"Bubble", 128, 2, CachePolicy::LRU, true},
+        SweepParam{"Bubble", 32, 1, CachePolicy::LRU, true},
+        SweepParam{"Intmm", 128, 2, CachePolicy::LRU, true},
+        SweepParam{"Intmm", 64, 4, CachePolicy::FIFO, true},
+        SweepParam{"Queen", 128, 2, CachePolicy::LRU, true},
+        SweepParam{"Queen", 16, 2, CachePolicy::Random, true},
+        SweepParam{"Sieve", 128, 2, CachePolicy::LRU, true},
+        SweepParam{"Sieve", 256, 8, CachePolicy::FIFO, true},
+        SweepParam{"Towers", 128, 2, CachePolicy::LRU, true},
+        SweepParam{"Towers", 64, 2, CachePolicy::Random, true},
         // Modern allocation mode.
-        SweepParam{"Bubble", 128, 2, ReplacementPolicy::LRU, false},
-        SweepParam{"Queen", 64, 4, ReplacementPolicy::LRU, false},
-        SweepParam{"Sieve", 128, 2, ReplacementPolicy::FIFO, false},
-        SweepParam{"Towers", 128, 2, ReplacementPolicy::LRU, false}),
+        SweepParam{"Bubble", 128, 2, CachePolicy::LRU, false},
+        SweepParam{"Queen", 64, 4, CachePolicy::LRU, false},
+        SweepParam{"Sieve", 128, 2, CachePolicy::FIFO, false},
+        SweepParam{"Towers", 128, 2, CachePolicy::LRU, false}),
     paramName);
 
 namespace {
@@ -129,8 +129,8 @@ TEST_P(PuzzleSweep, UnifiedNeverLosesOnCacheTraffic) {
 INSTANTIATE_TEST_SUITE_P(
     PuzzleGrid, PuzzleSweep,
     ::testing::Values(
-        SweepParam{"Puzzle", 128, 2, ReplacementPolicy::LRU, true},
-        SweepParam{"Puzzle", 128, 2, ReplacementPolicy::LRU, false}),
+        SweepParam{"Puzzle", 128, 2, CachePolicy::LRU, true},
+        SweepParam{"Puzzle", 128, 2, CachePolicy::LRU, false}),
     paramName);
 
 namespace {
@@ -175,7 +175,7 @@ TEST(Integration, TraceReplayConsistentWithLiveRun) {
   ASSERT_TRUE(Live.ok()) << Live.Error;
 
   CacheStats Replayed =
-      replayTrace(Live.Trace, Sim.Cache, TracePolicy::LRU);
+      replayTrace(Live.Trace, Sim.Cache, CachePolicy::LRU);
   EXPECT_EQ(Live.Cache.Reads, Replayed.Reads);
   EXPECT_EQ(Live.Cache.ReadHits, Replayed.ReadHits);
   EXPECT_EQ(Live.Cache.WriteHits, Replayed.WriteHits);
@@ -200,8 +200,8 @@ TEST(Integration, MINNeverWorseThanLRUOnWorkloadTraces) {
     DiagnosticEngine Diags;
     SimResult Live = compileAndRun(W->Source, Options, Sim, Diags);
     ASSERT_TRUE(Live.ok()) << Live.Error;
-    CacheStats MIN = replayTrace(Live.Trace, Sim.Cache, TracePolicy::MIN);
-    CacheStats LRU = replayTrace(Live.Trace, Sim.Cache, TracePolicy::LRU);
+    CacheStats MIN = replayTrace(Live.Trace, Sim.Cache, CachePolicy::MIN);
+    CacheStats LRU = replayTrace(Live.Trace, Sim.Cache, CachePolicy::LRU);
     EXPECT_LE(MIN.misses(), LRU.misses()) << Name;
   }
 }

@@ -40,9 +40,9 @@ TEST(CacheStats, StrMentionsKeyCounters) {
 }
 
 TEST(PolicyNames, AllNamed) {
-  EXPECT_STREQ(cachePolicyName(ReplacementPolicy::LRU), "LRU");
-  EXPECT_STREQ(cachePolicyName(ReplacementPolicy::FIFO), "FIFO");
-  EXPECT_STREQ(cachePolicyName(ReplacementPolicy::Random),
+  EXPECT_STREQ(cachePolicyName(CachePolicy::LRU), "LRU");
+  EXPECT_STREQ(cachePolicyName(CachePolicy::FIFO), "FIFO");
+  EXPECT_STREQ(cachePolicyName(CachePolicy::Random),
                "Random");
   EXPECT_STREQ(writePolicyName(WritePolicy::WriteBack), "write-back");
   EXPECT_STREQ(writePolicyName(WritePolicy::WriteThrough),

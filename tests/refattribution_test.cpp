@@ -11,7 +11,7 @@
 //  2. serving invariance — the engine produces bit-identical tables
 //     with no store, a cold store, and a warm store (where the trace is
 //     decoded from disk and the Simulator never runs);
-//  3. live equivalence — the replayed table equals the live DataCache's
+//  3. live equivalence — the replayed table equals the live cache's
 //     (SimConfig::Attribution) for the same geometry and hints;
 //  4. conservation — attribution rows sum to the aggregate CacheStats
 //     (hits, misses, bypasses, dead write-backs, evictions), so no
@@ -102,17 +102,17 @@ std::vector<TraceEvent> numberedTrace(uint64_t Seed, size_t N,
 /// Random and Belady MIN, hinted and hint-stripped views.
 std::vector<SweepPoint> attributingPoints(uint32_t NumRefs) {
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false},
-      {config(128, 2), TracePolicy::LRU, true},
-      {config(16, 2), TracePolicy::LRU, false},
-      {config(64, 4), TracePolicy::LRU, false},
-      {config(64, 2), TracePolicy::FIFO, false},
-      {config(32, 2, 2), TracePolicy::LRU, false},
-      {config(32, 32), TracePolicy::LRU, false},
-      {config(64, 2), TracePolicy::Random, false},
-      {config(64, 2), TracePolicy::MIN, false},
+      {config(128, 2), CachePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, true},
+      {config(16, 2), CachePolicy::LRU, false},
+      {config(64, 4), CachePolicy::LRU, false},
+      {config(64, 2), CachePolicy::FIFO, false},
+      {config(32, 2, 2), CachePolicy::LRU, false},
+      {config(32, 32), CachePolicy::LRU, false},
+      {config(64, 2), CachePolicy::Random, false},
+      {config(64, 2), CachePolicy::MIN, false},
   };
-  SweepPoint WriteThrough{config(64, 2), TracePolicy::LRU, false};
+  SweepPoint WriteThrough{config(64, 2), CachePolicy::LRU, false};
   WriteThrough.Config.Write = WritePolicy::WriteThrough;
   Points.push_back(WriteThrough);
   for (SweepPoint &P : Points)
@@ -211,7 +211,7 @@ TEST(RefAttribution, UnnumberedEventsLandInOverflowRow) {
   for (TraceEvent &E : Trace)
     E.RefId = MemRefInfo::NoRefId; // Strip all numbering.
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false}};
+      {config(128, 2), CachePolicy::LRU, false}};
   Points[0].AttributionRefs = 11;
   const StreamRun R = runStream(Trace, Points);
   const RefAttribution &A = R.Attrib[0];
@@ -229,7 +229,7 @@ TEST(RefAttribution, UnnumberedEventsLandInOverflowRow) {
 //===----------------------------------------------------------------------===//
 // The acceptance grid: six paper benchmarks, engine-served attribution,
 // workers {1, 7, auto} x {no store, cold, warm}, bit-identical — and
-// equal to the live DataCache's table for the same geometry.
+// equal to the live cache's table for the same geometry.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -282,9 +282,9 @@ TEST(RefAttribution, SixBenchmarksAcrossShardsAndStoreModes) {
         static_cast<uint32_t>(Prog->RefTable.size());
     ASSERT_GT(NumRefs, 0u) << W.Name;
     std::vector<SweepPoint> Points = {
-        {config(128, 2), TracePolicy::LRU, false},
-        {config(128, 2), TracePolicy::LRU, true},
-        {config(16, 2), TracePolicy::LRU, false},
+        {config(128, 2), CachePolicy::LRU, false},
+        {config(128, 2), CachePolicy::LRU, true},
+        {config(16, 2), CachePolicy::LRU, false},
     };
     for (SweepPoint &P : Points)
       P.AttributionRefs = NumRefs;
@@ -328,7 +328,7 @@ TEST(RefAttribution, LiveSimulatorMatchesEngineReplay) {
   std::shared_ptr<MachineProgram> Prog = compileEraUnified(*W);
   const uint32_t NumRefs = static_cast<uint32_t>(Prog->RefTable.size());
 
-  // Live: the DataCache accumulates attribution during simulation.
+  // Live: the data cache accumulates attribution during simulation.
   RefAttribution Live(NumRefs);
   SimConfig Sim;
   Sim.Cache = config(128, 2);
@@ -340,7 +340,7 @@ TEST(RefAttribution, LiveSimulatorMatchesEngineReplay) {
   // Replayed: the engine's hinted point at the same geometry.
   ThreadPool Pool(4);
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false}};
+      {config(128, 2), CachePolicy::LRU, false}};
   Points[0].AttributionRefs = NumRefs;
   const std::vector<RefAttribution> Replayed =
       engineAttribution(Prog, Points, 7, "", Pool);

@@ -78,15 +78,15 @@ const uint32_t WorkerCounts[] = {1, 2, 7, 64};
 /// and both hint views.
 std::vector<SweepPoint> mixedPoints() {
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false},
-      {config(128, 2), TracePolicy::LRU, true},
-      {config(16, 2), TracePolicy::LRU, false},
-      {config(64, 4), TracePolicy::LRU, false},
-      {config(64, 4), TracePolicy::LRU, true},
-      {config(64, 2), TracePolicy::FIFO, false},
-      {config(32, 2, 2), TracePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, true},
+      {config(16, 2), CachePolicy::LRU, false},
+      {config(64, 4), CachePolicy::LRU, false},
+      {config(64, 4), CachePolicy::LRU, true},
+      {config(64, 2), CachePolicy::FIFO, false},
+      {config(32, 2, 2), CachePolicy::LRU, false},
   };
-  SweepPoint WriteThrough{config(64, 2), TracePolicy::LRU, false};
+  SweepPoint WriteThrough{config(64, 2), CachePolicy::LRU, false};
   WriteThrough.Config.Write = WritePolicy::WriteThrough;
   Points.push_back(WriteThrough);
   return Points;
@@ -135,12 +135,12 @@ TEST(ShardedReplay, FuzzHintedAndHintStrippedTraces) {
   // Beyond the mix: Random and MIN (whose state spans every set) and
   // fully-associative LRU, both views.
   std::vector<SweepPoint> Points = mixedPoints();
-  Points.push_back({config(64, 2), TracePolicy::Random, false});
-  Points.push_back({config(64, 2), TracePolicy::MIN, false});
-  Points.push_back({config(64, 2), TracePolicy::MIN, true});
-  Points.push_back({config(8, 8), TracePolicy::LRU, false});
-  Points.push_back({config(32, 32), TracePolicy::LRU, false});
-  Points.push_back({config(32, 32), TracePolicy::LRU, true});
+  Points.push_back({config(64, 2), CachePolicy::Random, false});
+  Points.push_back({config(64, 2), CachePolicy::MIN, false});
+  Points.push_back({config(64, 2), CachePolicy::MIN, true});
+  Points.push_back({config(8, 8), CachePolicy::LRU, false});
+  Points.push_back({config(32, 32), CachePolicy::LRU, false});
+  Points.push_back({config(32, 32), CachePolicy::LRU, true});
   for (uint64_t Seed : {3u, 17u, 99u}) {
     const std::vector<TraceEvent> Hinted = hintedTrace(Seed, 30000, 700);
     expectParallelMatchesSequential(Hinted, Points, Pool,
@@ -159,9 +159,9 @@ TEST(ShardedReplay, StreamingChunkFeedMatchesBatch) {
   // requires); stripped generic points share the per-chunk hint-stripped
   // copy across workers.
   std::vector<SweepPoint> Points = mixedPoints();
-  Points.push_back({config(8, 8), TracePolicy::LRU, false});
-  Points.push_back({config(64, 2), TracePolicy::Random, false});
-  Points.push_back({config(64, 2), TracePolicy::LivenessBypass, true});
+  Points.push_back({config(8, 8), CachePolicy::LRU, false});
+  Points.push_back({config(64, 2), CachePolicy::Random, false});
+  Points.push_back({config(64, 2), CachePolicy::LivenessBypass, true});
   const std::vector<TraceEvent> Trace = hintedTrace(21, 50000, 900);
   const std::vector<CacheStats> Sequential =
       replaySweepPoints(Trace, Points);
@@ -193,7 +193,7 @@ TEST(ShardedReplay, StackWalkViewsMatchStackSweep) {
   std::vector<SweepPoint> Points;
   for (bool IgnoreHints : {false, true})
     for (uint32_t S : Sizes)
-      Points.push_back({config(S, S), TracePolicy::LRU, IgnoreHints});
+      Points.push_back({config(S, S), CachePolicy::LRU, IgnoreHints});
   const std::vector<CacheStats> Got =
       replaySweepPoints(Trace, Points, 3, &Pool);
   for (bool IgnoreHints : {false, true}) {
@@ -213,7 +213,7 @@ TEST(ShardedReplay, EngineShardsBitIdenticalToSequentialOracle) {
   ASSERT_NE(W, nullptr);
   std::vector<SweepPoint> Streamable = mixedPoints();
   std::vector<SweepPoint> WithMin = mixedPoints();
-  WithMin.push_back({config(128, 2), TracePolicy::MIN, false});
+  WithMin.push_back({config(128, 2), CachePolicy::MIN, false});
 
   auto runEngine = [&](uint32_t WorkerRequest,
                        const std::vector<SweepPoint> &Points) {

@@ -651,13 +651,13 @@ std::vector<SweepPoint> mixedPoints() {
     return C;
   };
   return {
-      {Cfg(128, 2), TracePolicy::LRU, false},
-      {Cfg(128, 2), TracePolicy::LRU, true},
-      {Cfg(64, 4), TracePolicy::LRU, false},
-      {Cfg(64, 64), TracePolicy::LRU, false},
-      {Cfg(64, 2), TracePolicy::Random, false},
-      {Cfg(64, 2), TracePolicy::MIN, false},
-      {Cfg(64, 2), TracePolicy::MIN, true},
+      {Cfg(128, 2), CachePolicy::LRU, false},
+      {Cfg(128, 2), CachePolicy::LRU, true},
+      {Cfg(64, 4), CachePolicy::LRU, false},
+      {Cfg(64, 64), CachePolicy::LRU, false},
+      {Cfg(64, 2), CachePolicy::Random, false},
+      {Cfg(64, 2), CachePolicy::MIN, false},
+      {Cfg(64, 2), CachePolicy::MIN, true},
   };
 }
 
