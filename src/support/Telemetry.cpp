@@ -54,8 +54,8 @@ uint32_t bucketOf(uint64_t V) {
 }
 
 uint64_t bucketUpper(uint32_t B) {
-  if (B < 4)
-    return B;
+  if (B < 8) // Buckets 4..7 stay empty: bucketOf maps 4 and up to 8+.
+    return std::min<uint64_t>(B, 3);
   uint32_t Msb = B >> 2, Sub = B & 3;
   return (uint64_t(1) << Msb) + ((uint64_t(Sub) + 1) << (Msb - 2)) - 1;
 }
