@@ -265,7 +265,9 @@ public:
   /// files) are reported to \p Diags (when non-null; rejected files
   /// surface as errors, see TraceStoreReader) and the experiment falls
   /// back to live simulation — the store can slow an experiment down,
-  /// never fail it. Set before run(); \p Diags must outlive run().
+  /// never fail it. A \p Dir that cannot be used at all (it names a
+  /// file, or cannot be created) is one error per run(), which then runs
+  /// without the store. Set before run(); \p Diags must outlive run().
   void setTraceStore(std::string Dir, DiagnosticEngine *Diags = nullptr) {
     StoreDir = std::move(Dir);
     StoreDiags = Diags;

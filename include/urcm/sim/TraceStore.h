@@ -16,8 +16,8 @@
 /// ## Container format (version 4, little-endian)
 ///
 ///   header   : magic "URCMTRC\x01" (8) | version u32 | flags u32 (0) |
-///              content-hash u64 | nominal chunk events u32 |
-///              reserved u32
+///              content-hash u64 | nominal chunk events u32
+///              (TraceStoreWriter::ChunkEvents) | reserved u32 (0)
 ///   chunks   : repeated { payload-bytes u32 | event-count u32 |
 ///              crc32(payload) u32 | payload }
 ///   sentinel : u32 0xFFFFFFFF (end of chunks)
@@ -62,11 +62,14 @@
 /// traceContentHash), so stale traces self-invalidate: a reader opened
 /// with a different expected hash rejects the file and the caller falls
 /// back to live simulation. open() validates the *whole* file up front
-/// (magic, version, hash, every chunk CRC, summary CRC, footer counts,
-/// exact end-of-file), so a sweep served from an accepted store cannot
-/// discover corruption halfway through feeding replay consumers. The
-/// CRC is table-sliced (eight bytes per step), so this walk costs a
-/// small fraction of decoding the same bytes.
+/// (magic, version, the header's constant words, hash, every chunk CRC,
+/// summary CRC, footer counts, exact end-of-file), so every byte of a
+/// file is covered by a check and a sweep served from an accepted store
+/// cannot discover corruption halfway through feeding replay consumers.
+/// The CRC folds 64 bytes per step with carry-less multiplies where the
+/// CPU has PCLMULQDQ and runs slicing-by-8 tables elsewhere (see
+/// detail::crc32), so this walk costs a small fraction of decoding the
+/// same bytes.
 /// Validation failures are reported through DiagnosticEngine — never
 /// asserted — and decode stays bounds-checked even after a successful
 /// open (a file mutated mid-read produces a clean failure, not UB).
@@ -259,7 +262,9 @@ public:
   ~TraceStoreReader();
 
   /// Opens \p Path and validates the entire container: magic, version,
-  /// content hash against \p ExpectHash, every chunk's CRC and size
+  /// the header's flags, nominal chunk size and reserved words (each
+  /// must hold what the writer writes), content hash against
+  /// \p ExpectHash, every chunk's CRC and size
   /// bound, the summary CRC, and the footer's event/chunk counts
   /// against what the chunks actually hold. Invalid files report one
   /// error to \p Diags; a missing file reports nothing (the caller
@@ -339,9 +344,24 @@ void encodeChunkPayload(const TraceEvent *Events, size_t Count,
 bool decodeChunkPayload(const uint8_t *Payload, size_t PayloadBytes,
                         size_t Count, std::vector<TraceEvent> &Out);
 
-/// CRC-32 (IEEE 802.3, reflected) of \p Bytes, eight bytes per step
-/// (slicing-by-8).
+/// CRC-32 (IEEE 802.3, reflected) of \p Bytes: crc32Folded when
+/// crc32FoldedAvailable(), else crc32Table. The choice is made once per
+/// process. Counts the bytes each path checked in
+/// `sim.store.crc.clmul-bytes` and `sim.store.crc.table-bytes`.
 uint32_t crc32(const uint8_t *Bytes, size_t Count);
+
+/// The same CRC, eight bytes per step (slicing-by-8): the path on every
+/// host, and the oracle for the folded one.
+uint32_t crc32Table(const uint8_t *Bytes, size_t Count);
+
+/// The same CRC by carry-less-multiply folding (PCLMULQDQ), 64 bytes per
+/// step, with the last Count % 16 bytes (and any buffer under 64 bytes)
+/// on the table loop. Call it only when crc32FoldedAvailable().
+uint32_t crc32Folded(const uint8_t *Bytes, size_t Count);
+
+/// True if this build targets x86-64 and the CPU has PCLMULQDQ and
+/// SSE4.1.
+bool crc32FoldedAvailable();
 
 } // namespace detail
 

@@ -9,7 +9,9 @@
 # decoded, no replay) and that every served point obeyed the replay
 # conservation laws (check.replay.points == 54,
 # check.replay.violations == 0), so a warm report that silently falls
-# back to decode and replay fails. The work is pinned too, so a
+# back to decode and replay fails; its CRC counters
+# (sim.store.crc.clmul-bytes + sim.store.crc.table-bytes) must be
+# nonzero and at most sim.store.bytes-read. The work is pinned too, so a
 # redundant simulation or replay fails the check: the recording pass
 # stores exactly 12 traces (two simulations per workload), and the cold
 # default-width pass replays exactly 54 points (nine distinct policy
@@ -80,5 +82,10 @@ if c.get("check.replay.points", 0) != 54:
              % c.get("check.replay.points", 0))
 if c.get("check.replay.violations", 0) != 0:
     sys.exit("replayed counters broke a conservation law")
+crc = (c.get("sim.store.crc.clmul-bytes", 0)
+       + c.get("sim.store.crc.table-bytes", 0))
+if not 0 < crc <= c.get("sim.store.bytes-read", 0):
+    sys.exit("warm report CRC-checked %d bytes of %d read"
+             % (crc, c.get("sim.store.bytes-read", 0)))
 PY
 echo "report fixed point OK"

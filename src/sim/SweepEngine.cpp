@@ -68,6 +68,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <filesystem>
 #include <map>
 #include <numeric>
 #include <type_traits>
@@ -715,6 +716,26 @@ void SweepEngine::run() {
 
   const uint32_t Workers = resolveReplayWorkers(ReplayWorkers, *Pool);
 
+  // The store directory is checked once per run: one that cannot be used
+  // (a file, a path that cannot be created) is one diagnostic and a
+  // store-less run, not a reader and a writer error per experiment.
+  bool StoreUsable =
+      !StoreDir.empty() &&
+      std::any_of(Pending.begin(), Pending.end(),
+                  [](const Experiment *E) { return E->ContentHash != 0; });
+  if (StoreUsable) {
+    std::error_code EC;
+    std::filesystem::create_directories(StoreDir, EC);
+    if (EC || !std::filesystem::is_directory(StoreDir, EC)) {
+      DiagnosticEngine DirDiags;
+      DirDiags.error({}, "trace store: cannot use '" + StoreDir + "': " +
+                             (EC ? EC.message() : "not a directory") +
+                             " (running without the store)");
+      forwardStoreDiags(DirDiags);
+      StoreUsable = false;
+    }
+  }
+
   Pool->parallelFor(Pending.size(), [&](size_t I) {
     Experiment &E = *Pending[I];
     telemetry::ScopedPhase ExpPhase("sweep.experiment");
@@ -761,7 +782,7 @@ void SweepEngine::run() {
     std::vector<CacheStats> Replayed;
     std::vector<RefAttribution> ReplayedAttrib;
     std::string Violation;
-    const bool StoreEnabled = !StoreDir.empty() && E.ContentHash != 0;
+    const bool StoreEnabled = StoreUsable && E.ContentHash != 0;
     const bool Served =
         StoreEnabled && serveFromStore(E, Rest, Workers, TraceEvents,
                                        Replayed, ReplayedAttrib, Violation);

@@ -27,9 +27,12 @@
 //    consumers cannot "un-feed" it — the engine would have to throw the
 //    replay state away and restart live. After open, decode stays
 //    bounds-checked anyway (the file could change under us); failures
-//    turn into failed(), never UB. The CRC is slicing-by-8 so that this
-//    walk stays cheap next to the decode it protects: it is the whole
-//    cost of a warm experiment served from its summary alone.
+//    turn into failed(), never UB. The walk is the whole cost of a warm
+//    experiment served from its summary alone, so the CRC is fast: a
+//    carry-less-multiply fold (PCLMULQDQ, 64 bytes per step) where the
+//    CPU has it, chosen once per process, and slicing-by-8 tables
+//    elsewhere and as its test oracle. The header's constant words are
+//    checked too, so every byte of a file is covered by a check.
 //
 //  * Writes go to a temp file published by atomic rename, so two
 //    processes recording the same program race benignly and crashes
@@ -52,6 +55,16 @@
 
 #include <unistd.h> // getpid: temp-file uniqueness across processes.
 
+// The carry-less-multiply CRC needs x86-64 and a compiler that can
+// target PCLMULQDQ per function; crc32 picks it at run time when the CPU
+// has it.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define URCM_CRC_CLMUL 1
+#include <immintrin.h>
+#else
+#define URCM_CRC_CLMUL 0
+#endif
+
 using namespace urcm;
 
 URCM_STAT(NumStoreHits, "sim.store.hits",
@@ -64,6 +77,10 @@ URCM_STAT(NumStoreBytesRead, "sim.store.bytes-read",
           "Store file bytes read and validated");
 URCM_STAT(StoreDecodeNs, "sim.store.decode-ns",
           "Nanoseconds spent decoding store chunks into trace events");
+URCM_STAT(NumCrcClmulBytes, "sim.store.crc.clmul-bytes",
+          "Bytes CRC-checked by the carry-less-multiply fold");
+URCM_STAT(NumCrcTableBytes, "sim.store.crc.table-bytes",
+          "Bytes CRC-checked by the slicing-by-8 table loop");
 URCM_HISTOGRAM(StoreCompressRatio, "sim.store.compress-ratio",
                "Encoded size as a percent of the raw 8-byte-per-event "
                "trace, per committed store file");
@@ -189,10 +206,9 @@ constexpr CrcTables makeCrcTables() {
 
 constexpr CrcTables CrcSlices = makeCrcTables();
 
-} // namespace
-
-uint32_t urcm::detail::crc32(const uint8_t *Bytes, size_t Count) {
-  uint32_t C = 0xFFFFFFFFu;
+/// Advances the raw (pre-inverted) CRC register \p C over \p Count
+/// bytes, eight bytes per step.
+uint32_t crcTableUpdate(uint32_t C, const uint8_t *Bytes, size_t Count) {
   for (; Count >= 8; Bytes += 8, Count -= 8) {
     const uint32_t Lo = readLE32(Bytes) ^ C;
     const uint32_t Hi = readLE32(Bytes + 4);
@@ -203,7 +219,125 @@ uint32_t urcm::detail::crc32(const uint8_t *Bytes, size_t Count) {
   }
   for (; Count != 0; ++Bytes, --Count)
     C = CrcSlices[0][(C ^ *Bytes) & 0xFF] ^ (C >> 8);
-  return C ^ 0xFFFFFFFFu;
+  return C;
+}
+
+/// The length of the prefix of a \p Count-byte buffer the carry-less
+/// fold consumes: whole 16-byte blocks, and none below the 64 bytes
+/// that seed its four accumulators. The table loop finishes the rest.
+size_t foldedPrefix(size_t Count) {
+  return Count < 64 ? 0 : Count & ~size_t(15);
+}
+
+#if URCM_CRC_CLMUL
+/// Multiplies the two 64-bit halves of \p X by those of \p K and adds
+/// the products to \p Next: \p X carried forward over the distance \p K
+/// encodes. (A lambda would not inherit the target attribute.)
+__attribute__((target("pclmul,sse4.1"))) inline __m128i
+fold(__m128i X, __m128i K, __m128i Next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(X, K, 0x00),
+                                     _mm_clmulepi64_si128(X, K, 0x11)),
+                       Next);
+}
+
+/// Carry-less-multiply CRC folding (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ", Intel 2009), in the
+/// bit-reflected domain of the IEEE polynomial. Advances the raw CRC
+/// register \p C over \p Count bytes, a multiple of 16 and at least 64.
+///
+/// Four 128-bit accumulators each take every fourth 16-byte block: one
+/// step multiplies an accumulator's two 64-bit halves by x^(512+32) and
+/// x^(512-32) mod P (the distance of 64 bytes) and XORs in the next
+/// block. The four are then folded into one at a distance of 16 bytes,
+/// the remaining 16-byte blocks are folded in one by one, the 128-bit
+/// remainder is folded to 64 bits, and a Barrett step reduces it to the
+/// 32-bit register. Each fold constant is the reflected residue shifted
+/// left by one, as the reflected product of two 64-bit operands lands
+/// one bit lower than the unreflected one.
+__attribute__((target("pclmul,sse4.1"))) uint32_t
+crcFoldUpdate(uint32_t C, const uint8_t *Bytes, size_t Count) {
+  // x^(4*128+32) mod P and x^(4*128-32) mod P: fold across 64 bytes.
+  const __m128i Fold64 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  // x^(128+32) mod P and x^(128-32) mod P: fold across 16 bytes.
+  const __m128i Fold16 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  // x^64 mod P: fold 32 bits across 8 bytes.
+  const __m128i Fold8 = _mm_set_epi64x(0, 0x163cd6124);
+  // P itself and the Barrett quotient floor(x^64 / P), both reflected.
+  const __m128i Barrett = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i Low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  auto Load = [](const uint8_t *P) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(P));
+  };
+
+  __m128i X0 =
+      _mm_xor_si128(Load(Bytes), _mm_cvtsi32_si128(static_cast<int>(C)));
+  __m128i X1 = Load(Bytes + 16);
+  __m128i X2 = Load(Bytes + 32);
+  __m128i X3 = Load(Bytes + 48);
+  for (Bytes += 64, Count -= 64; Count >= 64; Bytes += 64, Count -= 64) {
+    X0 = fold(X0, Fold64, Load(Bytes));
+    X1 = fold(X1, Fold64, Load(Bytes + 16));
+    X2 = fold(X2, Fold64, Load(Bytes + 32));
+    X3 = fold(X3, Fold64, Load(Bytes + 48));
+  }
+  __m128i X = fold(fold(fold(X0, Fold16, X1), Fold16, X2), Fold16, X3);
+  for (; Count != 0; Bytes += 16, Count -= 16)
+    X = fold(X, Fold16, Load(Bytes));
+
+  // 128 -> 96 bits: the low half times x^(128-32) plus the high half.
+  X = _mm_xor_si128(_mm_clmulepi64_si128(X, Fold16, 0x10),
+                    _mm_srli_si128(X, 8));
+  // 96 -> 64 bits: the low 32 bits times x^64 plus the rest.
+  X = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(X, Low32), Fold8, 0x00),
+      _mm_srli_si128(X, 4));
+  // Barrett, 64 -> 32 bits: the quotient T = (low 32 bits) *
+  // floor(x^64 / P), then subtract T * P; the register is left in bits
+  // 32..63.
+  __m128i T = _mm_clmulepi64_si128(_mm_and_si128(X, Low32), Barrett, 0x10);
+  T = _mm_clmulepi64_si128(_mm_and_si128(T, Low32), Barrett, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(X, T), 1));
+}
+#endif
+
+} // namespace
+
+uint32_t urcm::detail::crc32Table(const uint8_t *Bytes, size_t Count) {
+  return ~crcTableUpdate(0xFFFFFFFFu, Bytes, Count);
+}
+
+bool urcm::detail::crc32FoldedAvailable() {
+#if URCM_CRC_CLMUL
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul") &&
+         __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+uint32_t urcm::detail::crc32Folded(const uint8_t *Bytes, size_t Count) {
+#if URCM_CRC_CLMUL
+  const size_t Folded = foldedPrefix(Count);
+  const uint32_t C = Folded != 0
+                         ? crcFoldUpdate(0xFFFFFFFFu, Bytes, Folded)
+                         : 0xFFFFFFFFu;
+  return ~crcTableUpdate(C, Bytes + Folded, Count - Folded);
+#else
+  return crc32Table(Bytes, Count);
+#endif
+}
+
+uint32_t urcm::detail::crc32(const uint8_t *Bytes, size_t Count) {
+  static const bool UseFolded = crc32FoldedAvailable();
+  if (!UseFolded) {
+    NumCrcTableBytes.add(Count);
+    return crc32Table(Bytes, Count);
+  }
+  const size_t Folded = foldedPrefix(Count);
+  NumCrcClmulBytes.add(Folded);
+  NumCrcTableBytes.add(Count - Folded);
+  return crc32Folded(Bytes, Count);
 }
 
 //===----------------------------------------------------------------------===//
@@ -823,9 +957,21 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
   if (readLE32(Header + 8) != FormatVersion)
     return Reject("format version " + std::to_string(readLE32(Header + 8)) +
                   " (expected " + std::to_string(FormatVersion) + ")");
+  // The writer writes these three words as constants; anything else is
+  // corruption the CRCs (which cover only payloads) would not see.
+  if (readLE32(Header + 12) != 0)
+    return Reject("nonzero header flags " +
+                  std::to_string(readLE32(Header + 12)));
   if (readLE64(Header + 16) != ExpectHash)
     return Reject("content hash mismatch (recorded for a different "
                   "program or simulation configuration)");
+  if (readLE32(Header + 24) != TraceStoreWriter::ChunkEvents)
+    return Reject("nominal chunk size " +
+                  std::to_string(readLE32(Header + 24)) + " (expected " +
+                  std::to_string(TraceStoreWriter::ChunkEvents) + ")");
+  if (readLE32(Header + 28) != 0)
+    return Reject("nonzero reserved header word " +
+                  std::to_string(readLE32(Header + 28)));
   ChunksBegin = static_cast<long>(sizeof(Header));
 
   // Walk and validate every chunk before serving anything: corruption

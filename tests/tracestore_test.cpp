@@ -143,6 +143,28 @@ std::vector<uint8_t> randomBytes(uint64_t Seed, size_t N) {
   return Bytes;
 }
 
+/// Enables telemetry for one test and resets the counters around it.
+struct TelemetryGuard {
+  TelemetryGuard() {
+    telemetry::setEnabled(true);
+    telemetry::reset();
+  }
+  ~TelemetryGuard() {
+    telemetry::setEnabled(false);
+    telemetry::reset();
+  }
+};
+
+/// The current value of telemetry counter \p Name (0 if never bumped).
+uint64_t counterValue(const char *Name) {
+  std::string JSON = telemetry::snapshotJSON();
+  std::string Key = std::string("\"") + Name + "\": ";
+  size_t At = JSON.find(Key);
+  if (At == std::string::npos)
+    return 0;
+  return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
+}
+
 TEST(TraceStoreCrc, KnownAnswer) {
   const char *Check = "123456789";
   EXPECT_EQ(detail::crc32(reinterpret_cast<const uint8_t *>(Check), 9),
@@ -151,18 +173,54 @@ TEST(TraceStoreCrc, KnownAnswer) {
 }
 
 TEST(TraceStoreCrc, MatchesBitwiseReference) {
-  // Every length 0..64 at every start offset 0..7 walks the sliced
-  // loop's eight-byte steps and its byte-at-a-time tail at every
-  // alignment.
-  const std::vector<uint8_t> Small = randomBytes(3, 64 + 8);
-  for (size_t Offset = 0; Offset != 8; ++Offset)
-    for (size_t Len = 0; Len <= 64; ++Len)
-      ASSERT_EQ(detail::crc32(Small.data() + Offset, Len),
-                bitwiseCrc32(Small.data() + Offset, Len))
-          << "offset " << Offset << " length " << Len;
+  // Every length 0..320 at every start offset 0..15 walks the table
+  // loop's eight-byte steps and byte tail, and the fold's 64-byte loop,
+  // its 16-byte folds and every tail under 16, at every alignment.
+  const bool Folded = detail::crc32FoldedAvailable();
+  const std::vector<uint8_t> Small = randomBytes(3, 320 + 16);
+  for (size_t Offset = 0; Offset != 16; ++Offset)
+    for (size_t Len = 0; Len <= 320; ++Len) {
+      const uint8_t *Bytes = Small.data() + Offset;
+      const uint32_t Want = bitwiseCrc32(Bytes, Len);
+      ASSERT_EQ(detail::crc32Table(Bytes, Len), Want)
+          << "table, offset " << Offset << " length " << Len;
+      if (Folded) {
+        ASSERT_EQ(detail::crc32Folded(Bytes, Len), Want)
+            << "folded, offset " << Offset << " length " << Len;
+      }
+      ASSERT_EQ(detail::crc32(Bytes, Len), Want)
+          << "dispatched, offset " << Offset << " length " << Len;
+    }
   const std::vector<uint8_t> Big = randomBytes(0xC4C, 1u << 20);
-  EXPECT_EQ(detail::crc32(Big.data(), Big.size()),
-            bitwiseCrc32(Big.data(), Big.size()));
+  const uint32_t Want = bitwiseCrc32(Big.data(), Big.size());
+  EXPECT_EQ(detail::crc32Table(Big.data(), Big.size()), Want);
+  if (Folded) {
+    EXPECT_EQ(detail::crc32Folded(Big.data(), Big.size()), Want);
+  }
+  EXPECT_EQ(detail::crc32(Big.data(), Big.size()), Want);
+}
+
+TEST(TraceStoreCrc, CountersSplitEveryByteBetweenThePaths) {
+  // One call raises clmul-bytes + table-bytes by exactly its length,
+  // and the fold checks bytes only where it is available.
+  TelemetryGuard Guard;
+  const std::vector<uint8_t> Bytes = randomBytes(11, 1000);
+  for (size_t Len : {size_t(0), size_t(13), size_t(64), size_t(1000)}) {
+    const uint64_t Clmul = counterValue("sim.store.crc.clmul-bytes");
+    const uint64_t Table = counterValue("sim.store.crc.table-bytes");
+    detail::crc32(Bytes.data(), Len);
+    const uint64_t ClmulDelta =
+        counterValue("sim.store.crc.clmul-bytes") - Clmul;
+    const uint64_t TableDelta =
+        counterValue("sim.store.crc.table-bytes") - Table;
+    EXPECT_EQ(ClmulDelta + TableDelta, Len) << "length " << Len;
+    if (!detail::crc32FoldedAvailable()) {
+      EXPECT_EQ(ClmulDelta, 0u) << "length " << Len;
+    }
+  }
+  if (detail::crc32FoldedAvailable()) {
+    EXPECT_GT(counterValue("sim.store.crc.clmul-bytes"), 0u);
+  }
 }
 
 TEST(TraceStoreCodec, RoundTripFuzzedPayloads) {
@@ -506,7 +564,8 @@ TEST(TraceStoreFile, RejectsCorruptionCleanly) {
     TraceStoreReader R;
     EXPECT_EQ(R.open(Path, 1234, D), TraceStoreReader::OpenStatus::Invalid)
         << What;
-    EXPECT_TRUE(D.hasErrors()) << What;
+    EXPECT_EQ(D.errorCount(), 1u) << What;
+    return D.str();
   };
 
   // Missing file: a miss, not an error.
@@ -530,6 +589,19 @@ TEST(TraceStoreFile, RejectsCorruptionCleanly) {
     std::vector<char> M = Bytes;
     M[M.size() / 2] ^= 0x40;
     ExpectInvalid(M, "flipped payload byte");
+  }
+  // The header words no CRC covers: flags (bytes 12-15), nominal chunk
+  // size (24-27) and reserved (28-31) must hold what the writer writes.
+  for (size_t Byte = 12; Byte != 32; ++Byte) {
+    if (Byte >= 16 && Byte < 24)
+      continue; // The content hash, checked above.
+    const char *Why = Byte < 16   ? "header flags"
+                      : Byte < 28 ? "nominal chunk size"
+                                  : "reserved header word";
+    std::vector<char> M = Bytes;
+    M[Byte] ^= 0x01;
+    EXPECT_NE(ExpectInvalid(M, Why).find(Why), std::string::npos)
+        << "byte " << Byte;
   }
   // Truncations at every region: header, chunk payload, summary,
   // footer.
@@ -659,28 +731,6 @@ std::vector<SweepPoint> mixedPoints() {
       {Cfg(64, 2), CachePolicy::MIN, false},
       {Cfg(64, 2), CachePolicy::MIN, true},
   };
-}
-
-/// Enables telemetry for one test and resets the counters around it.
-struct TelemetryGuard {
-  TelemetryGuard() {
-    telemetry::setEnabled(true);
-    telemetry::reset();
-  }
-  ~TelemetryGuard() {
-    telemetry::setEnabled(false);
-    telemetry::reset();
-  }
-};
-
-/// The current value of telemetry counter \p Name (0 if never bumped).
-uint64_t counterValue(const char *Name) {
-  std::string JSON = telemetry::snapshotJSON();
-  std::string Key = std::string("\"") + Name + "\": ";
-  size_t At = JSON.find(Key);
-  if (At == std::string::npos)
-    return 0;
-  return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
 }
 
 void expectSameBase(const SimResult &A, const SimResult &B) {
@@ -1181,6 +1231,137 @@ TEST(TraceStoreEngine, LawBreakingRecordFallsBackToLiveAndHeals) {
   EXPECT_EQ(counterValue("check.replay.violations"), 0u);
   for (size_t P = 0; P != Points.size(); ++P)
     EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
+}
+
+TEST(TraceStoreEngine, UnusableStoreDirectoryIsOneDiagnostic) {
+  // A store path that names a file is reported once for the whole run,
+  // not by a reader and a writer per experiment, and the run goes
+  // store-less with the store-less counters.
+  ScratchDir Dir("notadir");
+  const std::string NotADir = (Dir.Path / "store").string();
+  std::ofstream(NotADir) << "a file, not a directory";
+  CountedProducer Sieve("Sieve");
+  std::vector<SweepPoint> Points = mixedPoints();
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Sieve.Prog, Base);
+  const char *Keys[] = {"a", "b", "c"};
+
+  SweepEngine Plain;
+  for (const char *Key : Keys)
+    Plain.schedule(Key, "g", Base, Points, Sieve.producer(), Hash);
+  Plain.run();
+
+  DiagnosticEngine Diags;
+  SweepEngine Engine;
+  Engine.setTraceStore(NotADir, &Diags);
+  for (const char *Key : Keys)
+    Engine.schedule(Key, "g", Base, Points, Sieve.producer(), Hash);
+  Engine.run();
+  EXPECT_EQ(Sieve.Calls->load(), 6);
+  EXPECT_EQ(Diags.errorCount(), 1u) << Diags.str();
+  EXPECT_NE(Diags.str().find("trace store: cannot use '" + NotADir + "'"),
+            std::string::npos)
+      << Diags.str();
+  for (const char *Key : Keys) {
+    ASSERT_TRUE(Engine.base(Key).ok()) << Key;
+    expectSameBase(Engine.base(Key), Plain.base(Key));
+    for (size_t P = 0; P != Points.size(); ++P)
+      EXPECT_EQ(Engine.point(Key, P), Plain.point(Key, P))
+          << Key << " point " << P;
+  }
+  EXPECT_TRUE(std::filesystem::is_regular_file(NotADir));
+}
+
+TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
+  // 150 seeded corruptions of a recorded Sieve store: truncations,
+  // single bit flips, header-byte rewrites and 8-byte smears. Every one
+  // is rejected with a diagnostic naming the file, and the experiment
+  // runs live with the store-less counters.
+  ScratchDir Dir("fuzz");
+  CountedProducer Sieve("Sieve");
+  CacheConfig Small;
+  Small.NumLines = 64;
+  Small.Assoc = 4;
+  const std::vector<SweepPoint> Points = {
+      {SimConfig().Cache, CachePolicy::LRU, /*IgnoreHints=*/true},
+      {Small, CachePolicy::LRU, false},
+  };
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Sieve.Prog, Base);
+
+  SweepEngine Plain;
+  Plain.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+  Plain.run();
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+  Cold.run();
+  const std::string Path = traceStorePath(Dir.str(), Hash);
+  std::vector<char> Bytes;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(Bytes.size(), 64u);
+
+  SplitMix64 Rng(150);
+  int Tried = 0;
+  for (int I = 0; I != 150; ++I) {
+    std::vector<char> M = Bytes;
+    switch (I % 4) {
+    case 0: // Truncation anywhere, header included.
+      M.resize(Rng.nextBelow(Bytes.size()));
+      break;
+    case 1: // One bit flip.
+      M[Rng.nextBelow(M.size())] ^=
+          static_cast<char>(1u << Rng.nextBelow(8));
+      break;
+    case 2: // One header byte rewritten.
+      M[Rng.nextBelow(32)] = static_cast<char>(Rng.next());
+      break;
+    case 3: { // Eight bytes smeared with noise.
+      const size_t At = Rng.nextBelow(M.size() - 7);
+      const uint64_t Noise = Rng.next();
+      for (size_t B = 0; B != 8; ++B)
+        M[At + B] = static_cast<char>(Noise >> (8 * B));
+      break;
+    }
+    }
+    if (M == Bytes)
+      continue;
+    ++Tried;
+    std::ofstream(Path, std::ios::binary)
+        .write(M.data(), static_cast<long>(M.size()));
+    const int CallsBefore = Sieve.Calls->load();
+    DiagnosticEngine Diags;
+    SweepEngine Warm;
+    Warm.setTraceStore(Dir.str(), &Diags);
+    Warm.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+    Warm.run();
+    EXPECT_EQ(Sieve.Calls->load(), CallsBefore + 1)
+        << "mutant " << I << " was served";
+    EXPECT_NE(Diags.str().find("'" + Path + "'"), std::string::npos)
+        << "mutant " << I << ": " << Diags.str();
+    ASSERT_TRUE(Warm.base("exp").ok()) << "mutant " << I;
+    expectSameBase(Warm.base("exp"), Plain.base("exp"));
+    for (size_t P = 0; P != Points.size(); ++P)
+      EXPECT_EQ(Warm.point("exp", P), Plain.point("exp", P))
+          << "mutant " << I << " point " << P;
+  }
+  EXPECT_GT(Tried, 140);
+
+  // Control: the original bytes are served warm, without the producer.
+  std::ofstream(Path, std::ios::binary)
+      .write(Bytes.data(), static_cast<long>(Bytes.size()));
+  const int CallsBefore = Sieve.Calls->load();
+  DiagnosticEngine Diags;
+  SweepEngine Warm;
+  Warm.setTraceStore(Dir.str(), &Diags);
+  Warm.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Sieve.Calls->load(), CallsBefore);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
 }
 
 TEST(TraceStoreEngine, ZeroHashOptsOut) {
