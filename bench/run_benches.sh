@@ -61,7 +61,6 @@ else
     reuse_threshold_sweep
     sharded_replay
     trace_store
-    trace_gen
   )
 fi
 

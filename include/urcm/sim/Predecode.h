@@ -48,64 +48,10 @@ namespace urcm {
   X(Neg) X(Not) X(Mov) X(Li) X(Ld) X(St)                                     \
   X(Jmp) X(Bnz) X(Call) X(Ret) X(RetDead) X(Print) X(Halt)
 
-/// The fused superinstruction set: the dominant adjacent pairs/triples
-/// of the six paper workloads (measured dynamically), each executed by
-/// one handler that retires every member with a single dispatch.
-/// `X2(Name, M0, M1)` / `X3(Name, M0, M1, M2)` list the member POps, so
-/// the enum, the fusion matcher in Predecode.cpp and the generated
-/// handlers in Simulator.cpp are all driven by this one table. Member
-/// constraints baked into the list (asserted by the matcher, relied on
-/// by the executor):
-///  * the head member is never a terminator, so `RunLen[head] >= size`
-///    always holds and a fused group never straddles a run boundary;
-///  * only the last member may be a terminator (Bnz/Jmp/Ret/Call);
-///  * Div/Rem (mid-group abort with a half-retired quotient would need
-///    bespoke unwind), Print, Halt and RetDead are never members.
-///
-/// The shipped set is curated empirically, not maximal: the matcher and
-/// handler generation accept any pattern obeying the constraints above
-/// (address-calc+load, load+ALU and similar pairs were prototyped by
-/// extending these tables alone), but patterns that inline an extra
-/// load/store body per handler grew the dispatch functions enough to
-/// measurably pessimize the six-workload trace-generation path, so only
-/// the groups that paid for their code size remain: compare/increment +
-/// branch (dominant loop back-edges, tiny handler bodies) and the
-/// all-memory runs below.
-///
-/// Memory-free tails: handlers are generated mechanically by composing
-/// the per-member URCM_MEXEC bodies.
-#define URCM_FUSED_OPS_GENERIC(X2, X3)                                       \
-  X2(SltRRBnz, SltRR, Bnz) X2(SltRIBnz, SltRI, Bnz)                          \
-  X2(SleRRBnz, SleRR, Bnz) X2(SleRIBnz, SleRI, Bnz)                          \
-  X2(SgtRRBnz, SgtRR, Bnz) X2(SgtRIBnz, SgtRI, Bnz)                          \
-  X2(SgeRRBnz, SgeRR, Bnz) X2(SgeRIBnz, SgeRI, Bnz)                          \
-  X2(SeqRRBnz, SeqRR, Bnz) X2(SeqRIBnz, SeqRI, Bnz)                          \
-  X2(SneRRBnz, SneRR, Bnz) X2(SneRIBnz, SneRI, Bnz)                          \
-  X2(AddIBnz, AddRI, Bnz) X2(SubIBnz, SubRI, Bnz)                            \
-  X2(AddIRet, AddRI, Ret)
-
-/// Groups whose members are all memory references: their handlers are
-/// hand-written in Simulator.cpp around the batched RefRecorder group
-/// counts (one trace-buffer capacity check and one combined counter
-/// update per group instead of one per member) — the per-event
-/// bookkeeping amortization that only a superinstruction, knowing the
-/// whole group statically, can perform.
-#define URCM_FUSED_OPS_MEM(X2, X3)                                           \
-  X2(LdLd, Ld, Ld) X2(LdSt, Ld, St) X2(StLd, St, Ld) X2(StSt, St, St)        \
-  X3(LdLdLd, Ld, Ld, Ld) X3(StStSt, St, St, St)
-
-#define URCM_FUSED_OPS(X2, X3)                                               \
-  URCM_FUSED_OPS_GENERIC(X2, X3) URCM_FUSED_OPS_MEM(X2, X3)
-
 enum class POp : uint8_t {
 #define URCM_POP_ENUM(Name) Name,
   URCM_PREDECODED_OPS(URCM_POP_ENUM)
 #undef URCM_POP_ENUM
-#define URCM_POP_FUSED2(Name, M0, M1) Fuse##Name,
-#define URCM_POP_FUSED3(Name, M0, M1, M2) Fuse##Name,
-  URCM_FUSED_OPS(URCM_POP_FUSED2, URCM_POP_FUSED3)
-#undef URCM_POP_FUSED2
-#undef URCM_POP_FUSED3
 };
 
 namespace preg {
@@ -145,14 +91,6 @@ struct PredecodedProgram {
   uint32_t EntryIndex = 0;
   uint64_t StackTop = 0;
 
-  /// The pre-fusion instruction stream, index-parallel to Insts and
-  /// differing only in rewritten head Op bytes; empty until
-  /// fusePredecoded rewrites at least one head. The executor switches a
-  /// step-limit-truncated run to this array (one base-pointer swap), so
-  /// a fused group can never retire past MaxSteps.
-  std::vector<PInst> Unfused;
-
-  bool fused() const { return !Unfused.empty(); }
   uint64_t codeSize() const { return Insts.size(); }
 };
 
@@ -161,25 +99,10 @@ struct PredecodedProgram {
 /// handful of steps.
 PredecodedProgram predecode(const MachineProgram &Prog);
 
-/// Static outcome of the fusion peephole (also mirrored into the
-/// sim.fuse.{candidates,fused} telemetry counters).
-struct FusionStats {
-  uint32_t Candidates = 0; ///< adjacent windows whose opcodes matched
-  uint32_t Fused = 0;      ///< heads rewritten to a superinstruction
-};
-
-/// Superinstruction fusion: rewrites the Op byte of every eligible
-/// pattern head in \p PP.Insts to the fused opcode (tails keep their
-/// full original PInst, so fused handlers read member operands in
-/// place and any control transfer landing mid-group executes the tail
-/// unfused — overlapping matches are therefore safe and taken).
-/// Trace-transparent by construction: fused handlers replay the exact
-/// member semantics, so TraceEvent streams, SimResults and
-/// traceContentHash are unchanged. No-op (returns zero stats) when the
-/// program is already fused or when URCM_NO_FUSE is set to anything
-/// but "0" in the environment — the global escape hatch that works on
-/// any binary; SimConfig::Fusion is the per-run one.
-FusionStats fusePredecoded(PredecodedProgram &PP);
+/// Does nothing: superinstruction fusion was removed (DESIGN.md §17).
+/// It exists only for the two calls in urcmbench/urcm_bench.cpp and
+/// goes away with the next change to the benchmark.
+inline void fusePredecoded(PredecodedProgram &) {}
 
 } // namespace urcm
 

@@ -38,10 +38,9 @@ struct TraceEvent {
     uint8_t Bypass : 1;
     uint8_t LastRef : 1;
     /// Always zero. Explicitly named and initialized so the unused bits
-    /// of the byte are deterministic: consumers hash and compare events
-    /// as raw 8-byte words (e.g. bench/trace_gen's stream hash), and
-    /// compiler-chosen garbage in bitfield padding would make equal
-    /// traces hash differently.
+    /// of the byte are deterministic: a consumer may hash or compare
+    /// events as raw 8-byte words, and compiler-chosen garbage in
+    /// bitfield padding would make equal traces hash differently.
     uint8_t Unused : 6;
     Hints() : Bypass(0), LastRef(0), Unused(0) {}
     Hints(bool Bypass, bool LastRef)
@@ -105,14 +104,6 @@ struct SimConfig {
   CacheConfig Cache;
   uint64_t MaxSteps = 2000000000ull;
   SimEngine Engine = SimEngine::Predecoded;
-  /// Superinstruction fusion for the predecoded engine (fusePredecoded,
-  /// urcm/sim/Predecode.h): fused runs produce bit-identical SimResults
-  /// and TraceEvent streams, so like Engine this is an observer of the
-  /// trace, not an input to it, and is deliberately excluded from
-  /// traceContentHash — warm stores recorded fused serve unfused
-  /// consumers and vice versa. URCM_NO_FUSE=1 in the environment
-  /// disables fusion globally regardless of this flag.
-  bool Fusion = true;
   /// Check every delivered load value against the shadow memory.
   bool Paranoid = true;
   /// Record the data-reference trace for later replay.

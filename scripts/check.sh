@@ -24,14 +24,9 @@
 #      cache model's grid (PLRU/SRRIP/bypass-predictor included) must
 #      be bit-identical across sequential, parallel and warm-store
 #      replay, and a policy change must warm-hit the trace store
-#   9. opt-in (--fuse): superinstruction-fusion transparency — the full
-#      urcm_report must be byte-identical fused vs --no-fuse, a
-#      fused-recorded trace store must serve an unfused warm run
-#      (byte-identical again, zero store misses), and the fused run
-#      must prove it fused (sim.fuse.fused > 0)
 #
 # Usage: scripts/check.sh [--bench] [--telemetry] [--store] [--profile]
-#                         [--policy] [--fuse] [--skip-sanitizers]
+#                         [--policy] [--skip-sanitizers]
 #
 # Wall-time caveat: single-core CI boxes show +/-15% run-to-run noise,
 # so the bench diff only *flags* regressions past a generous threshold;
@@ -45,7 +40,6 @@ RUN_TELEMETRY=0
 RUN_STORE=0
 RUN_PROFILE=0
 RUN_POLICY=0
-RUN_FUSE=0
 RUN_SAN=1
 for arg in "$@"; do
   case "$arg" in
@@ -54,9 +48,8 @@ for arg in "$@"; do
     --store) RUN_STORE=1 ;;
     --profile) RUN_PROFILE=1 ;;
     --policy) RUN_POLICY=1 ;;
-    --fuse) RUN_FUSE=1 ;;
     --skip-sanitizers) RUN_SAN=0 ;;
-    *) echo "usage: scripts/check.sh [--bench] [--telemetry] [--store] [--profile] [--policy] [--fuse] [--skip-sanitizers]" >&2
+    *) echo "usage: scripts/check.sh [--bench] [--telemetry] [--store] [--profile] [--policy] [--skip-sanitizers]" >&2
        exit 2 ;;
   esac
 done
@@ -101,12 +94,12 @@ if [ "$RUN_SAN" = 1 ]; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j"$(nproc)" --target \
     support_test tracesim_test cachemodel_test sweepengine_test \
-    shardedreplay_test tracestore_test fusion_test
+    shardedreplay_test tracestore_test
   # Only these binaries exist in the tsan tree, so invoke them
   # directly rather than through ctest's discovery (which would trip
   # over the unbuilt suites).
   for t in support_test tracesim_test cachemodel_test sweepengine_test \
-           shardedreplay_test tracestore_test fusion_test; do
+           shardedreplay_test tracestore_test; do
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
       ./build-tsan/tests/"$t" || { echo "tsan: $t failed" >&2; exit 1; }
   done
@@ -196,46 +189,6 @@ PY
     exit 1; }
   rm -rf "$POLICY_DIR"
   echo "policy differential OK"
-fi
-
-if [ "$RUN_FUSE" = 1 ]; then
-  echo "== fusion transparency: report byte-identity + telemetry proof =="
-  FUSE_DIR=$(mktemp -d /tmp/urcm_fuse.XXXXXX)
-  # Cold: the full report must not change by a byte when fusion is off.
-  ./build/tools/urcm_report --telemetry-json="$FUSE_DIR/fused.json" \
-    > "$FUSE_DIR/fused.md"
-  ./build/tools/urcm_report --no-fuse > "$FUSE_DIR/nofuse.md"
-  cmp "$FUSE_DIR/fused.md" "$FUSE_DIR/nofuse.md" || {
-    echo "fusion changed urcm_report output (cold)" >&2; exit 1; }
-  # Warm cross-service: record the store fused, serve it to an unfused
-  # run — SimConfig::Fusion is excluded from traceContentHash, so this
-  # must be all warm hits and, again, byte-identical output.
-  ./build/tools/urcm_report --trace-store="$FUSE_DIR/cache" \
-    > "$FUSE_DIR/fused.rec.md"
-  ./build/tools/urcm_report --trace-store="$FUSE_DIR/cache" --no-fuse \
-    --telemetry-json="$FUSE_DIR/warm.json" > "$FUSE_DIR/nofuse.warm.md"
-  cmp "$FUSE_DIR/fused.md" "$FUSE_DIR/nofuse.warm.md" || {
-    echo "fused-recorded store served a different report unfused" >&2
-    exit 1; }
-  python3 - "$FUSE_DIR/fused.json" "$FUSE_DIR/warm.json" <<'PY'
-import json, sys
-fused = json.load(open(sys.argv[1]))["counters"]
-warm = json.load(open(sys.argv[2]))["counters"]
-if fused.get("sim.fuse.fused", 0) < 1:
-    sys.exit("fused run rewrote no superinstruction heads")
-if fused.get("sim.fuse.dispatches-saved", 0) < 1:
-    sys.exit("fused run saved no dispatches")
-if fused.get("sim.fuse.candidates", 0) < fused["sim.fuse.fused"]:
-    sys.exit("candidate count below fused count")
-if warm.get("sim.fuse.fused", 0) != 0:
-    sys.exit("--no-fuse run still fused")
-if warm.get("sim.store.misses", 0) != 0:
-    sys.exit("fusion flip caused a trace-store miss")
-if warm.get("sim.store.hits", 0) < 1:
-    sys.exit("warm run did not hit the store")
-PY
-  rm -rf "$FUSE_DIR"
-  echo "fusion transparency OK"
 fi
 
 if [ "$RUN_BENCH" = 1 ]; then

@@ -6,10 +6,7 @@
 
 #include "urcm/sim/Predecode.h"
 
-#include "urcm/support/Telemetry.h"
-
 #include <cassert>
-#include <cstdlib>
 
 using namespace urcm;
 
@@ -152,79 +149,4 @@ PredecodedProgram urcm::predecode(const MachineProgram &Prog) {
     PP.Insts.push_back(P);
   }
   return PP;
-}
-
-URCM_STAT(NumFuseCandidates, "sim.fuse.candidates",
-          "Adjacent instruction windows matching a fusable pattern");
-URCM_STAT(NumFuseFused, "sim.fuse.fused",
-          "Pattern heads rewritten to superinstructions");
-
-namespace {
-
-/// URCM_NO_FUSE in the environment (set to anything but "0") disables
-/// fusion globally, whatever SimConfig says — the escape hatch that
-/// needs no rebuild and no driver flag.
-bool fusionDisabledByEnv() {
-  const char *Env = std::getenv("URCM_NO_FUSE");
-  return Env && Env[0] && !(Env[0] == '0' && Env[1] == '\0');
-}
-
-} // namespace
-
-FusionStats urcm::fusePredecoded(PredecodedProgram &PP) {
-  FusionStats Stats;
-  if (PP.fused() || fusionDisabledByEnv())
-    return Stats;
-
-  // Rewrite into a scratch copy while matching against the pristine
-  // stream: a head already rewritten at i must still pattern-match as
-  // the tail of a window starting at i-1 (overlap is allowed — tails
-  // are executed from their original fields, never from their Op).
-  std::vector<PInst> Fused = PP.Insts;
-  const size_t N = PP.Insts.size();
-  for (size_t Idx = 0; Idx + 1 < N; ++Idx) {
-    const POp Op0 = PP.Insts[Idx].Op;
-    const POp Op1 = PP.Insts[Idx + 1].Op;
-    bool Matched = false;
-    // Triples outrank pairs at the same head: one dispatch retires one
-    // more member. The RunLen guard is structural belt-and-braces — no
-    // listed head is a terminator, so a matched window always sits
-    // inside one straight-line run.
-#define URCM_FUSE_TRY3(Name, M0, M1, M2)                                     \
-  if (!Matched && Idx + 2 < N && Op0 == POp::M0 && Op1 == POp::M1 &&         \
-      PP.Insts[Idx + 2].Op == POp::M2) {                                     \
-    Matched = true;                                                         \
-    ++Stats.Candidates;                                                      \
-    if (PP.RunLen[Idx] >= 3) {                                               \
-      Fused[Idx].Op = POp::Fuse##Name;                                       \
-      ++Stats.Fused;                                                         \
-    }                                                                        \
-  }
-#define URCM_FUSE_SKIP2(Name, M0, M1)
-    URCM_FUSED_OPS(URCM_FUSE_SKIP2, URCM_FUSE_TRY3)
-#undef URCM_FUSE_SKIP2
-#undef URCM_FUSE_TRY3
-#define URCM_FUSE_TRY2(Name, M0, M1)                                         \
-  if (!Matched && Op0 == POp::M0 && Op1 == POp::M1) {                        \
-    Matched = true;                                                         \
-    ++Stats.Candidates;                                                      \
-    if (PP.RunLen[Idx] >= 2) {                                               \
-      Fused[Idx].Op = POp::Fuse##Name;                                       \
-      ++Stats.Fused;                                                         \
-    }                                                                        \
-  }
-#define URCM_FUSE_SKIP3(Name, M0, M1, M2)
-    URCM_FUSED_OPS(URCM_FUSE_TRY2, URCM_FUSE_SKIP3)
-#undef URCM_FUSE_SKIP3
-#undef URCM_FUSE_TRY2
-    (void)Matched;
-  }
-
-  NumFuseCandidates.add(Stats.Candidates);
-  NumFuseFused.add(Stats.Fused);
-  if (Stats.Fused == 0)
-    return Stats; // Nothing rewritten: keep the program trivially unfused.
-  PP.Unfused = std::move(PP.Insts);
-  PP.Insts = std::move(Fused);
-  return Stats;
 }

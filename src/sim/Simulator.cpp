@@ -40,6 +40,7 @@
 #include "urcm/support/StringUtils.h"
 #include "urcm/support/Telemetry.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 
@@ -53,14 +54,6 @@
 #endif
 
 using namespace urcm;
-
-// Declared ahead of the engine so the hot loop can fold its local
-// dispatch-savings tally into the counter on exit (the third
-// sim.fuse.* counter; candidates/fused live with the pass in
-// Predecode.cpp). Deliberately not a SimResult field: fused and
-// unfused runs must produce bit-identical SimResults.
-URCM_STAT(NumFuseDispatchesSaved, "sim.fuse.dispatches-saved",
-          "Dispatches eliminated by executing fused superinstructions");
 
 namespace {
 
@@ -122,91 +115,6 @@ public:
     }
   }
 
-  /// Group forms for fused superinstructions whose members are all
-  /// memory references: identical observable effect to the equivalent
-  /// sequence of count() calls — same counter values, same event order,
-  /// same chunk boundaries (flushes happen at exactly ChunkCap-event
-  /// multiples either way) — but one capacity check and one combined
-  /// transition/counter update for the whole group.
-#if defined(__GNUC__)
-  __attribute__((always_inline))
-#endif
-  inline void
-  count2(const MemRefInfo &IA, bool WA, uint64_t AA, //
-         const MemRefInfo &IB, bool WB, uint64_t AB) {
-    tally(IA);
-    tally(IB);
-    const int BitA = IA.Bypass ? 1 : 0, BitB = IB.Bypass ? 1 : 0;
-    Result.BypassTransitions +=
-        (static_cast<uint64_t>(LastBypassBit >= 0) &
-         static_cast<uint64_t>(BitA != LastBypassBit)) +
-        static_cast<uint64_t>(BitB != BitA);
-    LastBypassBit = BitB;
-    const TraceEvent EA{static_cast<uint32_t>(AA), WA,
-                        TraceEvent::Hints(IA), IA.RefId};
-    const TraceEvent EB{static_cast<uint32_t>(AB), WB,
-                        TraceEvent::Hints(IB), IB.RefId};
-    if (Sink) {
-      if (__builtin_expect(EndCap - Next < 2, 0)) {
-        spill(EA);
-        spill(EB);
-        return;
-      }
-      Next[0] = EA;
-      Next[1] = EB;
-      Next += 2;
-      if (__builtin_expect(Next == EndCap, 0))
-        recycle();
-    } else if (Recording) {
-      Result.Trace.push_back(EA);
-      Result.Trace.push_back(EB);
-    }
-  }
-
-#if defined(__GNUC__)
-  __attribute__((always_inline))
-#endif
-  inline void
-  count3(const MemRefInfo &IA, bool WA, uint64_t AA, //
-         const MemRefInfo &IB, bool WB, uint64_t AB, //
-         const MemRefInfo &IC, bool WC, uint64_t AC) {
-    tally(IA);
-    tally(IB);
-    tally(IC);
-    const int BitA = IA.Bypass ? 1 : 0, BitB = IB.Bypass ? 1 : 0,
-              BitC = IC.Bypass ? 1 : 0;
-    Result.BypassTransitions +=
-        (static_cast<uint64_t>(LastBypassBit >= 0) &
-         static_cast<uint64_t>(BitA != LastBypassBit)) +
-        static_cast<uint64_t>(BitB != BitA) +
-        static_cast<uint64_t>(BitC != BitB);
-    LastBypassBit = BitC;
-    const TraceEvent EA{static_cast<uint32_t>(AA), WA,
-                        TraceEvent::Hints(IA), IA.RefId};
-    const TraceEvent EB{static_cast<uint32_t>(AB), WB,
-                        TraceEvent::Hints(IB), IB.RefId};
-    const TraceEvent EC{static_cast<uint32_t>(AC), WC,
-                        TraceEvent::Hints(IC), IC.RefId};
-    if (Sink) {
-      if (__builtin_expect(EndCap - Next < 3, 0)) {
-        spill(EA);
-        spill(EB);
-        spill(EC);
-        return;
-      }
-      Next[0] = EA;
-      Next[1] = EB;
-      Next[2] = EC;
-      Next += 3;
-      if (__builtin_expect(Next == EndCap, 0))
-        recycle();
-    } else if (Recording) {
-      Result.Trace.push_back(EA);
-      Result.Trace.push_back(EB);
-      Result.Trace.push_back(EC);
-    }
-  }
-
   /// Flushes the final partial chunk. Call once, after the run.
   void finish() {
     if (Sink) {
@@ -246,18 +154,6 @@ private:
     EndCap = Next + ChunkCap;
   }
 
-  /// Cold path of the group counts when the staging block has fewer
-  /// free slots than the group: per-event writes with per-event flush
-  /// checks, preserving the exact chunk boundaries of count().
-#if defined(__GNUC__)
-  __attribute__((noinline))
-#endif
-  void spill(const TraceEvent &E) {
-    *Next++ = E;
-    if (Next == EndCap)
-      recycle();
-  }
-
   SimResult &Result;
   TraceSink *Sink;
   // Refs counter for each RefClass value (Spill and SpillReload share).
@@ -293,52 +189,31 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
   const bool Paranoid = Config.Paranoid;
   uint64_t PC = PP.EntryIndex;
   uint64_t Steps = 0;
-  uint64_t FusedSaved = 0;
 
-  // Pointers of the run in flight (set per outer iteration). Base is
-  // the instruction array the run executes from: normally the (possibly
-  // fused) Insts, but a step-limit-truncated run falls back to the
-  // index-parallel unfused stream so it retires exactly Remaining
-  // instructions — a fused group never splits mid-superinstruction.
-  const PInst *const SlowBase = PP.fused() ? PP.Unfused.data() : Insts;
-  const PInst *Base = Insts;
+  // Pointers of the run in flight (set per outer iteration).
   const PInst *I = nullptr;
   const PInst *Start = nullptr;
   const PInst *End = nullptr;
 
-#define URCM_FETCH_AT(Ptr)                                                   \
+#define URCM_FETCH()                                                         \
   do {                                                                       \
     if constexpr (ICacheOn) {                                                \
       ++Result.InstructionFetches;                                           \
-      ICache->step(fetchEvent(static_cast<uint64_t>((Ptr) - Base)), 0);     \
+      ICache->step(fetchEvent(static_cast<uint64_t>(I - Insts)), 0);         \
     }                                                                        \
   } while (0)
-#define URCM_FETCH() URCM_FETCH_AT(I)
 
 #if URCM_THREADED_DISPATCH
   static const void *const Handlers[] = {
 #define URCM_POP_LABEL(Name) &&H_##Name,
       URCM_PREDECODED_OPS(URCM_POP_LABEL)
 #undef URCM_POP_LABEL
-#define URCM_POP_FLABEL2(Name, M0, M1) &&H_Fuse##Name,
-#define URCM_POP_FLABEL3(Name, M0, M1, M2) &&H_Fuse##Name,
-      URCM_FUSED_OPS(URCM_POP_FLABEL2, URCM_POP_FLABEL3)
-#undef URCM_POP_FLABEL2
-#undef URCM_POP_FLABEL3
   };
 #define URCM_CASE(Name) H_##Name:
 #define URCM_DISPATCH() goto *Handlers[static_cast<size_t>(I->Op)]
 #define URCM_NEXT()                                                          \
   do {                                                                       \
     if (++I == End)                                                          \
-      goto RunFellOff;                                                       \
-    URCM_FETCH();                                                            \
-    URCM_DISPATCH();                                                         \
-  } while (0)
-#define URCM_NEXT_N(K)                                                       \
-  do {                                                                       \
-    I += (K);                                                                \
-    if (I == End)                                                            \
       goto RunFellOff;                                                       \
     URCM_FETCH();                                                            \
     URCM_DISPATCH();                                                         \
@@ -351,204 +226,7 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
       goto RunFellOff;                                                       \
     goto Dispatch;                                                           \
   } while (0)
-#define URCM_NEXT_N(K)                                                       \
-  do {                                                                       \
-    I += (K);                                                                \
-    if (I == End)                                                            \
-      goto RunFellOff;                                                       \
-    goto Dispatch;                                                           \
-  } while (0)
 #endif
-
-  // Member bodies shared between the plain one-PInst handlers and the
-  // generated fused handlers: URCM_MEXEC_<POp>(P, Adj) executes the
-  // member at slot P exactly as its standalone handler would, with Adj
-  // (the member's offset from the dispatched head) repositioning I for
-  // the exact-step AbortAt accounting. Terminator members reposition I
-  // themselves and leave through Terminated; a fused group therefore
-  // books `(I - Start) + 1` retired steps on every exit path, same as
-  // the unfused stream.
-#define URCM_MEXEC_BINRR(P, Expr)                                            \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    const int64_t L = R[M->B], S2 = R[M->C];                                 \
-    R[M->A] = (Expr);                                                        \
-  }
-#define URCM_MEXEC_BINRI(P, Expr)                                            \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    const int64_t L = R[M->B], S2 = M->Imm;                                  \
-    R[M->A] = (Expr);                                                        \
-  }
-#define URCM_MEXEC_AddRR(P, Adj) URCM_MEXEC_BINRR(P, wrapAdd(L, S2))
-#define URCM_MEXEC_AddRI(P, Adj) URCM_MEXEC_BINRI(P, wrapAdd(L, S2))
-#define URCM_MEXEC_SubRI(P, Adj) URCM_MEXEC_BINRI(P, wrapSub(L, S2))
-#define URCM_MEXEC_MulRI(P, Adj) URCM_MEXEC_BINRI(P, wrapMul(L, S2))
-#define URCM_MEXEC_SltRR(P, Adj) URCM_MEXEC_BINRR(P, L < S2)
-#define URCM_MEXEC_SltRI(P, Adj) URCM_MEXEC_BINRI(P, L < S2)
-#define URCM_MEXEC_SleRR(P, Adj) URCM_MEXEC_BINRR(P, L <= S2)
-#define URCM_MEXEC_SleRI(P, Adj) URCM_MEXEC_BINRI(P, L <= S2)
-#define URCM_MEXEC_SgtRR(P, Adj) URCM_MEXEC_BINRR(P, L > S2)
-#define URCM_MEXEC_SgtRI(P, Adj) URCM_MEXEC_BINRI(P, L > S2)
-#define URCM_MEXEC_SgeRR(P, Adj) URCM_MEXEC_BINRR(P, L >= S2)
-#define URCM_MEXEC_SgeRI(P, Adj) URCM_MEXEC_BINRI(P, L >= S2)
-#define URCM_MEXEC_SeqRR(P, Adj) URCM_MEXEC_BINRR(P, L == S2)
-#define URCM_MEXEC_SeqRI(P, Adj) URCM_MEXEC_BINRI(P, L == S2)
-#define URCM_MEXEC_SneRR(P, Adj) URCM_MEXEC_BINRR(P, L != S2)
-#define URCM_MEXEC_SneRI(P, Adj) URCM_MEXEC_BINRI(P, L != S2)
-#define URCM_MEXEC_Li(P, Adj)                                                \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    R[M->A] = M->Imm;                                                        \
-  }
-#define URCM_MEXEC_Ld(P, Adj)                                                \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    const int64_t EA = wrapAdd(R[M->B], M->Imm);                             \
-    if (EA < 0 || static_cast<uint64_t>(EA) >= MemSize) {                    \
-      Result.Error = formatString("load address %lld out of range",          \
-                                  static_cast<long long>(EA));               \
-      I += (Adj);                                                            \
-      goto AbortAt;                                                          \
-    }                                                                        \
-    const uint64_t Addr = static_cast<uint64_t>(EA);                         \
-    Refs.count(M->Mem, /*IsWrite=*/false, Addr);                             \
-    const int64_t Value = Cache.read(Addr, M->Mem);                          \
-    if (Paranoid && Value != Mem.shadowRead(Addr))                           \
-      ++Result.CoherenceViolations;                                          \
-    R[M->A] = Value;                                                         \
-  }
-#define URCM_MEXEC_St(P, Adj)                                                \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    const int64_t EA = wrapAdd(R[M->B], M->Imm);                             \
-    if (EA < 0 || static_cast<uint64_t>(EA) >= MemSize) {                    \
-      Result.Error = formatString("store address %lld out of range",         \
-                                  static_cast<long long>(EA));               \
-      I += (Adj);                                                            \
-      goto AbortAt;                                                          \
-    }                                                                        \
-    const uint64_t Addr = static_cast<uint64_t>(EA);                         \
-    Refs.count(M->Mem, /*IsWrite=*/true, Addr);                              \
-    Cache.write(Addr, R[M->C], M->Mem);                                      \
-    Mem.shadowWrite(Addr, R[M->C]);                                          \
-  }
-#define URCM_MEXEC_Jmp(P, Adj)                                               \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    PC = M->Target;                                                          \
-    I = M;                                                                   \
-    goto Terminated;                                                         \
-  }
-#define URCM_MEXEC_Bnz(P, Adj)                                               \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    PC = R[M->B] != 0 ? M->Target : static_cast<uint64_t>(M - Base) + 1;     \
-    I = M;                                                                   \
-    goto Terminated;                                                         \
-  }
-#define URCM_MEXEC_Call(P, Adj)                                              \
-  {                                                                          \
-    const PInst *M = (P);                                                    \
-    R[mreg::RA] = static_cast<int64_t>(M - Base) + 1;                        \
-    PC = M->Target;                                                          \
-    I = M;                                                                   \
-    goto Terminated;                                                         \
-  }
-#define URCM_MEXEC_Ret(P, Adj)                                               \
-  {                                                                          \
-    PC = static_cast<uint64_t>(R[mreg::RA]);                                 \
-    I = (P);                                                                 \
-    goto Terminated;                                                         \
-  }
-
-  // Deferred-count members for the all-memory fused groups
-  // (URCM_FUSED_OPS_MEM): execute the access exactly like URCM_MEXEC_Ld
-  // / URCM_MEXEC_St but leave the RefRecorder update to one combined
-  // count2/count3 at the end of the group. Declares M<N> / Addr<N> for
-  // that combined count. Moving a member's count after its cache access
-  // is observable-state-neutral (RefRecorder and the cache model share
-  // nothing), but the abort path is not: a member that faults must see
-  // every *earlier* member already counted — the trailing variadic
-  // argument is that catch-up count, run before jumping to AbortAt.
-#define URCM_GMEM_LD(P, Adj, N, ...)                                         \
-  const PInst *M##N = (P);                                                   \
-  uint64_t Addr##N;                                                          \
-  {                                                                          \
-    const int64_t EA = wrapAdd(R[M##N->B], M##N->Imm);                       \
-    if (__builtin_expect(EA < 0 || static_cast<uint64_t>(EA) >= MemSize,     \
-                         0)) {                                               \
-      Result.Error = formatString("load address %lld out of range",          \
-                                  static_cast<long long>(EA));               \
-      __VA_ARGS__;                                                           \
-      I += (Adj);                                                            \
-      goto AbortAt;                                                          \
-    }                                                                        \
-    Addr##N = static_cast<uint64_t>(EA);                                     \
-    const int64_t Value = Cache.read(Addr##N, M##N->Mem);                    \
-    if (Paranoid && Value != Mem.shadowRead(Addr##N))                        \
-      ++Result.CoherenceViolations;                                          \
-    R[M##N->A] = Value;                                                      \
-  }
-#define URCM_GMEM_ST(P, Adj, N, ...)                                         \
-  const PInst *M##N = (P);                                                   \
-  uint64_t Addr##N;                                                          \
-  {                                                                          \
-    const int64_t EA = wrapAdd(R[M##N->B], M##N->Imm);                       \
-    if (__builtin_expect(EA < 0 || static_cast<uint64_t>(EA) >= MemSize,     \
-                         0)) {                                               \
-      Result.Error = formatString("store address %lld out of range",         \
-                                  static_cast<long long>(EA));               \
-      __VA_ARGS__;                                                           \
-      I += (Adj);                                                            \
-      goto AbortAt;                                                          \
-    }                                                                        \
-    Addr##N = static_cast<uint64_t>(EA);                                     \
-    Cache.write(Addr##N, R[M##N->C], M##N->Mem);                             \
-    Mem.shadowWrite(Addr##N, R[M##N->C]);                                    \
-  }
-
-  // Bodies of the all-memory fused handlers, built from the deferred
-  // members above. Event order, counter values and chunk boundaries are
-  // identical to the member-by-member execution (see count2/count3).
-#define URCM_FBODY_LdLd                                                      \
-  URCM_GMEM_LD(I, 0, 0, )                                                    \
-  URCM_FETCH_AT(I + 1);                                                      \
-  URCM_GMEM_LD(I + 1, 1, 1, Refs.count(M0->Mem, false, Addr0))               \
-  Refs.count2(M0->Mem, false, Addr0, M1->Mem, false, Addr1);
-#define URCM_FBODY_LdSt                                                      \
-  URCM_GMEM_LD(I, 0, 0, )                                                    \
-  URCM_FETCH_AT(I + 1);                                                      \
-  URCM_GMEM_ST(I + 1, 1, 1, Refs.count(M0->Mem, false, Addr0))               \
-  Refs.count2(M0->Mem, false, Addr0, M1->Mem, true, Addr1);
-#define URCM_FBODY_StLd                                                      \
-  URCM_GMEM_ST(I, 0, 0, )                                                    \
-  URCM_FETCH_AT(I + 1);                                                      \
-  URCM_GMEM_LD(I + 1, 1, 1, Refs.count(M0->Mem, true, Addr0))                \
-  Refs.count2(M0->Mem, true, Addr0, M1->Mem, false, Addr1);
-#define URCM_FBODY_StSt                                                      \
-  URCM_GMEM_ST(I, 0, 0, )                                                    \
-  URCM_FETCH_AT(I + 1);                                                      \
-  URCM_GMEM_ST(I + 1, 1, 1, Refs.count(M0->Mem, true, Addr0))                \
-  Refs.count2(M0->Mem, true, Addr0, M1->Mem, true, Addr1);
-#define URCM_FBODY_LdLdLd                                                    \
-  URCM_GMEM_LD(I, 0, 0, )                                                    \
-  URCM_FETCH_AT(I + 1);                                                      \
-  URCM_GMEM_LD(I + 1, 1, 1, Refs.count(M0->Mem, false, Addr0))               \
-  URCM_FETCH_AT(I + 2);                                                      \
-  URCM_GMEM_LD(I + 2, 2, 2,                                                  \
-               Refs.count2(M0->Mem, false, Addr0, M1->Mem, false, Addr1))    \
-  Refs.count3(M0->Mem, false, Addr0, M1->Mem, false, Addr1, M2->Mem, false,  \
-              Addr2);
-#define URCM_FBODY_StStSt                                                    \
-  URCM_GMEM_ST(I, 0, 0, )                                                    \
-  URCM_FETCH_AT(I + 1);                                                      \
-  URCM_GMEM_ST(I + 1, 1, 1, Refs.count(M0->Mem, true, Addr0))                \
-  URCM_FETCH_AT(I + 2);                                                      \
-  URCM_GMEM_ST(I + 2, 2, 2,                                                  \
-               Refs.count2(M0->Mem, true, Addr0, M1->Mem, true, Addr1))      \
-  Refs.count3(M0->Mem, true, Addr0, M1->Mem, true, Addr1, M2->Mem, true,     \
-              Addr2);
 
   for (;;) {
     // Run boundary: the step-limit and PC-bounds checks of the legacy
@@ -562,16 +240,11 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
           "PC %llu outside program", static_cast<unsigned long long>(PC));
       break;
     }
-    uint64_t Run = RunLens[PC];
-    Base = Insts;
-    if (const uint64_t Remaining = Config.MaxSteps - Steps; Run > Remaining) {
-      // Truncated run: no terminator will be reached, and End may land
-      // inside what fusion grouped — execute the unfused stream so the
-      // run retires exactly Remaining instructions.
-      Run = Remaining;
-      Base = SlowBase;
-    }
-    I = Base + PC;
+    // A run truncated by the step limit reaches no terminator: it falls
+    // off End after exactly the remaining budget.
+    const uint64_t Run =
+        std::min<uint64_t>(RunLens[PC], Config.MaxSteps - Steps);
+    I = Insts + PC;
     Start = I;
     End = I + Run;
 
@@ -652,25 +325,52 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
     R[I->A] = I->Imm;
     URCM_NEXT();
 
-    URCM_CASE(Ld)
-    URCM_MEXEC_Ld(I, 0)
+    URCM_CASE(Ld) {
+      const int64_t EA = wrapAdd(R[I->B], I->Imm);
+      if (EA < 0 || static_cast<uint64_t>(EA) >= MemSize) {
+        Result.Error = formatString("load address %lld out of range",
+                                    static_cast<long long>(EA));
+        goto AbortAt;
+      }
+      const uint64_t Addr = static_cast<uint64_t>(EA);
+      Refs.count(I->Mem, /*IsWrite=*/false, Addr);
+      const int64_t Value = Cache.read(Addr, I->Mem);
+      if (Paranoid && Value != Mem.shadowRead(Addr))
+        ++Result.CoherenceViolations;
+      R[I->A] = Value;
+    }
     URCM_NEXT();
 
-    URCM_CASE(St)
-    URCM_MEXEC_St(I, 0)
+    URCM_CASE(St) {
+      const int64_t EA = wrapAdd(R[I->B], I->Imm);
+      if (EA < 0 || static_cast<uint64_t>(EA) >= MemSize) {
+        Result.Error = formatString("store address %lld out of range",
+                                    static_cast<long long>(EA));
+        goto AbortAt;
+      }
+      const uint64_t Addr = static_cast<uint64_t>(EA);
+      Refs.count(I->Mem, /*IsWrite=*/true, Addr);
+      Cache.write(Addr, R[I->C], I->Mem);
+      Mem.shadowWrite(Addr, R[I->C]);
+    }
     URCM_NEXT();
 
     URCM_CASE(Jmp)
-    URCM_MEXEC_Jmp(I, 0)
+    PC = I->Target;
+    goto Terminated;
 
     URCM_CASE(Bnz)
-    URCM_MEXEC_Bnz(I, 0)
+    PC = R[I->B] != 0 ? I->Target : static_cast<uint64_t>(I - Insts) + 1;
+    goto Terminated;
 
     URCM_CASE(Call)
-    URCM_MEXEC_Call(I, 0)
+    R[mreg::RA] = static_cast<int64_t>(I - Insts) + 1;
+    PC = I->Target;
+    goto Terminated;
 
     URCM_CASE(Ret)
-    URCM_MEXEC_Ret(I, 0)
+    PC = static_cast<uint64_t>(R[mreg::RA]);
+    goto Terminated;
 
     URCM_CASE(RetDead)
     // Code-dead hint: this function never runs again; reclaim its
@@ -690,58 +390,6 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
     Steps += static_cast<uint64_t>(I - Start) + 1;
     goto Done;
 
-    // Fused superinstruction handlers, generated from the same
-    // URCM_FUSED_OPS table that defines the enum, the dispatch table
-    // and the peephole matcher. One dispatch retires the whole group;
-    // members execute in original order from their original slots
-    // (fusion rewrites only the head's Op byte), with per-member
-    // instruction fetches so the I-cache model sees the unfused fetch
-    // stream. Terminator members leave through Terminated inside their
-    // URCM_MEXEC body, making the trailing URCM_NEXT_N unreachable for
-    // those groups.
-#define URCM_FUSED_CASE2(Name, M0, M1)                                       \
-  URCM_CASE(Fuse##Name) {                                                    \
-    ++FusedSaved;                                                            \
-    URCM_MEXEC_##M0(I, 0)                                                    \
-    URCM_FETCH_AT(I + 1);                                                    \
-    URCM_MEXEC_##M1(I + 1, 1)                                                \
-  }                                                                          \
-  URCM_NEXT_N(2);
-#define URCM_FUSED_CASE3(Name, M0, M1, M2)                                   \
-  URCM_CASE(Fuse##Name) {                                                    \
-    FusedSaved += 2;                                                         \
-    URCM_MEXEC_##M0(I, 0)                                                    \
-    URCM_FETCH_AT(I + 1);                                                    \
-    URCM_MEXEC_##M1(I + 1, 1)                                                \
-    URCM_FETCH_AT(I + 2);                                                    \
-    URCM_MEXEC_##M2(I + 2, 2)                                                \
-  }                                                                          \
-  URCM_NEXT_N(3);
-
-    URCM_FUSED_OPS_GENERIC(URCM_FUSED_CASE2, URCM_FUSED_CASE3)
-#undef URCM_FUSED_CASE2
-#undef URCM_FUSED_CASE3
-
-    // The all-memory groups dispatch to their hand-written bodies: the
-    // member accesses run exactly as above, but the RefRecorder update
-    // is one batched group count (see URCM_FBODY_* / count2 / count3).
-#define URCM_FUSED_CASE2M(Name, M0, M1)                                      \
-  URCM_CASE(Fuse##Name) {                                                    \
-    ++FusedSaved;                                                            \
-    URCM_FBODY_##Name                                                        \
-  }                                                                          \
-  URCM_NEXT_N(2);
-#define URCM_FUSED_CASE3M(Name, M0, M1, M2)                                  \
-  URCM_CASE(Fuse##Name) {                                                    \
-    FusedSaved += 2;                                                         \
-    URCM_FBODY_##Name                                                        \
-  }                                                                          \
-  URCM_NEXT_N(3);
-
-    URCM_FUSED_OPS_MEM(URCM_FUSED_CASE2M, URCM_FUSED_CASE3M)
-#undef URCM_FUSED_CASE2M
-#undef URCM_FUSED_CASE3M
-
 #if !URCM_THREADED_DISPATCH
     }
 #endif
@@ -750,7 +398,7 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
     // Executed the whole (possibly limit-truncated) run without a
     // control transfer; the next boundary check settles what happens.
     Steps += static_cast<uint64_t>(End - Start);
-    PC = static_cast<uint64_t>(End - Base);
+    PC = static_cast<uint64_t>(End - Insts);
     continue;
 
   Terminated:
@@ -766,7 +414,6 @@ Done:
   if (!Result.Halted && Result.Error.empty())
     Result.Error = "step limit exceeded";
   Result.Steps = Steps;
-  NumFuseDispatchesSaved.add(FusedSaved);
 
   Refs.finish();
   Cache.flush();
@@ -777,42 +424,7 @@ Done:
 
 #undef URCM_CASE
 #undef URCM_NEXT
-#undef URCM_NEXT_N
 #undef URCM_FETCH
-#undef URCM_FETCH_AT
-#undef URCM_MEXEC_BINRR
-#undef URCM_MEXEC_BINRI
-#undef URCM_MEXEC_AddRR
-#undef URCM_MEXEC_AddRI
-#undef URCM_MEXEC_SubRI
-#undef URCM_MEXEC_MulRI
-#undef URCM_MEXEC_SltRR
-#undef URCM_MEXEC_SltRI
-#undef URCM_MEXEC_SleRR
-#undef URCM_MEXEC_SleRI
-#undef URCM_MEXEC_SgtRR
-#undef URCM_MEXEC_SgtRI
-#undef URCM_MEXEC_SgeRR
-#undef URCM_MEXEC_SgeRI
-#undef URCM_MEXEC_SeqRR
-#undef URCM_MEXEC_SeqRI
-#undef URCM_MEXEC_SneRR
-#undef URCM_MEXEC_SneRI
-#undef URCM_MEXEC_Li
-#undef URCM_MEXEC_Ld
-#undef URCM_MEXEC_St
-#undef URCM_MEXEC_Jmp
-#undef URCM_MEXEC_Bnz
-#undef URCM_MEXEC_Call
-#undef URCM_MEXEC_Ret
-#undef URCM_GMEM_LD
-#undef URCM_GMEM_ST
-#undef URCM_FBODY_LdLd
-#undef URCM_FBODY_LdSt
-#undef URCM_FBODY_StLd
-#undef URCM_FBODY_StSt
-#undef URCM_FBODY_LdLdLd
-#undef URCM_FBODY_StStSt
 #if URCM_THREADED_DISPATCH
 #undef URCM_DISPATCH
 #endif
@@ -925,10 +537,7 @@ SimResult Simulator::run(const MachineProgram &Prog) {
     return runSwitch(Prog);
   PredecodedProgram Pre = [&] {
     telemetry::ScopedPhase Phase("sim.predecode");
-    PredecodedProgram PP = predecode(Prog);
-    if (Config.Fusion)
-      fusePredecoded(PP); // still a no-op under URCM_NO_FUSE
-    return PP;
+    return predecode(Prog);
   }();
   return run(Pre);
 }

@@ -1,12 +1,14 @@
-//===- cli_test.cpp - urcmc command-line regression tests ----------------------===//
+//===- cli_test.cpp - Command-line regression tests ----------------------------===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
 // Every cache geometry a user can type ends in a diagnostic, never an
 // abort: each case below used to trip an assertion in the live cache's
 // constructor or a divide by zero in the sweep, and must now exit 1 with
-// an "error:" line. The binary under test is the urcmc built alongside
-// this test (URCMC_PATH).
+// an "error:" line. Flags the tools no longer accept must likewise be
+// refused, never silently ignored. The binaries under test are the
+// urcmc and urcm_report built alongside this test (URCMC_PATH,
+// URCM_REPORT_PATH).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +28,9 @@ struct Outcome {
   std::string Output; ///< stdout and stderr, interleaved.
 };
 
-Outcome runUrcmc(const std::string &Args) {
+Outcome runTool(const char *Binary, const std::string &Args) {
   Outcome Out;
-  const std::string Command = std::string(URCMC_PATH) + " " + Args + " 2>&1";
+  const std::string Command = std::string(Binary) + " " + Args + " 2>&1";
   std::FILE *Pipe = ::popen(Command.c_str(), "r");
   if (!Pipe)
     return Out;
@@ -40,6 +42,8 @@ Outcome runUrcmc(const std::string &Args) {
     Out.ExitCode = WEXITSTATUS(Status);
   return Out;
 }
+
+Outcome runUrcmc(const std::string &Args) { return runTool(URCMC_PATH, Args); }
 
 void expectConfigError(const std::string &Args, const char *Why) {
   SCOPED_TRACE(Args);
@@ -81,6 +85,33 @@ TEST(UrcmcCacheFlags, ValidGeometryStillRuns) {
   const Outcome R = runUrcmc("--workload=Sieve --assoc=4 --sweep=16,64");
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_EQ(R.Output.find("error:"), std::string::npos) << R.Output;
+}
+
+// Flags that earlier versions accepted and these tools no longer do:
+// each must end in an unknown-flag error and a nonzero exit, never be
+// ignored silently.
+TEST(RemovedFlags, UrcmcRefusesThem) {
+  for (const char *Flag : {"--no-fuse", "--shards=2"}) {
+    SCOPED_TRACE(Flag);
+    const Outcome R = runUrcmc(std::string("--workload=Sieve ") + Flag);
+    EXPECT_NE(R.ExitCode, 0) << R.Output;
+    EXPECT_NE(R.Output.find("error: unknown or invalid flag '" +
+                            std::string(Flag) + "'"),
+              std::string::npos)
+        << R.Output;
+  }
+}
+
+TEST(RemovedFlags, UrcmReportRefusesThem) {
+  for (const char *Flag : {"--no-fuse", "--shards=2"}) {
+    SCOPED_TRACE(Flag);
+    const Outcome R = runTool(URCM_REPORT_PATH, Flag);
+    EXPECT_NE(R.ExitCode, 0) << R.Output;
+    EXPECT_NE(
+        R.Output.find("error: unknown flag '" + std::string(Flag) + "'"),
+        std::string::npos)
+        << R.Output;
+  }
 }
 
 TEST(CacheConfigValidation, AcceptsEveryShapeTheSimulatorBuilds) {

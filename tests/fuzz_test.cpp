@@ -226,14 +226,12 @@ void expectSameResult(const SimResult &A, const SimResult &B,
 } // namespace
 
 TEST_P(FuzzDifferential, EnginesBitIdentical) {
-  // Three-way differential: the predecoded engine fused (the default)
-  // and unfused (SimConfig::Fusion = false) against the reference
+  // Two-way differential: the predecoded engine against the reference
   // switch interpreter — identical SimResults bit for bit (output,
-  // steps, cache and reference counters, the recorded trace), and all
+  // steps, cache and reference counters, the recorded trace), and both
   // matching the IR oracle. Every generated program also runs under a
-  // mid-program step limit, the state fusion has to be most careful
-  // about: a fused group must stop exactly at MaxSteps even when the
-  // limit lands inside what fusion grouped.
+  // mid-program step limit, which the predecoded engine checks once per
+  // straight-line run: it must still stop after exactly MaxSteps.
   ProgramGenerator Gen(GetParam());
   std::string Source = Gen.generate();
   SCOPED_TRACE(Source);
@@ -264,31 +262,23 @@ TEST_P(FuzzDifferential, EnginesBitIdentical) {
     SimResult S = Simulator(Sim).run(Compiled.Program);
 
     Sim.Engine = SimEngine::Predecoded;
-    Sim.Fusion = true;
     SimResult P = Simulator(Sim).run(Compiled.Program);
-    Sim.Fusion = false;
-    SimResult U = Simulator(Sim).run(Compiled.Program);
 
     ASSERT_TRUE(P.ok()) << P.Error;
     EXPECT_EQ(P.Output, Oracle.Output);
-    expectSameResult(P, S, "fused vs switch");
-    expectSameResult(U, S, "unfused vs switch");
+    expectSameResult(P, S, "predecoded vs switch");
 
     // Truncated reruns: a seed-derived step limit below the full run,
-    // landing anywhere — including mid-fused-group. All three engines
-    // must stop after exactly MaxSteps retired instructions.
+    // landing anywhere — including mid-run. Both engines must stop
+    // after exactly MaxSteps retired instructions.
     if (S.Steps > 1) {
       Sim.MaxSteps = 1 + (GetParam() * 2654435761u) % (S.Steps - 1);
       Sim.Engine = SimEngine::Switch;
       SimResult TS = Simulator(Sim).run(Compiled.Program);
       Sim.Engine = SimEngine::Predecoded;
-      Sim.Fusion = true;
       SimResult TP = Simulator(Sim).run(Compiled.Program);
-      Sim.Fusion = false;
-      SimResult TU = Simulator(Sim).run(Compiled.Program);
       EXPECT_EQ(TS.Steps, Sim.MaxSteps);
-      expectSameResult(TP, TS, "fused vs switch (truncated)");
-      expectSameResult(TU, TS, "unfused vs switch (truncated)");
+      expectSameResult(TP, TS, "predecoded vs switch (truncated)");
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "urcm/sim/Simulator.h"
 
 #include "urcm/driver/Driver.h"
+#include "urcm/sim/Predecode.h"
 #include "urcm/support/Telemetry.h"
 #include "urcm/workloads/Workloads.h"
 
@@ -272,6 +273,7 @@ void expectSameSimResult(const SimResult &P, const SimResult &S,
         << What << " event " << I;
     EXPECT_EQ(P.Trace[I].Info.LastRef, S.Trace[I].Info.LastRef)
         << What << " event " << I;
+    EXPECT_EQ(P.Trace[I].RefId, S.Trace[I].RefId) << What << " event " << I;
   }
 }
 
@@ -286,15 +288,25 @@ void expectEnginesAgree(const std::string &Source, SimConfig Sim = {},
   expectSameSimResult(P, S, Source.substr(0, 40));
 }
 
-/// Runs a raw machine program under both engines.
-void expectEnginesAgreeRaw(const MachineProgram &Prog, SimConfig Sim,
-                           const std::string &What) {
+/// Runs a raw machine program under both engines and returns the
+/// switch engine's (reference) result.
+SimResult expectEnginesAgreeRaw(const MachineProgram &Prog, SimConfig Sim,
+                                const std::string &What) {
   Sim.RecordTrace = true;
   Sim.Engine = SimEngine::Predecoded;
   SimResult P = Simulator(Sim).run(Prog);
   Sim.Engine = SimEngine::Switch;
   SimResult S = Simulator(Sim).run(Prog);
   expectSameSimResult(P, S, What);
+  return S;
+}
+
+/// Compiles one workload with the default options (unified scheme).
+MachineProgram compileWorkload(const Workload &W) {
+  DiagnosticEngine Diags;
+  CompileResult R = compileProgram(W.Source, CompileOptions(), Diags);
+  EXPECT_TRUE(R.Ok) << "compile failed for " << W.Name << Diags.str();
+  return std::move(R.Program);
 }
 
 } // namespace
@@ -403,6 +415,153 @@ TEST(EngineDifferential, WorkloadsWithHintsIdentical) {
     CompileOptions Options;
     Options.Scheme = Scheme;
     expectEnginesAgree(Source, {}, Options);
+  }
+}
+
+// A loop whose back-edge (index 8) lands at index 5, in the interior of
+// the straight-line run 0..8: the predecoded engine must start that run
+// mid-way with index 5's own run length. Every step limit below the
+// full run is also checked, so the budget expires at each position of
+// each run, including right at the mid-run entry.
+TEST(EngineDifferential, BranchIntoRunInterior) {
+  MachineProgram Prog;
+  auto li = [](uint32_t Rd, int64_t Imm) {
+    MInst I;
+    I.Op = MOpcode::Li;
+    I.Rd = Rd;
+    I.Imm = Imm;
+    return I;
+  };
+  auto ld = [](uint32_t Rd, int64_t Addr) {
+    MInst I;
+    I.Op = MOpcode::Ld;
+    I.Rd = Rd;
+    I.Imm = Addr; // absolute: base register absent
+    return I;
+  };
+  auto st = [](int64_t Addr, uint32_t Rs) {
+    MInst I;
+    I.Op = MOpcode::St;
+    I.Rs2 = Rs;
+    I.Imm = Addr;
+    return I;
+  };
+  Prog.Code.push_back(li(1, 3));    // 0: r1 = loop counter
+  Prog.Code.push_back(li(5, 11));   // 1: r5 = 11
+  Prog.Code.push_back(st(0x40, 5)); // 2: mem[0x40] = 11
+  Prog.Code.push_back(st(0x41, 1)); // 3: mem[0x41] = r1
+  Prog.Code.push_back(ld(3, 0x40)); // 4: r3 = mem[0x40]
+  Prog.Code.push_back(ld(4, 0x41)); // 5: r4 = mem[0x41]  <- branch target
+  {
+    MInst Sub; // 6: r1 = r1 - 1
+    Sub.Op = MOpcode::Sub;
+    Sub.Rd = 1;
+    Sub.Rs1 = 1;
+    Sub.UseImm = true;
+    Sub.Imm = 1;
+    Prog.Code.push_back(Sub);
+  }
+  Prog.Code.push_back(st(0x42, 1)); // 7: mem[0x42] = r1
+  {
+    MInst Bnz; // 8: if (r1) goto 5 — mid-run!
+    Bnz.Op = MOpcode::Bnz;
+    Bnz.Rs1 = 1;
+    Bnz.Target = 5;
+    Prog.Code.push_back(Bnz);
+  }
+  {
+    MInst P; // 9-10: print r3, r4
+    P.Op = MOpcode::Print;
+    P.Rs1 = 3;
+    Prog.Code.push_back(P);
+    P.Rs1 = 4;
+    Prog.Code.push_back(P);
+  }
+  {
+    MInst H; // 11: halt
+    H.Op = MOpcode::Halt;
+    Prog.Code.push_back(H);
+  }
+
+  // The structure this test depends on: index 5 continues the run that
+  // index 4 is in, so the back-edge enters a run in its interior.
+  PredecodedProgram PP = predecode(Prog);
+  ASSERT_EQ(PP.RunLen[0], 9u);
+  ASSERT_EQ(PP.RunLen[5], 4u);
+
+  SimConfig Sim;
+  SimResult S = expectEnginesAgreeRaw(Prog, Sim, "full run");
+  ASSERT_TRUE(S.ok()) << S.Error;
+  EXPECT_EQ(S.Output, (std::vector<int64_t>{11, 3}));
+
+  for (uint64_t L = 1; L < S.Steps; ++L) {
+    Sim.MaxSteps = L;
+    SimResult T =
+        expectEnginesAgreeRaw(Prog, Sim, "MaxSteps=" + std::to_string(L));
+    EXPECT_EQ(T.Steps, L);
+  }
+}
+
+// A truncated run must stop after exactly MaxSteps retired instructions
+// even though the predecoded engine checks the limit once per run. The
+// limits cover every position of the runs Bubble enters first, a band in
+// the middle of its main loop, and one step short of the full run.
+TEST(EngineDifferential, MaxStepsStopsExactlyOnBubble) {
+  const Workload *W = findWorkload("Bubble");
+  ASSERT_NE(W, nullptr);
+  MachineProgram Prog = compileWorkload(*W);
+
+  SimResult Complete = Simulator(SimConfig()).run(Prog);
+  ASSERT_TRUE(Complete.ok()) << Complete.Error;
+  ASSERT_GT(Complete.Steps, 2000u);
+
+  std::vector<uint64_t> Limits;
+  for (uint64_t L = 1; L <= 192; ++L)
+    Limits.push_back(L);
+  for (uint64_t L = 1001; L <= 1064; ++L)
+    Limits.push_back(L);
+  Limits.push_back(Complete.Steps - 1);
+
+  for (uint64_t L : Limits) {
+    SimConfig Sim;
+    Sim.MaxSteps = L;
+    SimResult S =
+        expectEnginesAgreeRaw(Prog, Sim, "MaxSteps=" + std::to_string(L));
+    EXPECT_FALSE(S.Halted);
+    EXPECT_EQ(S.Steps, L) << "engines overshot";
+  }
+}
+
+// Every paper workload on the paper geometry: the predecoded engine
+// (TwoWayWB1CacheAttr with attribution on) and the switch engine (the
+// generic CacheModel) give bit-identical SimResults — every field,
+// every trace event — and identical per-reference attribution tables.
+TEST(EngineDifferential, PaperWorkloadsWithAttributionIdentical) {
+  for (const Workload &W : paperWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    MachineProgram Prog = compileWorkload(W);
+
+    auto runWith = [&](SimEngine Engine, RefAttribution &Attr) {
+      SimConfig Sim;
+      Sim.Engine = Engine;
+      Sim.RecordTrace = true;
+      Attr = RefAttribution(static_cast<uint32_t>(Prog.RefTable.size()));
+      Sim.Attribution = &Attr;
+      return Simulator(Sim).run(Prog);
+    };
+
+    RefAttribution AttrS, AttrP;
+    SimResult S = runWith(SimEngine::Switch, AttrS);
+    SimResult P = runWith(SimEngine::Predecoded, AttrP);
+    ASSERT_TRUE(S.ok()) << S.Error;
+    // ExpectedOutput is a known-correct prefix (workloads_test checks
+    // it in depth); a quick sanity check that we ran the real program.
+    ASSERT_GE(S.Output.size(), W.ExpectedOutput.size());
+    for (size_t I = 0; I != W.ExpectedOutput.size(); ++I)
+      EXPECT_EQ(S.Output[I], W.ExpectedOutput[I]);
+
+    expectSameSimResult(P, S, W.Name);
+    EXPECT_EQ(AttrP, AttrS) << "attribution diverged";
   }
 }
 

@@ -154,12 +154,6 @@ std::vector<Prepared> compileAll(std::vector<WorkloadData> &Data) {
   return Programs;
 }
 
-/// --no-fuse: run every simulation with superinstruction fusion off.
-/// The report is byte-identical either way (fusion is
-/// trace-transparent); the flag exists as the A/B baseline for that
-/// claim (scripts/check.sh --fuse diffs the two outputs).
-bool NoFuse = false;
-
 /// Schedules one plain run (no sweep points — the experiment exists for
 /// its base counters, and for the store: warm runs serve it from the
 /// recorded summary without simulating).
@@ -168,7 +162,6 @@ void scheduleRun(SweepEngine &Engine, const std::string &Key,
                  std::shared_ptr<MachineProgram> Prog) {
   SimConfig Sim;
   Sim.Cache = paperCache();
-  Sim.Fusion = !NoFuse;
   uint64_t Hash = Engine.traceStoreDir().empty()
                       ? 0
                       : traceContentHash(*Prog, Sim);
@@ -252,7 +245,6 @@ std::vector<WorkloadData> computeAll(uint32_t ReplayWorkers,
           Programs[I].Fig5Unified->RefTable.size());
     SimConfig Base;
     Base.Cache = paperCache();
-    Base.Fusion = !NoFuse;
     std::shared_ptr<MachineProgram> Prog = Programs[I].Fig5Unified;
     uint64_t Hash = StoreDir.empty() ? 0 : traceContentHash(*Prog, Base);
     Engine.schedule(W.Name, W.Name, Base, std::move(Points),
@@ -319,8 +311,7 @@ void usage(std::FILE *To) {
                "to N threads (auto =\n"
                "                     thread-pool width, the default; "
                "output is bit-identical\n"
-               "                     for every value; --shards is a "
-               "deprecated alias)\n"
+               "                     for every value)\n"
                "  --trace-store=DIR  persist recorded traces under DIR "
                "and serve repeat\n"
                "                     runs from them (skips "
@@ -331,11 +322,6 @@ void usage(std::FILE *To) {
                "                     per workload "
                "(DIR/<workload>.json), accumulated by\n"
                "                     the hinted Figure-5 replay\n"
-               "  --no-fuse          disable superinstruction fusion "
-               "in the simulator\n"
-               "                     (A/B baseline; the report is "
-               "byte-identical\n"
-               "                     either way)\n"
                "  --metrics-out=F    sample telemetry into a JSONL "
                "time series at F\n"
                "  --metrics-interval-ms=N  sampling period (default "
@@ -362,8 +348,6 @@ int main(int argc, char **argv) {
     }
     if (Arg == "--telemetry") {
       TelemetrySummary = true;
-    } else if (Arg == "--no-fuse") {
-      NoFuse = true;
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TraceOut = Arg.substr(12);
     } else if (Arg.rfind("--telemetry-json=", 0) == 0) {
@@ -401,9 +385,8 @@ int main(int argc, char **argv) {
                      "error: --trace-store expects a directory\n");
         return 2;
       }
-    } else if (Arg.rfind("--replay-workers=", 0) == 0 ||
-               Arg.rfind("--shards=", 0) == 0) {
-      std::string Value = Arg.substr(Arg.find('=') + 1);
+    } else if (Arg.rfind("--replay-workers=", 0) == 0) {
+      std::string Value = Arg.substr(17);
       if (Value == "auto") {
         ReplayWorkers = 0; // Resolved to the pool width by the engine.
       } else {
@@ -412,9 +395,9 @@ int main(int argc, char **argv) {
         if (Value.empty() || *End != '\0' || Parsed == 0 ||
             Parsed > 1u << 20) {
           std::fprintf(stderr,
-                       "error: %s expects a positive count or "
-                       "'auto', got '%s'\n",
-                       Arg.substr(0, Arg.find('=')).c_str(), Value.c_str());
+                       "error: --replay-workers expects a positive count "
+                       "or 'auto', got '%s'\n",
+                       Value.c_str());
           return 2;
         }
         ReplayWorkers = static_cast<uint32_t>(Parsed);

@@ -26,7 +26,6 @@
 //                         every --sweep row (min and bypass are
 //                         replay-only: they require --sweep)
 //   --icache              model the instruction cache too
-//   --no-fuse             disable superinstruction fusion (A/B baseline)
 //   --dump-ast --dump-ir --dump-asm --stats --compare
 //   --workload=NAME       use a built-in benchmark instead of a file
 //   --passes=P1,P2,...    run an explicit pass pipeline instead of the
@@ -152,9 +151,6 @@ void usage(std::FILE *Out) {
       "                       cache and every sweep row; min/bypass are\n"
       "                       replay-only and require --sweep)\n"
       "  --icache             model the instruction cache too\n"
-      "  --no-fuse            disable superinstruction fusion in the\n"
-      "                       predecoded engine (A/B baseline; results\n"
-      "                       are bit-identical either way)\n"
       "  --sweep=S1,S2,...    replay against fully-associative caches "
       "of\n"
       "                       the given line counts (hinted and "
@@ -163,8 +159,7 @@ void usage(std::FILE *Out) {
       "threads\n"
       "                       (auto = thread-pool width, the default; "
       "results\n"
-      "                       bit-identical; --shards is a deprecated "
-      "alias)\n"
+      "                       bit-identical)\n"
       "  --trace-store=DIR    persist recorded traces under DIR and "
       "serve\n"
       "                       repeat runs and sweeps from them (skips "
@@ -306,10 +301,6 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     Cli.Sim.ModelICache = true;
     return true;
   }
-  if (Arg == "--no-fuse") {
-    Cli.Sim.Fusion = false;
-    return true;
-  }
   if (const char *V = Value("--scheme=")) {
     std::string S = V;
     if (S == "conventional")
@@ -376,10 +367,7 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     }
     return !Cli.SweepSizes.empty() || !Cli.CacheError.empty();
   }
-  const char *Workers = Value("--replay-workers=");
-  if (!Workers)
-    Workers = Value("--shards="); // Deprecated alias.
-  if (Workers) {
+  if (const char *Workers = Value("--replay-workers=")) {
     if (std::strcmp(Workers, "auto") == 0) {
       Cli.ReplayWorkers = 0; // Resolved to the pool width by the engine.
       return true;
