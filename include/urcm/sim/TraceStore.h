@@ -69,7 +69,8 @@
 /// The CRC folds 64 bytes per step with carry-less multiplies where the
 /// CPU has PCLMULQDQ and runs slicing-by-8 tables elsewhere (see
 /// detail::crc32), so this walk costs a small fraction of decoding the
-/// same bytes.
+/// same bytes, and the chunk CRCs run in batches across a thread pool
+/// after a sequential walk of the chunk headers.
 /// Validation failures are reported through DiagnosticEngine — never
 /// asserted — and decode stays bounds-checked even after a successful
 /// open (a file mutated mid-read produces a clean failure, not UB).
@@ -109,6 +110,8 @@
 #include <vector>
 
 namespace urcm {
+
+class ThreadPool;
 
 /// Fingerprint of everything that determines a recorded trace *and* the
 /// trace-free SimResult summary stored beside it: the full machine
@@ -268,9 +271,19 @@ public:
   /// bound, the summary CRC, and the footer's event/chunk counts
   /// against what the chunks actually hold. Invalid files report one
   /// error to \p Diags; a missing file reports nothing (the caller
-  /// treats it as a plain cache miss).
+  /// treats it as a plain cache miss). A path that is not a regular
+  /// file (a FIFO, a directory) is rejected before anything is read.
+  ///
+  /// Chunks are validated in two phases. A sequential walk reads every
+  /// chunk header and checks its bounds and that its payload ends inside
+  /// the file, stopping at the first structural error. The payloads it
+  /// framed are then CRC-checked in batches on \p Pool (null:
+  /// ThreadPool::global(); the caller works too, and a call from inside
+  /// a pool task is safe), each worker reading into one bounded buffer.
+  /// The first failure in file order is the one reported, so the
+  /// diagnostic never depends on the pool's width or scheduling.
   OpenStatus open(const std::string &Path, uint64_t ExpectHash,
-                  DiagnosticEngine &Diags);
+                  DiagnosticEngine &Diags, ThreadPool *Pool = nullptr);
 
   /// The recorded trace-free SimResult. Valid after OpenStatus::Ok.
   const SimResult &summary() const { return Summary; }

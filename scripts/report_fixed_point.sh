@@ -11,9 +11,12 @@
 # check.replay.violations == 0), so a warm report that silently falls
 # back to decode and replay fails; its CRC counters
 # (sim.store.crc.clmul-bytes + sim.store.crc.table-bytes) must be
-# nonzero and at most sim.store.bytes-read. The work is pinned too, so a
-# redundant simulation or replay fails the check: the recording pass
-# stores exactly 12 traces (two simulations per workload), and the cold
+# nonzero and at most sim.store.bytes-read, and its store layer must
+# carry the validation: at least 24 sweep.store-serve spans (a validate
+# span and a serve span per stored experiment, plus one per CRC batch).
+# The work is pinned too, so a redundant simulation or replay fails the
+# check: the recording pass stores exactly 12 traces (two simulations
+# per workload), and the cold
 # default-width pass replays exactly 54 points (nine distinct policy
 # points per workload) with no violation, and checks every one of its
 # live runs' data-cache counters against the same laws
@@ -69,7 +72,8 @@ cmp "$EXPECTED" "$OUT/warm.md" || {
 
 python3 - "$OUT/warm.json" <<'PY'
 import json, sys
-c = json.load(open(sys.argv[1]))["counters"]
+warm = json.load(open(sys.argv[1]))
+c = warm["counters"]
 if c.get("sim.store.misses", 0) != 0 or c.get("sim.store.hits", 0) < 1:
     sys.exit("warm report was not served from the trace store")
 if c.get("sim.store.points-served", 0) != 54:
@@ -87,5 +91,9 @@ crc = (c.get("sim.store.crc.clmul-bytes", 0)
 if not 0 < crc <= c.get("sim.store.bytes-read", 0):
     sys.exit("warm report CRC-checked %d bytes of %d read"
              % (crc, c.get("sim.store.bytes-read", 0)))
+spans = warm.get("phases", {}).get("sweep.store-serve", {}).get("count", 0)
+if spans < 24:
+    sys.exit("warm report opened %d sweep.store-serve spans, expected at "
+             "least 24 (12 validations and 12 serves)" % spans)
 PY
 echo "report fixed point OK"

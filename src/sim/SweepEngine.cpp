@@ -555,8 +555,13 @@ bool SweepEngine::serveFromStore(Experiment &E,
   DiagnosticEngine OpenDiags;
   TraceStoreReader Reader;
   const std::string Path = traceStorePath(StoreDir, E.ContentHash);
-  const TraceStoreReader::OpenStatus Status =
-      Reader.open(Path, E.ContentHash, OpenDiags);
+  TraceStoreReader::OpenStatus Status;
+  {
+    // Validation is store work, billed to the store layer like each CRC
+    // batch the pool runs for it.
+    telemetry::ScopedPhase Validate("sweep.store-serve", "validate");
+    Status = Reader.open(Path, E.ContentHash, OpenDiags, Pool);
+  }
   forwardStoreDiags(OpenDiags);
   if (Status != TraceStoreReader::OpenStatus::Ok)
     return false;
@@ -790,9 +795,14 @@ void SweepEngine::run() {
     // On a store miss the live run tees its trace into a writer so the
     // next process (or a rerun) is served warm. The writer observes; it
     // can never fail the experiment (open failure leaves it closed and
-    // every call below a no-op).
+    // every call below a no-op). Nothing is recorded over a directory at
+    // the store path: the writer's rename cannot replace one, and the
+    // reader has already reported it.
     TraceStoreWriter Writer;
-    if (!Served && StoreEnabled) {
+    std::error_code EC;
+    if (!Served && StoreEnabled &&
+        !std::filesystem::is_directory(
+            traceStorePath(StoreDir, E.ContentHash), EC)) {
       DiagnosticEngine WriterDiags;
       Writer.open(StoreDir, E.ContentHash, WriterDiags);
       forwardStoreDiags(WriterDiags);

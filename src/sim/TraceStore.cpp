@@ -21,18 +21,26 @@
 //    reset per chunk), so any chunk decodes independently of the rest
 //    of the file.
 //
-//  * Validation is front-loaded: TraceStoreReader::open walks the whole
+//  * Validation is front-loaded: TraceStoreReader::open checks the whole
 //    file (CRCs included) before reporting Ok, because a sweep that
 //    discovers corruption after feeding half the trace into replay
 //    consumers cannot "un-feed" it — the engine would have to throw the
 //    replay state away and restart live. After open, decode stays
 //    bounds-checked anyway (the file could change under us); failures
-//    turn into failed(), never UB. The walk is the whole cost of a warm
-//    experiment served from its summary alone, so the CRC is fast: a
-//    carry-less-multiply fold (PCLMULQDQ, 64 bytes per step) where the
-//    CPU has it, chosen once per process, and slicing-by-8 tables
-//    elsewhere and as its test oracle. The header's constant words are
-//    checked too, so every byte of a file is covered by a check.
+//    turn into failed(), never UB. Validation is the whole cost of a
+//    warm experiment served from its summary alone, so it runs in two
+//    phases: a sequential walk of the chunk headers (bounds and
+//    framing, nothing allocated from a length it has not bounded), then
+//    the payload CRCs in 256 KB batches across the thread pool, one
+//    pread per batch. The first failure in file order is reported, so
+//    the diagnostic is the one a sequential walk gives. The file is
+//    read, not mapped: mapped page-cache pages count in the process's
+//    resident set, and a file truncated under a mapping raises SIGBUS
+//    instead of a diagnostic. The CRC is a carry-less-multiply fold
+//    (PCLMULQDQ, 64 bytes per step) where the CPU has it, chosen once per
+//    process, and slicing-by-8 tables elsewhere and as its test oracle.
+//    The header's constant words are checked too, so every byte of a
+//    file is covered by a check.
 //
 //  * Writes go to a temp file published by atomic rename, so two
 //    processes recording the same program race benignly and crashes
@@ -44,6 +52,7 @@
 
 #include "urcm/sim/TraceStream.h"
 #include "urcm/support/Telemetry.h"
+#include "urcm/support/ThreadPool.h"
 
 #include <algorithm>
 #include <array>
@@ -53,7 +62,9 @@
 #include <filesystem>
 #include <thread>
 
-#include <unistd.h> // getpid: temp-file uniqueness across processes.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h> // getpid (temp-file uniqueness), pread.
 
 // The carry-less-multiply CRC needs x86-64 and a compiler that can
 // target PCLMULQDQ per function; crc32 picks it at run time when the CPU
@@ -918,11 +929,78 @@ bool readExact(std::FILE *File, void *Out, size_t Size) {
   return std::fread(Out, 1, Size, File) == Size;
 }
 
+/// Reads exactly \p Size bytes at \p Offset; false on a short read.
+bool preadExact(int Fd, uint8_t *Out, size_t Size, uint64_t Offset) {
+  while (Size != 0) {
+    const ssize_t N = ::pread(Fd, Out, Size, static_cast<off_t>(Offset));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Out += N;
+    Size -= static_cast<size_t>(N);
+    Offset += static_cast<uint64_t>(N);
+  }
+  return true;
+}
+
+/// Bytes of framing in front of every chunk payload: length, event
+/// count, CRC.
+constexpr uint64_t ChunkHeaderBytes = 12;
+
+/// The span a validation batch reads with one pread: whole chunks,
+/// closed once the next would take it past this (a single larger chunk
+/// is a batch of its own). Small enough that a batch stays in L2 between
+/// the read copy and the CRC pass.
+constexpr uint64_t ValidateBatchBytes = 256u << 10;
+
+/// A run of consecutive chunks, headers included, found by the framing
+/// walk and CRC-checked as one unit.
+struct ChunkBatch {
+  uint64_t Offset = 0; ///< File offset of the first chunk's header.
+  uint64_t Bytes = 0;  ///< Through the end of the last chunk's payload.
+  uint64_t FirstChunk = 0;
+  uint64_t Chunks = 0;
+};
+
+/// The first chunk of a batch that failed its check, if any.
+struct BatchFault {
+  static constexpr uint64_t None = ~uint64_t(0);
+  uint64_t Chunk = None;
+  bool CrcMismatch = false; ///< Otherwise the bytes changed since the walk.
+};
+
+/// Reads \p B into \p Buffer and checks each payload against the CRC in
+/// its header. The framing walk already bounded every header, so a
+/// re-read that disagrees with it means the file changed in between.
+BatchFault checkBatch(int Fd, const ChunkBatch &B,
+                      std::vector<uint8_t> &Buffer) {
+  Buffer.resize(B.Bytes);
+  if (!preadExact(Fd, Buffer.data(), B.Bytes, B.Offset))
+    return {B.FirstChunk, false};
+  uint64_t Pos = 0;
+  for (uint64_t C = 0; C != B.Chunks; ++C) {
+    if (B.Bytes - Pos < ChunkHeaderBytes)
+      return {B.FirstChunk + C, false};
+    const uint32_t PayloadBytes = readLE32(Buffer.data() + Pos);
+    const uint32_t Crc = readLE32(Buffer.data() + Pos + 8);
+    Pos += ChunkHeaderBytes;
+    if (PayloadBytes > B.Bytes - Pos)
+      return {B.FirstChunk + C, false};
+    if (detail::crc32(Buffer.data() + Pos, PayloadBytes) != Crc)
+      return {B.FirstChunk + C, true};
+    Pos += PayloadBytes;
+  }
+  if (Pos != B.Bytes)
+    return {B.FirstChunk + B.Chunks - 1, false};
+  return {};
+}
+
 } // namespace
 
 TraceStoreReader::OpenStatus
 TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
-                       DiagnosticEngine &Diags) {
+                       DiagnosticEngine &Diags, ThreadPool *Pool) {
   if (File) {
     std::fclose(File);
     File = nullptr;
@@ -930,14 +1008,23 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
   Failed = false;
   ChunksSeen = 0;
 
-  File = std::fopen(Path.c_str(), "rb");
+  // Non-blocking, so a FIFO at the path cannot stall the open; it is
+  // rejected below as not a regular file.
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  int OpenErrno = errno;
+  if (Fd >= 0) {
+    File = ::fdopen(Fd, "rb");
+    OpenErrno = errno;
+    if (!File)
+      ::close(Fd);
+  }
   if (!File) {
     // A missing file is a plain cache miss, not a corruption report.
     NumStoreMisses.add();
-    if (errno != ENOENT)
+    if (OpenErrno != ENOENT)
       Diags.error({}, "trace store: cannot open '" + Path +
-                          "': " + std::strerror(errno));
-    return errno == ENOENT ? OpenStatus::NotFound : OpenStatus::Invalid;
+                          "': " + std::strerror(OpenErrno));
+    return OpenErrno == ENOENT ? OpenStatus::NotFound : OpenStatus::Invalid;
   }
 
   auto Reject = [&](const std::string &Why) {
@@ -948,6 +1035,14 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
     NumStoreMisses.add();
     return OpenStatus::Invalid;
   };
+
+  struct stat St;
+  if (::fstat(Fd, &St) != 0)
+    return Reject(std::string("cannot stat: ") + std::strerror(errno));
+  if (!S_ISREG(St.st_mode))
+    return Reject("not a regular file");
+  ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) & ~O_NONBLOCK);
+  const uint64_t FileSize = static_cast<uint64_t>(St.st_size);
 
   uint8_t Header[32];
   if (!readExact(File, Header, sizeof(Header)))
@@ -974,33 +1069,74 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
                   std::to_string(readLE32(Header + 28)));
   ChunksBegin = static_cast<long>(sizeof(Header));
 
-  // Walk and validate every chunk before serving anything: corruption
-  // discovered mid-replay cannot be recovered from without restarting
-  // the replay consumers.
+  // Validate every chunk before serving anything: corruption discovered
+  // mid-replay cannot be recovered from without restarting the replay
+  // consumers. Phase 1 walks the framing alone, reading each header and
+  // seeking past its payload, and stops at the first structural error;
+  // a length running past the end of the file is caught here, before
+  // anything is allocated for it.
   uint64_t SeenEvents = 0, SeenChunks = 0;
-  for (;;) {
+  std::vector<ChunkBatch> Batches;
+  const char *Structural = nullptr;
+  for (uint64_t At = sizeof(Header);;) {
     uint8_t Word[4];
-    if (!readExact(File, Word, 4))
-      return Reject("truncated chunk stream");
+    if (!readExact(File, Word, 4)) {
+      Structural = "truncated chunk stream";
+      break;
+    }
     const uint32_t PayloadBytes = readLE32(Word);
     if (PayloadBytes == ChunkSentinel)
       break;
     uint8_t Rest[8];
-    if (!readExact(File, Rest, 8))
-      return Reject("truncated chunk header");
+    if (!readExact(File, Rest, 8)) {
+      Structural = "truncated chunk header";
+      break;
+    }
     const uint32_t Count = readLE32(Rest);
-    const uint32_t Crc = readLE32(Rest + 4);
-    if (PayloadBytes > MaxChunkPayloadBytes || Count > MaxChunkEvents)
-      return Reject("implausible chunk size (corrupt length field)");
-    Payload.resize(PayloadBytes);
-    if (!readExact(File, Payload.data(), PayloadBytes))
-      return Reject("truncated chunk payload");
-    if (detail::crc32(Payload.data(), PayloadBytes) != Crc)
-      return Reject("chunk " + std::to_string(SeenChunks) +
-                    " CRC mismatch");
+    if (PayloadBytes > MaxChunkPayloadBytes || Count > MaxChunkEvents) {
+      Structural = "implausible chunk size (corrupt length field)";
+      break;
+    }
+    const uint64_t Span = ChunkHeaderBytes + PayloadBytes;
+    if (At > FileSize || FileSize - At < Span ||
+        ::fseeko(File, static_cast<off_t>(At + Span), SEEK_SET) != 0) {
+      Structural = "truncated chunk payload";
+      break;
+    }
+    if (Batches.empty() || Batches.back().Bytes + Span > ValidateBatchBytes)
+      Batches.push_back({At, 0, SeenChunks, 0});
+    Batches.back().Bytes += Span;
+    ++Batches.back().Chunks;
+    At += Span;
     SeenEvents += Count;
     ++SeenChunks;
   }
+
+  // Phase 2 CRCs the payloads the walk framed, batch by batch on the
+  // pool; each participating thread claims batches and reads them into
+  // one buffer of its own. The first failure in file order wins (the
+  // lowest bad chunk, else the walk's structural error), so the
+  // diagnostic is the sequential walk's whatever the pool width or
+  // scheduling.
+  std::vector<BatchFault> Faults(Batches.size());
+  ThreadPool &Workers = Pool ? *Pool : ThreadPool::global();
+  std::atomic<size_t> NextBatch{0};
+  Workers.parallelFor(
+      std::min<size_t>(Batches.size(), Workers.size() + 1), [&](size_t) {
+        std::vector<uint8_t> Buffer;
+        for (size_t B = NextBatch.fetch_add(1); B < Batches.size();
+             B = NextBatch.fetch_add(1)) {
+          telemetry::ScopedPhase Validate("sweep.store-serve", "validate");
+          Faults[B] = checkBatch(Fd, Batches[B], Buffer);
+        }
+      });
+  for (const BatchFault &F : Faults)
+    if (F.Chunk != BatchFault::None)
+      return Reject("chunk " + std::to_string(F.Chunk) +
+                    (F.CrcMismatch ? " CRC mismatch"
+                                   : " changed during validation"));
+  if (Structural)
+    return Reject(Structural);
 
   uint8_t Word[4];
   if (!readExact(File, Word, 4))
@@ -1008,6 +1144,10 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
   const uint32_t SummaryBytes = readLE32(Word);
   if (SummaryBytes > MaxSummaryBytes)
     return Reject("implausible summary size");
+  const long SummaryAt = std::ftell(File);
+  if (SummaryAt < 0 ||
+      FileSize - static_cast<uint64_t>(SummaryAt) < SummaryBytes)
+    return Reject("truncated summary payload");
   Payload.resize(SummaryBytes);
   if (!readExact(File, Payload.data(), SummaryBytes))
     return Reject("truncated summary payload");

@@ -29,12 +29,17 @@
 #include "urcm/workloads/Workloads.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <memory>
+
+#include <sys/stat.h> // mkfifo
+#include <unistd.h>   // getpid
 
 using namespace urcm;
 
@@ -628,6 +633,207 @@ TEST(TraceStoreFile, RejectsCorruptionCleanly) {
   std::vector<TraceEvent> Decoded;
   ASSERT_TRUE(R.readAll(Decoded));
   ASSERT_EQ(Decoded.size(), Trace.size());
+}
+
+uint32_t loadLE32(const std::vector<char> &Bytes, size_t At) {
+  uint32_t V = 0;
+  for (size_t B = 0; B != 4; ++B)
+    V |= static_cast<uint32_t>(static_cast<uint8_t>(Bytes[At + B])) << (8 * B);
+  return V;
+}
+
+void storeLE32(std::vector<char> &Bytes, size_t At, uint32_t V) {
+  for (size_t B = 0; B != 4; ++B)
+    Bytes[At + B] = static_cast<char>(V >> (8 * B));
+}
+
+void writeBytes(const std::string &Path, const std::vector<char> &Bytes) {
+  std::ofstream(Path, std::ios::binary)
+      .write(Bytes.data(), static_cast<long>(Bytes.size()));
+}
+
+/// A recorded store file of a 600K-event synthetic trace (ten chunks)
+/// with two point records, and the offsets of its framing.
+struct MultiChunkFile {
+  static constexpr uint64_t Hash = 600;
+  std::string Path;
+  std::vector<char> Bytes;
+  std::vector<size_t> Chunks; ///< Offset of each chunk header.
+  size_t Sentinel = 0;        ///< Offset of the end-of-chunks word.
+
+  explicit MultiChunkFile(const std::string &Dir)
+      : Path(traceStorePath(Dir, Hash)) {
+    std::vector<TraceEvent> Trace = hintedTrace(600, 600000);
+    SimResult Summary;
+    Summary.Halted = true;
+    Summary.Steps = 1234567;
+    Summary.Output = {1, -2, 3};
+    Summary.Cache = recordStats(3);
+    std::vector<StoredPoint> Points(2);
+    Points[1].IgnoreHints = true;
+    Points[0].Stats = recordStats(1);
+    Points[1].Stats = recordStats(2);
+    DiagnosticEngine Diags;
+    TraceStoreWriter Writer;
+    EXPECT_TRUE(Writer.open(Dir, Hash, Diags));
+    Writer.append(Trace.data(), Trace.size());
+    EXPECT_TRUE(Writer.commit(Summary, CacheConfig(), Diags, Points))
+        << Diags.str();
+    std::ifstream In(Path, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+    for (size_t At = 32; loadLE32(Bytes, At) != 0xFFFFFFFFu;
+         At += 12 + loadLE32(Bytes, At))
+      Chunks.push_back(At);
+    Sentinel = Chunks.back() + 12 + loadLE32(Bytes, Chunks.back());
+  }
+
+  /// Offset of byte \p Byte of chunk \p Chunk's payload.
+  size_t payload(size_t Chunk, size_t Byte) const {
+    return Chunks[Chunk] + 12 + Byte;
+  }
+};
+
+/// One file to open: the recorded bytes or a corruption of them, and the
+/// reason the reader must give ("" for a valid file).
+struct FileCase {
+  const char *Name;
+  std::vector<char> Bytes;
+  std::string Why;
+};
+
+/// The pinned corruptions of \p F, each with the sequential walk's
+/// first failure in file order.
+std::vector<FileCase> pinnedCases(const MultiChunkFile &F) {
+  std::vector<FileCase> Cases;
+  auto Add = [&](const char *Name, std::string Why, auto Mutate) {
+    std::vector<char> M = F.Bytes;
+    Mutate(M);
+    Cases.push_back({Name, std::move(M), std::move(Why)});
+  };
+  Add("valid", "", [](std::vector<char> &) {});
+  Add("bad CRC in chunk 2, implausible length in chunk 5",
+      "chunk 2 CRC mismatch", [&](std::vector<char> &M) {
+        M[F.payload(2, 100)] ^= 0x10;
+        storeLE32(M, F.Chunks[5], 0xF0000000u);
+      });
+  Add("bad CRCs in chunks 3 and 8", "chunk 3 CRC mismatch",
+      [&](std::vector<char> &M) {
+        M[F.payload(8, 1)] ^= 0x02;
+        M[F.payload(3, 1)] ^= 0x02;
+      });
+  Add("implausible length in chunk 5",
+      "implausible chunk size (corrupt length field)",
+      [&](std::vector<char> &M) { storeLE32(M, F.Chunks[5], 0xF0000000u); });
+  Add("bad CRC in the last chunk",
+      "chunk " + std::to_string(F.Chunks.size() - 1) + " CRC mismatch",
+      [&](std::vector<char> &M) { M[F.payload(F.Chunks.size() - 1, 7)] ^= 1; });
+  Add("plausible length past EOF in chunk 6", "truncated chunk payload",
+      [&](std::vector<char> &M) {
+        storeLE32(M, F.Chunks[6], static_cast<uint32_t>(M.size()));
+      });
+  Add("cut mid-header of chunk 4", "truncated chunk header",
+      [&](std::vector<char> &M) { M.resize(F.Chunks[4] + 6); });
+  Add("cut inside chunk 4's length word", "truncated chunk stream",
+      [&](std::vector<char> &M) { M.resize(F.Chunks[4] + 2); });
+  Add("bad CRC in chunk 7, cut inside chunk 8", "chunk 7 CRC mismatch",
+      [&](std::vector<char> &M) {
+        M[F.payload(7, 5000)] ^= 0x80;
+        M.resize(F.payload(8, 50));
+      });
+  Add("bad summary CRC", "summary CRC mismatch",
+      [&](std::vector<char> &M) { M[F.Sentinel + 8] ^= 0x04; });
+  return Cases;
+}
+
+TEST(TraceStoreFile, PinnedDiagnosticsOfMultiChunkFiles) {
+  ScratchDir Dir("pinned");
+  const MultiChunkFile F(Dir.str());
+  ASSERT_GE(F.Chunks.size(), 8u);
+  for (const FileCase &C : pinnedCases(F)) {
+    writeBytes(F.Path, C.Bytes);
+    DiagnosticEngine D;
+    TraceStoreReader R;
+    const TraceStoreReader::OpenStatus Status =
+        R.open(F.Path, MultiChunkFile::Hash, D);
+    if (C.Why.empty()) {
+      EXPECT_EQ(Status, TraceStoreReader::OpenStatus::Ok) << D.str();
+      EXPECT_EQ(R.eventCount(), 600000u);
+      continue;
+    }
+    EXPECT_EQ(Status, TraceStoreReader::OpenStatus::Invalid) << C.Name;
+    ASSERT_EQ(D.errorCount(), 1u) << C.Name << ": " << D.str();
+    EXPECT_EQ(D.diagnostics()[0].Message,
+              "trace store: rejecting '" + F.Path + "': " + C.Why +
+                  " (falling back to live simulation)")
+        << C.Name;
+  }
+}
+
+/// Everything open() reports about a file.
+struct OpenOutcome {
+  TraceStoreReader::OpenStatus Status = TraceStoreReader::OpenStatus::Ok;
+  std::string Diags;
+  SimResult Summary;
+  std::vector<StoredPoint> Points;
+  uint64_t Events = 0;
+};
+
+OpenOutcome openOutcome(const std::string &Path, uint64_t Hash,
+                        ThreadPool *Pool) {
+  OpenOutcome O;
+  DiagnosticEngine D;
+  TraceStoreReader R;
+  O.Status = R.open(Path, Hash, D, Pool);
+  O.Diags = D.str();
+  if (O.Status == TraceStoreReader::OpenStatus::Ok) {
+    O.Summary = R.summary();
+    O.Points = R.storedPoints();
+    O.Events = R.eventCount();
+  }
+  return O;
+}
+
+void expectSameOutcome(const OpenOutcome &A, const OpenOutcome &B,
+                       const std::string &What) {
+  EXPECT_EQ(A.Status, B.Status) << What;
+  EXPECT_EQ(A.Diags, B.Diags) << What;
+  EXPECT_EQ(A.Events, B.Events) << What;
+  EXPECT_EQ(A.Summary.Halted, B.Summary.Halted) << What;
+  EXPECT_EQ(A.Summary.Steps, B.Summary.Steps) << What;
+  EXPECT_EQ(A.Summary.Output, B.Summary.Output) << What;
+  EXPECT_EQ(A.Summary.Cache, B.Summary.Cache) << What;
+  ASSERT_EQ(A.Points.size(), B.Points.size()) << What;
+  for (size_t I = 0; I != A.Points.size(); ++I) {
+    EXPECT_EQ(A.Points[I].Config, B.Points[I].Config) << What;
+    EXPECT_EQ(A.Points[I].IgnoreHints, B.Points[I].IgnoreHints) << What;
+    EXPECT_EQ(A.Points[I].Stats, B.Points[I].Stats) << What;
+  }
+}
+
+TEST(TraceStoreFile, OpenIsIndependentOfPoolWidth) {
+  // Every pinned file, valid and corrupt, opened on a one-worker pool, a
+  // four-worker pool, and from inside tasks of a busy pool (a nested
+  // parallelFor) reads back the same status, contents and diagnostic.
+  ScratchDir Dir("poolwidth");
+  const MultiChunkFile F(Dir.str());
+  ThreadPool One(1), Four(4);
+  for (const FileCase &C : pinnedCases(F)) {
+    writeBytes(F.Path, C.Bytes);
+    const OpenOutcome Ref = openOutcome(F.Path, MultiChunkFile::Hash, &One);
+    EXPECT_EQ(Ref.Status, C.Why.empty()
+                              ? TraceStoreReader::OpenStatus::Ok
+                              : TraceStoreReader::OpenStatus::Invalid)
+        << C.Name;
+    expectSameOutcome(Ref, openOutcome(F.Path, MultiChunkFile::Hash, &Four),
+                      std::string(C.Name) + ", four workers");
+    std::vector<OpenOutcome> Nested(4);
+    Four.parallelFor(Nested.size(), [&](size_t I) {
+      Nested[I] = openOutcome(F.Path, MultiChunkFile::Hash, &Four);
+    });
+    for (const OpenOutcome &O : Nested)
+      expectSameOutcome(Ref, O, std::string(C.Name) + ", nested");
+  }
 }
 
 TEST(TraceContentHash, TracksTraceAffectingInputsOnly) {
@@ -1272,11 +1478,79 @@ TEST(TraceStoreEngine, UnusableStoreDirectoryIsOneDiagnostic) {
   EXPECT_TRUE(std::filesystem::is_regular_file(NotADir));
 }
 
+TEST(TraceStoreEngine, NonRegularFileFallsBackToLive) {
+  // A FIFO or a directory at the stored path is one diagnostic naming
+  // it, then a live run with the store-less counters: never a read that
+  // blocks on the FIFO. The FIFO is replaced by a recorded file; the
+  // directory cannot be, and is left alone.
+  ScratchDir Dir("special");
+  CountedProducer Sieve("Sieve");
+  std::vector<SweepPoint> Points = mixedPoints();
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Sieve.Prog, Base);
+  const std::string Path = traceStorePath(Dir.str(), Hash);
+
+  SweepEngine Plain;
+  Plain.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+  Plain.run();
+
+  for (bool Fifo : {true, false}) {
+    const char *What = Fifo ? "FIFO" : "directory";
+    if (Fifo)
+      ASSERT_EQ(::mkfifo(Path.c_str(), 0600), 0) << std::strerror(errno);
+    else
+      ASSERT_TRUE(std::filesystem::create_directory(Path));
+    DiagnosticEngine Diags;
+    SweepEngine Engine;
+    Engine.setTraceStore(Dir.str(), &Diags);
+    Engine.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+    Engine.run();
+    ASSERT_EQ(Diags.errorCount(), 1u) << What << ": " << Diags.str();
+    EXPECT_EQ(Diags.diagnostics()[0].Message,
+              "trace store: rejecting '" + Path +
+                  "': not a regular file (falling back to live simulation)")
+        << What;
+    ASSERT_TRUE(Engine.base("exp").ok()) << What;
+    expectSameBase(Engine.base("exp"), Plain.base("exp"));
+    for (size_t P = 0; P != Points.size(); ++P)
+      EXPECT_EQ(Engine.point("exp", P), Plain.point("exp", P))
+          << What << " point " << P;
+    if (Fifo)
+      EXPECT_TRUE(std::filesystem::is_regular_file(Path));
+    else
+      EXPECT_TRUE(std::filesystem::is_directory(Path));
+    std::filesystem::remove_all(Path);
+  }
+  EXPECT_EQ(Sieve.Calls->load(), 3);
+}
+
+/// Compares \p Lines with tests/golden/\p Name line by line; on a
+/// mismatch writes them to `<Name>.actual` in the working directory.
+void expectGolden(const std::vector<std::string> &Lines, const char *Name) {
+  std::vector<std::string> Expected;
+  std::ifstream Golden(std::string(URCM_GOLDEN_DIR "/") + Name);
+  EXPECT_TRUE(Golden) << "missing " URCM_GOLDEN_DIR "/" << Name;
+  for (std::string Line; std::getline(Golden, Line);)
+    Expected.push_back(Line);
+  if (Lines == Expected)
+    return;
+  std::ofstream Out(std::string(Name) + ".actual");
+  for (const std::string &Line : Lines)
+    Out << Line << "\n";
+  ADD_FAILURE() << Name << " drifted from the golden file; computed lines "
+                << "written to " << Name << ".actual";
+  for (size_t I = 0; I != std::min(Lines.size(), Expected.size()); ++I)
+    EXPECT_EQ(Lines[I], Expected[I]);
+  EXPECT_EQ(Lines.size(), Expected.size());
+}
+
 TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
   // 150 seeded corruptions of a recorded Sieve store: truncations,
   // single bit flips, header-byte rewrites and 8-byte smears. Every one
   // is rejected with a diagnostic naming the file, and the experiment
-  // runs live with the store-less counters.
+  // runs live with the store-less counters. The diagnostics, path
+  // stripped, are pinned by a golden file recorded with the sequential
+  // one-chunk-at-a-time walk that validation replaced.
   ScratchDir Dir("fuzz");
   CountedProducer Sieve("Sieve");
   CacheConfig Small;
@@ -1307,6 +1581,7 @@ TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
 
   SplitMix64 Rng(150);
   int Tried = 0;
+  std::vector<std::string> Messages;
   for (int I = 0; I != 150; ++I) {
     std::vector<char> M = Bytes;
     switch (I % 4) {
@@ -1343,6 +1618,14 @@ TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
         << "mutant " << I << " was served";
     EXPECT_NE(Diags.str().find("'" + Path + "'"), std::string::npos)
         << "mutant " << I << ": " << Diags.str();
+    std::string Line = "mutant " + std::to_string(I) + ":";
+    for (const Diagnostic &D : Diags.diagnostics()) {
+      std::string Message = D.Message;
+      for (size_t At; (At = Message.find(Path)) != std::string::npos;)
+        Message.replace(At, Path.size(), "<file>");
+      Line += " " + Message;
+    }
+    Messages.push_back(Line);
     ASSERT_TRUE(Warm.base("exp").ok()) << "mutant " << I;
     expectSameBase(Warm.base("exp"), Plain.base("exp"));
     for (size_t P = 0; P != Points.size(); ++P)
@@ -1350,6 +1633,7 @@ TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
           << "mutant " << I << " point " << P;
   }
   EXPECT_GT(Tried, 140);
+  expectGolden(Messages, "store_corruption_messages.txt");
 
   // Control: the original bytes are served warm, without the producer.
   std::ofstream(Path, std::ios::binary)

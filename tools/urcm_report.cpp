@@ -116,41 +116,48 @@ MachineProgram compileOrDie(const Workload &W,
   return std::move(R.Program);
 }
 
-/// Compiles every program the report simulates (in parallel across
-/// workloads). The Figure-5 soundness precondition is checked here:
-/// both schemes' instruction streams must be identical modulo hint
-/// bits, or hint-stripped replay would print numbers that mean
-/// something else — abort rather than do that.
+/// Compiles every program the report simulates: each workload under the
+/// Figure-5 unified and conventional schemes and the complete system,
+/// all as one flat parallel batch. The Figure-5 soundness precondition
+/// is checked after the batch: both schemes' instruction streams must
+/// be identical modulo hint bits, or hint-stripped replay would print
+/// numbers that mean something else — abort rather than do that.
 std::vector<Prepared> compileAll(std::vector<WorkloadData> &Data) {
   const std::vector<Workload> &Workloads = paperWorkloads();
+  CompileOptions Era;
+  Era.IRGen.ScalarLocalsInMemory = true;
+  CompileOptions Unified = Era;
+  Unified.Scheme = UnifiedOptions::unified();
+  CompileOptions Conventional = Era;
+  Conventional.Scheme = UnifiedOptions::conventional();
+  CompileOptions Complete;
+  Complete.PromoteLoopScalars = true;
+  Complete.Scheme = UnifiedOptions::reuseAware();
+  const CompileOptions *Schemes[] = {&Unified, &Conventional, &Complete};
+  constexpr size_t NumSchemes = std::size(Schemes);
+
+  // Program W * NumSchemes + S is workload W under Schemes[S].
+  std::vector<MachineProgram> Compiled(Workloads.size() * NumSchemes);
+  ThreadPool::global().parallelFor(Compiled.size(), [&](size_t I) {
+    const size_t W = I / NumSchemes, S = I % NumSchemes;
+    Compiled[I] = compileOrDie(Workloads[W], *Schemes[S],
+                               S == 0 ? &Data[W].Fig5.StaticStats : nullptr);
+  });
+
   std::vector<Prepared> Programs(Workloads.size());
-  ThreadPool::global().parallelFor(Workloads.size(), [&](size_t I) {
-    const Workload &W = Workloads[I];
-    CompileOptions Era;
-    Era.IRGen.ScalarLocalsInMemory = true;
-    CompileOptions Unified = Era;
-    Unified.Scheme = UnifiedOptions::unified();
-    CompileOptions Conventional = Era;
-    Conventional.Scheme = UnifiedOptions::conventional();
-    MachineProgram U =
-        compileOrDie(W, Unified, &Data[I].Fig5.StaticStats);
-    MachineProgram C = compileOrDie(W, Conventional);
-    if (!sameStreamModuloHints(U, C)) {
+  for (size_t W = 0; W != Workloads.size(); ++W) {
+    MachineProgram *P = &Compiled[W * NumSchemes];
+    if (!sameStreamModuloHints(P[0], P[1])) {
       std::fprintf(stderr,
                    "%s: scheme instruction streams diverge; "
                    "hint-stripped replay would be unsound\n",
-                   W.Name.c_str());
+                   Workloads[W].Name.c_str());
       std::exit(1);
     }
-    Programs[I].Fig5Unified =
-        std::make_shared<MachineProgram>(std::move(U));
-
-    CompileOptions Complete;
-    Complete.PromoteLoopScalars = true;
-    Complete.Scheme = UnifiedOptions::reuseAware();
-    Programs[I].CompleteUnified =
-        std::make_shared<MachineProgram>(compileOrDie(W, Complete));
-  });
+    Programs[W].Fig5Unified = std::make_shared<MachineProgram>(std::move(P[0]));
+    Programs[W].CompleteUnified =
+        std::make_shared<MachineProgram>(std::move(P[2]));
+  }
   return Programs;
 }
 
