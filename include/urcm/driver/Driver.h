@@ -98,12 +98,13 @@ struct SchemeComparison {
   double dynamicUnambiguousPercent() const;
 };
 
-/// Runs \p Source under both schemes on cache geometry \p Cache and
-/// compares. Output mismatch or coherence violations are reported as
-/// errors.
+/// Runs \p Source under both schemes on cache geometry \p Cache, each
+/// run bounded by \p MaxSteps, and compares. Output mismatch or
+/// coherence violations are reported as errors.
 SchemeComparison compareSchemes(const std::string &Source,
                                 const CompileOptions &BaseOptions,
-                                const CacheConfig &Cache);
+                                const CacheConfig &Cache,
+                                uint64_t MaxSteps = SimConfig().MaxSteps);
 
 } // namespace urcm
 

@@ -21,6 +21,7 @@
 #include "urcm/ir/IR.h" // MemRefInfo.
 #include "urcm/sim/CachePolicy.h"
 #include "urcm/sim/RefAttribution.h"
+#include "urcm/support/ZeroedWords.h"
 
 #include <cassert>
 #include <cstdint>
@@ -168,10 +169,17 @@ uint64_t memoryAccessCycles(const CacheStats &Stats,
 /// updated architecturally on every store, so any divergence between what
 /// the cache hierarchy delivers and the shadow indicates an unsound
 /// compiler hint.
+///
+/// Both arrays span the whole simulated address space but are
+/// ZeroedWords: every word reads 0 until written, and only the pages a
+/// program writes become resident (a few hundred KB of the 2 x 8 MB for
+/// the shipped workloads). Each array ends at a guard page, a net under
+/// the simulator's own bounds check, which every load and store still
+/// passes before it reaches here.
 class MainMemory {
 public:
   explicit MainMemory(uint64_t SizeWords)
-      : Data(SizeWords, 0), Shadow(SizeWords, 0) {}
+      : Data(SizeWords), Shadow(SizeWords) {}
 
   uint64_t size() const { return Data.size(); }
 
@@ -182,8 +190,8 @@ public:
   void shadowWrite(uint64_t Addr, int64_t Value) { Shadow[Addr] = Value; }
 
 private:
-  std::vector<int64_t> Data;
-  std::vector<int64_t> Shadow;
+  ZeroedWords Data;
+  ZeroedWords Shadow;
 };
 
 #if defined(__GNUC__)

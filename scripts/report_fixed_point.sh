@@ -21,6 +21,10 @@
 # points per workload) with no violation, and checks every one of its
 # live runs' data-cache counters against the same laws
 # (check.live.runs == sim.runs, check.live.violations == 0).
+# That pass also bounds the footprint: its peak resident set (the
+# child's ru_maxrss, read with os.wait4) must stay under 48 MB. Simulated
+# memory is lazily zeroed, so up to five concurrent runs cost about
+# 17 MB; arrays zero-filled up front read 100-115 MB.
 # The expected file is only read here, never written.
 #
 # Usage: scripts/report_fixed_point.sh [build-dir]   (default: build)
@@ -36,16 +40,23 @@ OUT=$(mktemp -d /tmp/urcm_report.XXXXXX)
 trap 'rm -rf "$OUT"' EXIT
 
 "$REPORT" --replay-workers=1 > "$OUT/cold.1.md"
-"$REPORT" --replay-workers=auto --telemetry-json="$OUT/cold.json" \
-  > "$OUT/cold.auto.md"
-for workers in 1 auto; do
-  cmp "$EXPECTED" "$OUT/cold.$workers.md" || {
-    echo "report (cold, --replay-workers=$workers) drifted from $EXPECTED" >&2
-    exit 1; }
-done
-python3 - "$OUT/cold.json" <<'PY'
-import json, sys
-c = json.load(open(sys.argv[1]))["counters"]
+python3 - "$REPORT" "$OUT" <<'PY'
+import json, os, subprocess, sys
+report, out = sys.argv[1], sys.argv[2]
+with open(os.path.join(out, "cold.auto.md"), "wb") as md:
+    child = subprocess.Popen(
+        [report, "--replay-workers=auto",
+         "--telemetry-json=" + os.path.join(out, "cold.json")], stdout=md)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+if child.returncode != 0:
+    sys.exit("cold report (--replay-workers=auto) exited %d"
+             % child.returncode)
+peak_mb = usage.ru_maxrss / 1024
+if peak_mb >= 48:
+    sys.exit("cold report peaked at %.1f MB resident, expected under 48 MB"
+             % peak_mb)
+c = json.load(open(os.path.join(out, "cold.json")))["counters"]
 if c.get("check.replay.points", 0) != 54:
     sys.exit("cold report replayed %d points, expected 54"
              % c.get("check.replay.points", 0))
@@ -57,6 +68,11 @@ if c.get("check.live.runs", 0) != c.get("sim.runs", 0):
 if c.get("check.live.violations", 0) != 0:
     sys.exit("cold live counters broke a conservation law")
 PY
+for workers in 1 auto; do
+  cmp "$EXPECTED" "$OUT/cold.$workers.md" || {
+    echo "report (cold, --replay-workers=$workers) drifted from $EXPECTED" >&2
+    exit 1; }
+done
 
 "$REPORT" --trace-store="$OUT/store" > "$OUT/record.md"
 cmp "$EXPECTED" "$OUT/record.md" || {

@@ -113,11 +113,13 @@ double SchemeComparison::dynamicUnambiguousPercent() const {
 
 SchemeComparison urcm::compareSchemes(const std::string &Source,
                                       const CompileOptions &BaseOptions,
-                                      const CacheConfig &Cache) {
+                                      const CacheConfig &Cache,
+                                      uint64_t MaxSteps) {
   SchemeComparison Result;
 
   SimConfig Sim;
   Sim.Cache = Cache;
+  Sim.MaxSteps = MaxSteps;
 
   // Keep the caller's bypass policy / threshold; only toggle the hints.
   CompileOptions Conventional = BaseOptions;

@@ -8,6 +8,7 @@
 
 #include "urcm/support/IntOps.h"
 #include "urcm/support/StringUtils.h"
+#include "urcm/support/ZeroedWords.h"
 
 #include <cassert>
 
@@ -23,7 +24,7 @@ constexpr uint32_t MaxCallDepth = 4096;
 class Interpreter {
 public:
   Interpreter(const IRModule &M, const InterpConfig &Config)
-      : M(M), Config(Config), Memory(Config.StackTop + 64, 0) {
+      : M(M), Config(Config), Memory(Config.StackTop + 64) {
     // Lay out globals exactly like the code generator does.
     GlobalAddress.reserve(M.globals().size());
     uint64_t Addr = Config.GlobalBase;
@@ -296,7 +297,8 @@ private:
 
   const IRModule &M;
   InterpConfig Config;
-  std::vector<int64_t> Memory;
+  /// Zero until written; only the pages a program writes are resident.
+  ZeroedWords Memory;
   std::vector<uint64_t> GlobalAddress;
   uint64_t SP = 0;
   uint32_t CallDepth = 0;

@@ -5,7 +5,9 @@
 // Every cache geometry a user can type ends in a diagnostic, never an
 // abort: each case below used to trip an assertion in the live cache's
 // constructor or a divide by zero in the sweep, and must now exit 1 with
-// an "error:" line. Flags the tools no longer accept must likewise be
+// an "error:" line. A runaway program ends at urcmc's step budget within
+// seconds, and a budget that is not a positive 64-bit count is an
+// "error:" line too. Flags the tools no longer accept must likewise be
 // refused, never silently ignored. The binaries under test are the
 // urcmc and urcm_report built alongside this test (URCMC_PATH,
 // URCM_REPORT_PATH).
@@ -15,9 +17,11 @@
 #include "urcm/sim/Cache.h"
 
 #include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 
 using namespace urcm;
 
@@ -53,6 +57,32 @@ void expectConfigError(const std::string &Args, const char *Why) {
             std::string::npos)
       << R.Output;
   EXPECT_NE(R.Output.find(Why), std::string::npos) << R.Output;
+}
+
+/// A file under the test temp directory, removed when it goes out of
+/// scope; the name carries the pid so concurrent suites do not collide.
+struct TempFile {
+  std::string Path;
+  TempFile(const std::string &Name, const std::string &Contents)
+      : Path(::testing::TempDir() + std::to_string(::getpid()) + "_" + Name) {
+    std::ofstream(Path, std::ios::binary) << Contents;
+  }
+  ~TempFile() { std::remove(Path.c_str()); }
+};
+
+const char *EndlessLoop = "void main() {\n"
+                          "  int i;\n"
+                          "  i = 0;\n"
+                          "  while (1) { i = i + 1; }\n"
+                          "}\n";
+
+void expectStepLimit(const Outcome &R, const std::string &Budget) {
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("runtime error: step limit exceeded\n"
+                          "note: the step budget is " +
+                          Budget + ";"),
+            std::string::npos)
+      << R.Output;
 }
 
 } // namespace
@@ -150,4 +180,55 @@ TEST(CacheConfigValidation, RejectsEveryShapeTheConstructorsAssertOn) {
   EXPECT_TRUE(Bad(128, 128, 1, CachePolicy::TreePLRU));
   EXPECT_TRUE(Bad(96, 48, 1, CachePolicy::TreePLRU));
   EXPECT_FALSE(Bad(96, 48, 1, CachePolicy::LRU));
+}
+
+// Without --max-steps, an endless loop ends at urcmc's default budget
+// (500M steps, about 4 s optimized), not the library's 2e9.
+TEST(UrcmcStepBudget, EndlessLoopEndsAtTheDefaultBudget) {
+  const TempFile Loop("endless.mc", EndlessLoop);
+  expectStepLimit(runUrcmc(Loop.Path), "500000000");
+}
+
+TEST(UrcmcStepBudget, FlagBoundsEveryRunKind) {
+  const TempFile Loop("endless.mc", EndlessLoop);
+  expectStepLimit(runUrcmc(Loop.Path + " --max-steps=100000"), "100000");
+  expectStepLimit(runUrcmc(Loop.Path + " --max-steps=100000 --sweep=16,64"),
+                  "100000");
+  expectStepLimit(runUrcmc(Loop.Path + " --max-steps=100000 --icache"),
+                  "100000");
+  const Outcome Compare = runUrcmc(Loop.Path + " --max-steps=100000 --compare");
+  EXPECT_EQ(Compare.ExitCode, 1) << Compare.Output;
+  EXPECT_NE(Compare.Output.find("step limit exceeded"), std::string::npos)
+      << Compare.Output;
+
+  // Textual IR runs on the IR interpreter, under the same budget.
+  const Outcome Dump = runUrcmc(Loop.Path + " --dump-ir");
+  ASSERT_EQ(Dump.ExitCode, 0) << Dump.Output;
+  const TempFile IR("endless.ir", Dump.Output);
+  expectStepLimit(runUrcmc(IR.Path + " --max-steps=100000"), "100000");
+
+  // A budget below a workload's steps truncates it; one above does not.
+  expectStepLimit(runUrcmc("--workload=Sieve --max-steps=1000"), "1000");
+  const Outcome Sieve = runUrcmc("--workload=Sieve --max-steps=100000000");
+  EXPECT_EQ(Sieve.ExitCode, 0) << Sieve.Output;
+}
+
+TEST(UrcmcStepBudget, UnusableBudgetsAreDiagnostics) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"--max-steps=0", "the budget must be at least 1 step"},
+      {"--max-steps=", "'' is not a step count"},
+      {"--max-steps=lots", "'lots' is not a step count"},
+      {"--max-steps=-5", "'-5' is not a step count"},
+      {"--max-steps=1e9", "'1e9' is not a step count"},
+      {"--max-steps=99999999999999999999999",
+       "99999999999999999999999 does not fit in 64 bits"},
+  };
+  for (const auto &[Flag, Why] : Cases) {
+    SCOPED_TRACE(Flag);
+    const Outcome R = runUrcmc(std::string("--workload=Sieve ") + Flag);
+    EXPECT_EQ(R.ExitCode, 1) << R.Output;
+    EXPECT_NE(R.Output.find(std::string("error: invalid --max-steps: ") + Why),
+              std::string::npos)
+        << R.Output;
+  }
 }

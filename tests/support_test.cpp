@@ -10,12 +10,20 @@
 #include "urcm/support/SPSCQueue.h"
 #include "urcm/support/StringUtils.h"
 #include "urcm/support/ThreadPool.h"
+#include "urcm/support/ZeroedWords.h"
+
+#include "urcm/driver/Driver.h"
+#include "urcm/ir/Interpreter.h"
+#include "urcm/sim/Cache.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <stdexcept>
+#include <sys/mman.h>
 #include <thread>
+#include <unistd.h>
 
 using namespace urcm;
 
@@ -259,4 +267,170 @@ TEST(SPSCQueue, CountsConsumerWaits) {
   Consumer.join();
   EXPECT_EQ(Q.popWaits(), 2u);
   EXPECT_EQ(Q.pushWaits(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// ZeroedWords: lazily-zeroed storage with a guard page
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+size_t pageSize() { return static_cast<size_t>(::sysconf(_SC_PAGESIZE)); }
+
+/// Pages of \p W that mincore reports resident.
+size_t residentPages(const ZeroedWords &W) {
+  const size_t Page = pageSize();
+  const uintptr_t Begin =
+      reinterpret_cast<uintptr_t>(W.data()) / Page * Page;
+  const uintptr_t End = reinterpret_cast<uintptr_t>(W.data() + W.size());
+  std::vector<unsigned char> Vec((End - Begin + Page - 1) / Page);
+  EXPECT_EQ(::mincore(reinterpret_cast<void *>(Begin), End - Begin,
+                      Vec.data()),
+            0);
+  size_t N = 0;
+  for (unsigned char C : Vec)
+    N += C & 1;
+  return N;
+}
+
+/// Resident set size of this process, in bytes.
+size_t residentBytes() {
+  std::FILE *F = std::fopen("/proc/self/statm", "r");
+  unsigned long long Size = 0, Resident = 0;
+  if (F) {
+    if (std::fscanf(F, "%llu %llu", &Size, &Resident) != 2)
+      Resident = 0;
+    std::fclose(F);
+  }
+  return static_cast<size_t>(Resident) * pageSize();
+}
+
+} // namespace
+
+TEST(ZeroedWords, UntouchedWordsReadZero) {
+  ZeroedWords W(1 << 20);
+  ASSERT_EQ(W.size(), uint64_t(1) << 20);
+  for (uint64_t I = 0; I < W.size(); I += 4099)
+    EXPECT_EQ(W[I], 0) << I;
+  EXPECT_EQ(W[W.size() - 1], 0);
+}
+
+TEST(ZeroedWords, FirstAndLastWordsRoundTrip) {
+  // 100 words is not a multiple of the page: the array still ends
+  // exactly at the guard page.
+  for (uint64_t Size : {uint64_t(1), uint64_t(100), uint64_t(512),
+                        uint64_t(1) << 20}) {
+    SCOPED_TRACE(Size);
+    ZeroedWords W(Size);
+    W[0] = -1;
+    W[Size - 1] = 0x123456789abcdefLL;
+    if (Size > 1) {
+      EXPECT_EQ(W[0], -1);
+    }
+    EXPECT_EQ(W[Size - 1], 0x123456789abcdefLL);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(W.data() + W.size()) %
+                  pageSize(),
+              0u);
+  }
+}
+
+TEST(ZeroedWords, OnlyWrittenPagesAreResident) {
+  ZeroedWords W(1 << 20); // 8 MB of words.
+  const uint64_t K = 16;
+  for (uint64_t I = 0; I != K; ++I)
+    W[(I * 2654435761u) % W.size()] = static_cast<int64_t>(I + 1);
+  const size_t Resident = residentPages(W);
+  EXPECT_GE(Resident, 1u);
+  EXPECT_LE(Resident, K);
+  for (uint64_t I = 0; I != K; ++I)
+    EXPECT_EQ(W[(I * 2654435761u) % W.size()], static_cast<int64_t>(I + 1));
+}
+
+TEST(ZeroedWords, MoveLeavesOneOwner) {
+  ZeroedWords A(100);
+  A[7] = 42;
+  const int64_t *Words = A.data();
+
+  ZeroedWords B(std::move(A));
+  EXPECT_EQ(A.size(), 0u);
+  EXPECT_EQ(A.data(), nullptr);
+  EXPECT_EQ(B.size(), 100u);
+  EXPECT_EQ(B.data(), Words);
+  EXPECT_EQ(B[7], 42);
+
+  ZeroedWords C(10);
+  C = std::move(B);
+  EXPECT_EQ(B.size(), 0u);
+  EXPECT_EQ(B.data(), nullptr);
+  EXPECT_EQ(C.size(), 100u);
+  EXPECT_EQ(C[7], 42);
+
+  { ZeroedWords Gone(std::move(A)); } // A moved-from empty: nothing to unmap.
+  EXPECT_EQ(C[7], 42);
+}
+
+TEST(ZeroedWords, ImpossibleSizesThrowBadAlloc) {
+  EXPECT_THROW(ZeroedWords(UINT64_MAX), std::bad_alloc);
+  // Fits size_t, but no address space holds 2^63 bytes.
+  EXPECT_THROW(ZeroedWords(uint64_t(1) << 60), std::bad_alloc);
+}
+
+TEST(ZeroedWordsDeathTest, PastTheEndHitsTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ZeroedWords W(100);
+  EXPECT_DEATH(
+      {
+        volatile int64_t *P = W.data();
+        P[W.size()] = 1;
+      },
+      "");
+  EXPECT_DEATH(
+      {
+        const volatile int64_t *P = W.data();
+        (void)P[W.size()];
+      },
+      "");
+}
+
+// The same properties through the simulated machine's memory: both the
+// data array and the shadow read zero, cost only the pages written, and
+// end at a guard page.
+TEST(ZeroedWords, MainMemoryIsLazilyZeroed) {
+  const uint64_t Size = 0x100000 + 64; // The simulator's default span.
+  const size_t Before = residentBytes();
+  MainMemory Mem(Size);
+  ASSERT_EQ(Mem.size(), Size);
+  EXPECT_EQ(Mem.read(0), 0);
+  EXPECT_EQ(Mem.shadowRead(Size - 1), 0);
+  for (uint64_t I = 0; I != 16; ++I) {
+    const uint64_t Addr = (I * 2654435761u) % Size;
+    Mem.write(Addr, static_cast<int64_t>(I) - 8);
+    Mem.shadowWrite(Addr, static_cast<int64_t>(I) - 8);
+  }
+  Mem.write(Size - 1, 5);
+  Mem.shadowWrite(0, 6);
+  EXPECT_EQ(Mem.read(Size - 1), 5);
+  EXPECT_EQ(Mem.shadowRead(0), 6);
+  // Zero-filled vectors would make both 8 MB arrays resident.
+  const size_t After = residentBytes();
+  EXPECT_LT(After - std::min(After, Before), size_t(2) << 20);
+}
+
+TEST(ZeroedWordsDeathTest, MainMemoryEndsAtTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MainMemory Mem(100);
+  EXPECT_DEATH(Mem.write(Mem.size(), 1), "");
+  EXPECT_DEATH(Mem.shadowWrite(Mem.size(), 1), "");
+}
+
+TEST(ZeroedWords, InterpreterReadsUnwrittenGlobalAsZero) {
+  DiagnosticEngine Diags;
+  CompiledModule Module =
+      compileToIR("int g[5000];\n"
+                  "void main() { g[3] = 7; print(g[4999]); print(g[3]); }\n",
+                  Diags, IRGenOptions());
+  ASSERT_TRUE(static_cast<bool>(Module)) << Diags.str();
+  InterpResult R = interpretModule(*Module.IR);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<int64_t>{0, 7}));
 }

@@ -26,6 +26,9 @@
 //                         every --sweep row (min and bypass are
 //                         replay-only: they require --sweep)
 //   --icache              model the instruction cache too
+//   --max-steps=N         end the run with "step limit exceeded" after
+//                         N instructions (default 500000000, over 10x
+//                         the largest built-in workload)
 //   --dump-ast --dump-ir --dump-asm --stats --compare
 //   --workload=NAME       use a built-in benchmark instead of a file
 //   --passes=P1,P2,...    run an explicit pass pipeline instead of the
@@ -76,6 +79,11 @@ using namespace urcm;
 
 namespace {
 
+/// urcmc's step budget: ends a runaway program in seconds (about 8 ns a
+/// step), yet stays over 10x Towers, the largest built-in workload
+/// (43.3M steps). Library callers keep SimConfig's own default.
+constexpr uint64_t DefaultMaxSteps = 500000000;
+
 struct CliOptions {
   std::string InputFile;
   std::string WorkloadName;
@@ -110,6 +118,11 @@ struct CliOptions {
   /// A cache-geometry value too large for its field (first one seen);
   /// reported with the other cache-configuration errors after parsing.
   std::string CacheError;
+  /// A --max-steps value that is not a usable budget; reported after
+  /// parsing.
+  std::string StepsError;
+
+  CliOptions() { Sim.MaxSteps = DefaultMaxSteps; }
 
   bool wantsTelemetry() const {
     return !TraceOut.empty() || !TelemetryJson.empty() ||
@@ -151,6 +164,9 @@ void usage(std::FILE *Out) {
       "                       cache and every sweep row; min/bypass are\n"
       "                       replay-only and require --sweep)\n"
       "  --icache             model the instruction cache too\n"
+      "  --max-steps=N        step budget per run (default 500000000);\n"
+      "                       a run past it fails with \"step limit "
+      "exceeded\"\n"
       "  --sweep=S1,S2,...    replay against fully-associative caches "
       "of\n"
       "                       the given line counts (hinted and "
@@ -367,6 +383,18 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     }
     return !Cli.SweepSizes.empty() || !Cli.CacheError.empty();
   }
+  if (const char *V = Value("--max-steps=")) {
+    uint64_t N;
+    if (!parseDecimal(V, N))
+      Cli.StepsError = std::string("'") + V + "' is not a step count";
+    else if (N == 0)
+      Cli.StepsError = "the budget must be at least 1 step";
+    else if (N == UINT64_MAX) // parseDecimal saturates on overflow.
+      Cli.StepsError = std::string(V) + " does not fit in 64 bits";
+    else
+      Cli.Sim.MaxSteps = N;
+    return true;
+  }
   if (const char *Workers = Value("--replay-workers=")) {
     if (std::strcmp(Workers, "auto") == 0) {
       Cli.ReplayWorkers = 0; // Resolved to the pool width by the engine.
@@ -468,6 +496,18 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
   return true;
 }
 
+/// Reports a failed run and returns urcmc's exit code for it. A run
+/// stopped by the step budget also names the budget.
+int runtimeError(const CliOptions &Cli, const std::string &Error) {
+  std::fprintf(stderr, "runtime error: %s\n", Error.c_str());
+  if (Error == "step limit exceeded")
+    std::fprintf(stderr,
+                 "note: the step budget is %llu; raise it with "
+                 "--max-steps=N\n",
+                 static_cast<unsigned long long>(Cli.Sim.MaxSteps));
+  return 1;
+}
+
 /// Replays the compiled program against fully-associative caches of the
 /// requested sizes under the --policy= replacement policy (default
 /// LRU), hinted and hint-stripped, and prints a traffic table. One
@@ -506,8 +546,7 @@ int runSweep(const CliOptions &Cli, const MachineProgram &Program) {
 
   const SimResult &Base = Engine.base("urcmc-sweep");
   if (!Base.ok()) {
-    std::fprintf(stderr, "runtime error: %s\n", Base.Error.c_str());
-    return 1;
+    return runtimeError(Cli, Base.Error);
   }
   std::printf("%-8s %16s %16s %16s %16s\n", "lines", "hinted-cache",
               "hinted-bus", "conv-cache", "conv-bus");
@@ -586,11 +625,11 @@ int runTool(const CliOptions &Cli, const std::string &Source) {
       std::printf("%s", printIR(*M).c_str());
       return 0;
     }
-    InterpResult R = interpretModule(*M);
-    if (!R.ok()) {
-      std::fprintf(stderr, "runtime error: %s\n", R.Error.c_str());
-      return 1;
-    }
+    InterpConfig Interp;
+    Interp.MaxSteps = Cli.Sim.MaxSteps;
+    InterpResult R = interpretModule(*M, Interp);
+    if (!R.ok())
+      return runtimeError(Cli, R.Error);
     std::printf("output:");
     for (int64_t V : R.Output)
       std::printf(" %lld", static_cast<long long>(V));
@@ -600,7 +639,7 @@ int runTool(const CliOptions &Cli, const std::string &Source) {
 
   if (Cli.Compare) {
     SchemeComparison C =
-        compareSchemes(Source, Cli.Compile, Cli.Sim.Cache);
+        compareSchemes(Source, Cli.Compile, Cli.Sim.Cache, Cli.Sim.MaxSteps);
     if (!C.ok()) {
       std::fprintf(stderr, "error: %s\n", C.Error.c_str());
       return 1;
@@ -678,10 +717,8 @@ int runTool(const CliOptions &Cli, const std::string &Source) {
   SimResult R = Cli.TraceStoreDir.empty()
                     ? Simulator(SimCfg).run(Compiled.Program)
                     : runThroughStore(Cli, Compiled.Program);
-  if (!R.ok()) {
-    std::fprintf(stderr, "runtime error: %s\n", R.Error.c_str());
-    return 1;
-  }
+  if (!R.ok())
+    return runtimeError(Cli, R.Error);
   printRunReport(R, Cli.Stats);
 
   const std::string Workload =
@@ -746,6 +783,12 @@ int main(int argc, char **argv) {
   if (std::string Bad = cacheConfigError(Cli); !Bad.empty()) {
     std::fprintf(stderr, "error: invalid cache configuration: %s\n",
                  Bad.c_str());
+    return 1;
+  }
+
+  if (!Cli.StepsError.empty()) {
+    std::fprintf(stderr, "error: invalid --max-steps: %s\n",
+                 Cli.StepsError.c_str());
     return 1;
   }
 
