@@ -55,6 +55,7 @@
 namespace urcm {
 
 class DiagnosticEngine;
+struct StoredPoint;
 
 /// One sweep point: a cache geometry plus the replacement policy to
 /// replay it under — any CachePolicy, including the replay-only MIN
@@ -227,7 +228,7 @@ public:
   ///
   /// \p ContentHash is the experiment's traceContentHash
   /// (urcm/sim/TraceStore.h) — the fingerprint of the compiled program
-  /// plus simulation inputs that keys its trace in the persistent
+  /// plus simulation inputs that keys its results in the persistent
   /// store. Zero (the default) opts this experiment out of the store
   /// even when a store directory is configured (callers that cannot
   /// hash — e.g. the producer compiles lazily — simply never touch it).
@@ -255,19 +256,21 @@ public:
   /// Enables the persistent trace store (urcm/sim/TraceStore.h) under
   /// \p Dir — empty disables (the default). With a store configured,
   /// every experiment scheduled with a non-zero content hash first
-  /// consults `<Dir>/<hash>.urctrc`: on a hit the whole experiment is
-  /// served from the store (the Simulator is never invoked — the base
-  /// result comes from the stored summary): points the recording run
-  /// replayed read their stored counters, and only the others decode
-  /// the stored trace into the replay pipeline. On a miss the live run
-  /// tees its trace, and then its replayed points' counters, into the
-  /// store for the next process. Store problems (unwritable dir, corrupt or stale
-  /// files) are reported to \p Diags (when non-null; rejected files
-  /// surface as errors, see TraceStoreReader) and the experiment falls
-  /// back to live simulation — the store can slow an experiment down,
-  /// never fail it. A \p Dir that cannot be used at all (it names a
-  /// file, or cannot be created) is one error per run(), which then runs
-  /// without the store. Set before run(); \p Diags must outlive run().
+  /// consults `<Dir>/<hash>.urctrc`, which holds the summary of a
+  /// recorded run and the counters of the points it replayed. When the
+  /// summary and the records answer the base configuration and every
+  /// point, the experiment is served from them (a hit: the Simulator is
+  /// never invoked). Otherwise it runs live (a miss): points with a
+  /// record take its counters, only the others replay, and the file is
+  /// re-recorded with the old records and the new ones. Attribution
+  /// points have no record, so they always run live. Store problems
+  /// (unwritable dir, corrupt or stale files) are reported to \p Diags
+  /// (when non-null; rejected files surface as errors, see
+  /// TraceStoreReader) and the experiment falls back to live simulation
+  /// — the store can slow an experiment down, never fail it. A \p Dir
+  /// that cannot be used at all (it names a file, or cannot be created)
+  /// is one error per run(), which then runs without the store. Set
+  /// before run(); \p Diags must outlive run().
   void setTraceStore(std::string Dir, DiagnosticEngine *Diags = nullptr) {
     StoreDir = std::move(Dir);
     StoreDiags = Diags;
@@ -312,17 +315,17 @@ private:
 
   const Experiment &finished(const std::string &Key) const;
 
-  /// Serves \p E entirely from the trace store: stored point records
-  /// first, decode and replay for the points without one. True on
-  /// success; false (missing/rejected file, a stored record that breaks
-  /// a conservation law, decode failure) means run the live path.
-  /// \p ReplayedAttrib receives attribution tables parallel to \p Rest
-  /// (empty rows for points that did not request attribution).
+  /// Looks \p E up in the trace store. True when the file answers the
+  /// whole experiment: E.Result comes from its summary and \p Stats
+  /// (parallel to \p Rest) from its point records. False means run
+  /// live; when the file was valid but some point had no record (a
+  /// partial miss), \p Stats and \p FromRecord are filled for the
+  /// points that had one, and \p Carried receives all of the file's
+  /// records so the re-recorded file keeps them.
   bool serveFromStore(Experiment &E, const std::vector<SweepPoint> &Rest,
-                      uint32_t Workers, uint64_t &TraceEvents,
-                      std::vector<CacheStats> &Replayed,
-                      std::vector<RefAttribution> &ReplayedAttrib,
-                      std::string &Violation);
+                      std::vector<CacheStats> &Stats,
+                      std::vector<bool> &FromRecord,
+                      std::vector<StoredPoint> &Carried);
 
   /// Forwards diagnostics collected during store I/O to the configured
   /// sink under the engine lock (experiments run in parallel).

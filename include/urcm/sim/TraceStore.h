@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A persistent on-disk container for recorded data-reference traces:
-/// record once, replay everywhere. The sweep engine made replay cheap
-/// *within* a process (compile-once/replay-many); this store makes the
-/// expensive part — executing the functional Simulator to produce the
-/// reference stream — a once-per-program cost *across* processes: urcmc,
-/// urcm_report, the bench binaries and the tests can all serve their
-/// sweeps from one recorded trace.
+/// A persistent on-disk store of recorded simulation results: record
+/// once, serve everywhere. The sweep engine made replay cheap *within* a
+/// process (compile-once/replay-many); this store makes executing the
+/// functional Simulator a once-per-program cost *across* processes:
+/// urcmc, urcm_report, the bench binaries and the tests can all serve
+/// their sweeps from one recorded run.
 ///
-/// ## Container format (version 4, little-endian)
+/// ## Container format (version 5, little-endian)
 ///
 ///   header   : magic "URCMTRC\x01" (8) | version u32 | flags u32 (0) |
 ///              content-hash u64 | nominal chunk events u32
@@ -30,68 +29,49 @@
 ///   footer   : total-events u64 | chunk-count u64 |
 ///              end magic "URCMEND\x01" (8)
 ///
+/// The sweep engine writes no chunks: its files are the header, the
+/// sentinel, the summary with one record per sweep point it needed (see
+/// StoredPoint) and a footer counting 0 events in 0 chunks, a few
+/// hundred bytes per program. The summary records the data-cache policy
+/// and seed its cache row was measured under (see SummaryCachePolicy).
+/// Chunks are written only through the raw append() API, which the
+/// benchmark's store-codec rows measure.
+///
 /// Each chunk payload is self-contained: first a packed bit stream of 6
 /// bits per event (is-write, bypass, last-ref, a 2-bit delta-base
 /// selector, and a ref-predicted bit), then the varint stream. The
 /// encoder keeps a 4-entry ring of the most recent addresses
 /// (zero-initialized per chunk) and encodes each address as a zigzag
-/// delta against whichever entry gives the shortest varint —
-/// stack/global/array streams interleave freely in real traces, and a
-/// single "previous address" base would pay a 3-byte varint at every
-/// region switch. The ref-predicted bit (new in version 2) carries the
-/// static reference id for the attribution profiler: set, the event's
-/// RefId is the predicted one (previous event's id plus one — ids are
-/// numbered in code order, so straight-line runs match — or NoRefId
-/// while the previous event was unnumbered, so hint-free traces cost
-/// nothing); clear, a zigzag varint of the difference from the
-/// prediction follows the address delta. Version 3 records in the
-/// summary the data-cache replacement policy and seed its cache row was
-/// measured under (see SummaryCachePolicy). Version 4 appends to the
-/// summary one record per sweep point the recording run replayed (see
-/// StoredPoint), so a later run asking for the same points reads their
-/// counters instead of decoding and replaying the trace. The hint/kind
-/// bits are packed separately from the varint stream so both stay
-/// byte-aligned and branch-predictable to decode. Encoded size on the paper benchmarks
-/// runs well under 1/3 of the raw 8-byte-per-event form (asserted by
-/// bench/trace_store).
+/// delta against whichever entry gives the shortest varint. The
+/// ref-predicted bit carries the static reference id: set, the event's
+/// RefId is the predicted one (previous event's id plus one, or NoRefId
+/// while the previous event was unnumbered); clear, a zigzag varint of
+/// the difference from the prediction follows the address delta.
+/// Encoded size on the paper benchmarks runs well under 1/3 of the raw
+/// 8-byte-per-event form (asserted by bench/trace_store).
 ///
 /// ## Invalidation and robustness
 ///
 /// The header carries a content hash of the compiled MachineIR plus
 /// every simulation input that can affect the result (see
-/// traceContentHash), so stale traces self-invalidate: a reader opened
+/// traceContentHash), so stale files self-invalidate: a reader opened
 /// with a different expected hash rejects the file and the caller falls
 /// back to live simulation. open() validates the *whole* file up front
 /// (magic, version, the header's constant words, hash, every chunk CRC,
 /// summary CRC, footer counts, exact end-of-file), so every byte of a
-/// file is covered by a check and a sweep served from an accepted store
-/// cannot discover corruption halfway through feeding replay consumers.
-/// The CRC folds 64 bytes per step with carry-less multiplies where the
-/// CPU has PCLMULQDQ and runs slicing-by-8 tables elsewhere (see
-/// detail::crc32), so this walk costs a small fraction of decoding the
-/// same bytes, and the chunk CRCs run in batches across a thread pool
-/// after a sequential walk of the chunk headers.
-/// Validation failures are reported through DiagnosticEngine — never
-/// asserted — and decode stays bounds-checked even after a successful
-/// open (a file mutated mid-read produces a clean failure, not UB).
+/// file is covered by a check. The CRC folds 64 bytes per step with
+/// carry-less multiplies where the CPU has PCLMULQDQ and runs
+/// slicing-by-8 tables elsewhere (see detail::crc32), and the chunk
+/// CRCs run in batches across a thread pool after a sequential walk of
+/// the chunk headers. Validation failures are reported through
+/// DiagnosticEngine — never asserted — and decode stays bounds-checked
+/// even after a successful open (a file mutated mid-read produces a
+/// clean failure, not UB).
 ///
-/// Writers encode into a temp file in the store directory and publish
+/// Writers write a temp file in the store directory and publish it
 /// with an atomic rename, so concurrent processes recording the same
 /// program race benignly (both files are valid; last rename wins) and a
 /// crashed writer never leaves a half-written store behind.
-///
-/// ## Replay integration
-///
-/// streamStoredTrace() decodes chunks on a dedicated thread and feeds
-/// them, in order, to a consumer on the calling thread through the same
-/// recycled-buffer SPSC pipeline live generation uses
-/// (urcm/sim/TraceStream.h): decode overlaps replay, each decoded chunk
-/// is recycled as soon as its replay consumers finish, and peak memory
-/// stays O(chunk) exactly as on the live streaming path. A summary whose
-/// cache row was measured under the reader's own base configuration
-/// answers that configuration without any decode at all, and so does a
-/// stored point record for the point it describes: a run whose points
-/// all have records decodes nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,7 +84,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -145,25 +124,25 @@ struct SummaryCachePolicy {
   }
 };
 
-/// The counters of one sweep point the recording run replayed, stored in
-/// the summary (format v4). Config is canonical: its Policy field is the
+/// The counters of one sweep point a recording run needed, stored in the
+/// summary (since format v4). Config is canonical: its Policy field is the
 /// point's replay policy mapped through canonicalReplayPolicy, so every
 /// point that replays identically finds the same record. No attribution
-/// table is stored; points that want one are always replayed.
+/// table is stored; points that want one always run live.
 struct StoredPoint {
   CacheConfig Config;
   bool IgnoreHints = false;
   CacheStats Stats;
 };
 
-/// Records one trace into a store directory. Lifecycle: open() creates
-/// the directory (if needed) and a temp file; append() encodes events
-/// (any batch sizes — the writer re-chunks internally, so the file
-/// layout is independent of the producer's chunking); commit() writes
-/// the summary and footer and atomically publishes the file; discard()
-/// (or destruction before commit) removes the temp file. append() is
-/// single-producer: call it from one thread at a time (the simulating
-/// thread, when teeing off a TraceSink).
+/// Records one store file into a store directory. Lifecycle: open()
+/// creates the directory (if needed) and a temp file; append() encodes
+/// trace events (any batch sizes — the writer re-chunks internally, so
+/// the file layout is independent of the caller's batching; the sweep
+/// engine appends none); commit() writes the summary and footer and
+/// atomically publishes the file; discard() (or destruction before
+/// commit) removes the temp file. Call append() from one thread at a
+/// time.
 class TraceStoreWriter {
 public:
   TraceStoreWriter() = default;
@@ -172,7 +151,7 @@ public:
   ~TraceStoreWriter();
 
   /// Events per encoded chunk (64K events = 512 KB raw): the decode
-  /// granularity and the peak per-buffer memory on the warm path.
+  /// granularity.
   static constexpr uint32_t ChunkEvents = 1u << 16;
 
   /// Creates \p Dir if missing and opens a temp file for the trace of
@@ -181,19 +160,18 @@ public:
   /// recording failure can never fail the simulation it observes).
   bool open(const std::string &Dir, uint64_t ContentHash,
             DiagnosticEngine &Diags);
-  bool isOpen() const { return File != nullptr; }
 
   /// Encodes and buffers the next \p Count events of the trace.
   void append(const TraceEvent *Events, size_t Count);
 
   /// Flushes the final chunk, writes the summary (\p Summary's Trace
-  /// field is ignored — the chunks are the trace) and footer, and
+  /// field is ignored) and footer, and
   /// atomically renames the temp file into place. \p Measured is the
   /// data-cache configuration \p Summary's cache row was measured
   /// under; its policy and seed are recorded so a reader with the same
   /// base configuration can use the row as is. \p Points are the
-  /// counters of replayed sweep points, stored so a later run can read
-  /// them instead of replaying. Returns false (with a diagnostic) on I/O
+  /// counters of sweep points, stored so a later run can read them
+  /// instead of simulating. Returns false (with a diagnostic) on I/O
   /// failure; the temp file is removed either way.
   bool commit(const SimResult &Summary, const CacheConfig &Measured,
               DiagnosticEngine &Diags,
@@ -205,10 +183,6 @@ public:
   /// Removes the temp file without publishing (failed or abandoned
   /// runs). Idempotent.
   void discard();
-
-  uint64_t eventCount() const { return Events; }
-  /// Encoded bytes written so far (header + flushed chunks).
-  uint64_t bytesWritten() const { return BytesWritten; }
 
 private:
   bool flushChunk(); ///< Encodes and writes Pending; false on I/O error.
@@ -229,32 +203,13 @@ private:
   std::vector<uint8_t> Encoded;    ///< Reused encode scratch.
 };
 
-/// A recording-only TraceSink: every chunk is appended to the writer
-/// and the (cleared) buffer handed straight back to the producer, so a
-/// cold run with no replay consumers can still record its trace with
-/// zero steady-state allocation. Also usable as the producer-side tap
-/// of streamTrace() to tee recording off a replayed stream.
-class TraceRecordSink : public TraceSink {
-public:
-  explicit TraceRecordSink(TraceStoreWriter &Writer) : Writer(Writer) {}
-
-  std::vector<TraceEvent> chunk(std::vector<TraceEvent> Chunk) override {
-    Writer.append(Chunk.data(), Chunk.size());
-    Chunk.clear();
-    return Chunk;
-  }
-
-private:
-  TraceStoreWriter &Writer;
-};
-
 /// Reads one store file. open() fully validates before anything is
 /// served; next() then decodes chunk by chunk into a caller-provided
 /// buffer (capacity reused across calls).
 class TraceStoreReader {
 public:
   enum class OpenStatus {
-    Ok,       ///< Validated; summary and chunks are servable.
+    Ok,       ///< Validated; summary, records and chunks are servable.
     NotFound, ///< No file at the path (a cache miss, not an error).
     Invalid,  ///< Present but rejected (diagnostic explains why).
   };
@@ -316,8 +271,7 @@ public:
   void rewind();
 
   /// Decodes the whole trace into \p Trace (replaced; reserved to the
-  /// footer's event count). For multi-pass consumers (Belady MIN).
-  /// Returns false on decode failure.
+  /// footer's event count). Returns false on decode failure.
   bool readAll(std::vector<TraceEvent> &Trace);
 
 private:
@@ -332,18 +286,6 @@ private:
   bool Failed = false;
   std::vector<uint8_t> Payload; ///< Reused read/decode scratch.
 };
-
-/// Feeds a validated reader's trace to \p Consume chunk by chunk, in
-/// order, with decode running on a dedicated thread and delivery
-/// through the recycled-buffer SPSC pipeline (peak memory O(chunk);
-/// decode overlaps the consumer's replay work). Returns false if decode
-/// failed mid-stream — the consumer may have seen a prefix of the
-/// trace, so on false the caller must discard its replay state and fall
-/// back to live simulation.
-bool streamStoredTrace(
-    TraceStoreReader &Reader,
-    const std::function<void(const TraceEvent *, size_t)> &Consume,
-    size_t QueueDepth = 4);
 
 namespace detail {
 

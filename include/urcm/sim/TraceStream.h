@@ -95,19 +95,11 @@ private:
 /// generation continues. Returns the producer's SimResult. \p Config's
 /// Sink field is overwritten; RecordTrace is cleared (the stream
 /// replaces materialization).
-///
-/// \p ProducerTap, when set, observes every chunk *on the producer
-/// thread* before it is handed downstream — a pass-through tee the
-/// trace store uses to record the stream while the consumer replays it
-/// (urcm/sim/TraceStore.h). It must not retain the pointer past the
-/// call.
 SimResult
 streamTrace(SimConfig Config,
             const std::function<SimResult(const SimConfig &)> &Produce,
             const std::function<void(const TraceEvent *, size_t)> &Consume,
-            size_t QueueDepth = 4, uint64_t *EventCount = nullptr,
-            const std::function<void(const TraceEvent *, size_t)>
-                &ProducerTap = {});
+            size_t QueueDepth = 4, uint64_t *EventCount = nullptr);
 
 } // namespace urcm
 

@@ -15,8 +15,9 @@
 # carry the validation: at least 24 sweep.store-serve spans (a validate
 # span and a serve span per stored experiment, plus one per CRC batch).
 # The work is pinned too, so a redundant simulation or replay fails the
-# check: the recording pass stores exactly 12 traces (two simulations
-# per workload), and the cold
+# check: the recording pass stores exactly 12 files (two simulations
+# per workload) of under 1 MB in total (summaries and point records
+# only: a file that carries the trace again fails here), and the cold
 # default-width pass replays exactly 54 points (nine distinct policy
 # points per workload) with no violation, and checks every one of its
 # live runs' data-cache counters against the same laws
@@ -81,6 +82,11 @@ cmp "$EXPECTED" "$OUT/record.md" || {
 traces=$(find "$OUT/store" -name '*.urctrc' | wc -l)
 [ "$traces" -eq 12 ] || {
   echo "recording pass stored $traces traces, expected 12" >&2; exit 1; }
+store_bytes=$(find "$OUT/store" -name '*.urctrc' -printf '%s\n' |
+  awk '{ s += $1 } END { print s + 0 }')
+[ "$store_bytes" -lt 1048576 ] || {
+  echo "recording pass stored $store_bytes bytes, expected under 1 MB" >&2
+  exit 1; }
 "$REPORT" --trace-store="$OUT/store" --telemetry-json="$OUT/warm.json" \
   > "$OUT/warm.md"
 cmp "$EXPECTED" "$OUT/warm.md" || {

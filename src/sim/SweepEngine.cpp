@@ -92,6 +92,11 @@ URCM_STAT(NumSweepBytesFreed, "sweep.trace-bytes-freed",
           "Bytes of materialized trace released after replay");
 URCM_STAT(SweepReplayNs, "sweep.replay-ns",
           "Nanoseconds spent replaying trace chunks (consumer side)");
+URCM_STAT(NumStoreHits, "sim.store.hits",
+          "Experiments served whole from the persistent trace store");
+URCM_STAT(NumStoreMisses, "sim.store.misses",
+          "Experiments that consulted the trace store and ran live (no "
+          "file, a rejected file, or a point without a record)");
 URCM_STAT(NumStoreSummaryServed, "sim.store.summary-served",
           "Warm experiments whose base counters came from the stored "
           "summary (no base-config replay)");
@@ -461,8 +466,8 @@ std::string describePoint(const SweepPoint &P) {
 /// attribution tables of every requesting point into \p Attrib
 /// (parallel to \p Points; default rows elsewhere), and a diagnostic
 /// naming the first point that broke a replay conservation law into
-/// \p Violation (left empty when none did). Shared by the streaming,
-/// store-serve and materialized paths.
+/// \p Violation (left empty when none did). Shared by the streaming and
+/// materialized paths.
 void collectStreamResults(SweepPointStream &Stream,
                           const std::vector<SweepPoint> &Points,
                           std::vector<RefAttribution> &Attrib,
@@ -547,18 +552,15 @@ void SweepEngine::forwardStoreDiags(const DiagnosticEngine &Local) {
 
 bool SweepEngine::serveFromStore(Experiment &E,
                                  const std::vector<SweepPoint> &Rest,
-                                 uint32_t Workers,
-                                 uint64_t &TraceEvents,
-                                 std::vector<CacheStats> &Replayed,
-                                 std::vector<RefAttribution> &ReplayedAttrib,
-                                 std::string &Violation) {
+                                 std::vector<CacheStats> &Stats,
+                                 std::vector<bool> &FromRecord,
+                                 std::vector<StoredPoint> &Carried) {
   DiagnosticEngine OpenDiags;
   TraceStoreReader Reader;
   const std::string Path = traceStorePath(StoreDir, E.ContentHash);
   TraceStoreReader::OpenStatus Status;
   {
-    // Validation is store work, billed to the store layer like each CRC
-    // batch the pool runs for it.
+    // Validation is store work, billed to the store layer.
     telemetry::ScopedPhase Validate("sweep.store-serve", "validate");
     Status = Reader.open(Path, E.ContentHash, OpenDiags, Pool);
   }
@@ -566,47 +568,49 @@ bool SweepEngine::serveFromStore(Experiment &E,
   if (Status != TraceStoreReader::OpenStatus::Ok)
     return false;
 
-  // Warm hit: the Simulator is never invoked (no sim.run span on this
-  // path; asserted by tests and check.sh). The store's content hash
-  // deliberately ignores the data-cache policy and seed (the recorded
-  // trace is policy-independent, so one stored trace serves the whole
-  // policy grid). The summary records the policy and seed its cache row
-  // was measured under: when they are the base configuration's, that
-  // row is the base counters. Otherwise a synthetic point at the base
-  // configuration joins the work below and its counters replace the
-  // stored row.
+  // The store's content hash deliberately ignores the data-cache policy
+  // and seed (the program's reference stream is policy-independent, so
+  // one file serves the whole policy grid). The summary records the
+  // policy and seed its cache row was measured under: when they are the
+  // base configuration's, that row is the base counters. Otherwise a
+  // record for the base configuration must supply them.
   const std::optional<SummaryCachePolicy> &Measured =
       Reader.summaryCachePolicy();
   const bool SummaryServes = Measured && Measured->measures(E.Base.Cache);
   std::vector<SweepPoint> Work = Rest;
+  std::vector<StoredPoint> Records = Reader.storedPoints();
   if (!SummaryServes) {
     SweepPoint BasePt;
     BasePt.Config = E.Base.Cache;
     BasePt.Policy = E.Base.Cache.Policy;
     Work.push_back(BasePt);
+    // A row measured under another policy or seed is the record of its
+    // own configuration (the geometry is salted into the hash), so runs
+    // with different base policies do not keep displacing each other.
+    if (Measured) {
+      CacheConfig Row = E.Base.Cache;
+      Row.Policy = Measured->Policy;
+      Row.Seed = Measured->Seed;
+      const PointKey Key = pointKey(Row, Row.Policy, /*IgnoreHints=*/false);
+      if (!findStoredPoint(Records, Key))
+        Records.push_back({Key.first, Key.second, Reader.summary().Cache});
+    }
   }
 
-  // A point with a stored record reads its counters from it; the rest
-  // (points the recording run did not replay, and every point that
-  // wants attribution, whose table is not stored) decode and replay.
-  // The writer never stores counters that break a conservation law, so
-  // a CRC-valid record that does is hand-made or corrupt: the whole
-  // file is rejected before anything is decoded.
-  std::vector<CacheStats> Stats(Work.size());
-  std::vector<SweepPoint> Live;
-  std::vector<size_t> LiveIndex;
+  // Attribution points never have a record: their tables are not
+  // stored. The writer never stores counters that break a conservation
+  // law, so a CRC-valid record that does is hand-made or corrupt: the
+  // whole file is rejected and nothing of it is used or carried.
+  std::vector<const StoredPoint *> Found(Work.size());
   for (size_t W = 0; W != Work.size(); ++W) {
     const SweepPoint &Pt = Work[W];
     const StoredPoint *Record =
         Pt.wantsAttribution()
             ? nullptr
-            : findStoredPoint(Reader.storedPoints(),
+            : findStoredPoint(Records,
                               pointKey(Pt.Config, Pt.Policy, Pt.IgnoreHints));
-    if (!Record) {
-      Live.push_back(Pt);
-      LiveIndex.push_back(W);
+    if (!Record)
       continue;
-    }
     NumReplayCheckedPoints.add();
     if (const char *Law = replayConservationViolation(Record->Stats,
                                                       Pt.Config)) {
@@ -619,92 +623,37 @@ bool SweepEngine::serveFromStore(Experiment &E,
       forwardStoreDiags(Local);
       return false;
     }
-    Stats[W] = Record->Stats;
+    Found[W] = Record;
   }
-  NumStorePointsServed.add(Work.size() - Live.size());
-
-  telemetry::ScopedPhase Serve("sweep.store-serve",
-                               Work.empty()   ? "summary"
-                               : Live.empty() ? "points"
-                               : Workers > 1  ? "parallel"
-                                              : "streaming");
-  bool Ok = true;
-  std::vector<CacheStats> LiveStats;
-  std::vector<RefAttribution> LiveAttrib;
-  if (Live.empty()) {
-    // Every counter came from the summary and its records: no decode
-    // thread, no replay.
-  } else if (SweepPointStream::streamable(Live)) {
-    // Same shape as the live streaming path: decode overlaps replay
-    // through the recycled-buffer SPSC pipeline, peak memory O(chunk).
-    SweepPointStream Stream(Live, nullptr, /*AllowStackFastPath=*/true,
-                            Workers, Pool);
-    Stream.reserve(Reader.eventCount());
-    const bool Metered = telemetry::enabled();
-    uint64_t ReplayNs = 0;
-    Ok = streamStoredTrace(
-        Reader, [&](const TraceEvent *Events, size_t Count) {
-          if (!Metered) {
-            Stream.feed(Events, Count);
-            return;
-          }
-          uint64_t T0 = telemetry::nowNanos();
-          Stream.feed(Events, Count);
-          ReplayNs += telemetry::nowNanos() - T0;
-        });
-    if (Ok) {
-      uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
-      LiveStats = Stream.finish();
-      if (T0)
-        ReplayNs += telemetry::nowNanos() - T0;
-      collectStreamResults(Stream, Live, LiveAttrib, Violation);
+  size_t Answered = 0;
+  for (size_t R = 0; R != Rest.size(); ++R)
+    if (Found[R]) {
+      Stats[R] = Found[R]->Stats;
+      FromRecord[R] = true;
+      ++Answered;
     }
-    SweepReplayNs.add(ReplayNs);
-  } else {
-    // Belady MIN: materialize the decoded trace for its backward
-    // next-use pass, exactly as the live path materializes its own.
-    std::vector<TraceEvent> Trace;
-    Ok = Reader.readAll(Trace);
-    if (Ok) {
-      telemetry::ScopedPhase Replay("sweep.replay");
-      uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
-      LiveStats = replayMaterialized(Trace, Live, Workers, Pool, LiveAttrib,
-                                     Violation);
-      if (T0)
-        SweepReplayNs.add(telemetry::nowNanos() - T0);
-      NumSweepBytesFreed.add(Trace.capacity() * sizeof(TraceEvent));
-    }
-  }
-  if (!Ok) {
-    // Decode failed after a fully-validated open: the file changed
-    // under us. The replay consumers saw a prefix, so their state is
-    // unusable — report, discard, and let the caller run live.
-    DiagnosticEngine Local;
-    Local.error({}, "trace store: decode failed mid-stream for '" + Path +
-                        "'; falling back to live simulation");
-    forwardStoreDiags(Local);
-    Violation.clear();
+  if (std::find(Found.begin(), Found.end(), nullptr) != Found.end()) {
+    // A partial miss: the live run replays only the points without a
+    // record and re-records the file with these records kept.
+    NumStorePointsServed.add(Answered);
+    Carried = std::move(Records);
     return false;
   }
-  // Merge the replayed points back into work order.
-  ReplayedAttrib.assign(Work.size(), RefAttribution());
-  for (size_t L = 0; L != Live.size(); ++L) {
-    Stats[LiveIndex[L]] = LiveStats[L];
-    ReplayedAttrib[LiveIndex[L]] = std::move(LiveAttrib[L]);
-  }
-  Replayed = std::move(Stats);
+
+  // Warm hit: the Simulator is never invoked (no sim.run span on this
+  // path; asserted by tests and check.sh).
+  telemetry::ScopedPhase Serve("sweep.store-serve",
+                               Work.empty() ? "summary" : "points");
+  NumStorePointsServed.add(Work.size());
   E.Result = Reader.summary();
   if (SummaryServes) {
     NumStoreSummaryServed.add();
   } else {
-    // The trailing synthetic point carries the base configuration's
-    // counters; the stored summary keeps everything that really is
-    // policy-invariant (ICache stats, occupancy, instruction counts).
-    E.Result.Cache = Replayed.back();
-    Replayed.pop_back();
-    ReplayedAttrib.pop_back();
+    // The base configuration's record replaces the stored row; the rest
+    // of the summary is policy-invariant (ICache stats, occupancy,
+    // instruction counts).
+    E.Result.Cache = Found.back()->Stats;
   }
-  TraceEvents = Reader.eventCount();
   return true;
 }
 
@@ -783,102 +732,79 @@ void SweepEngine::run() {
       RestIndex.push_back(P);
     }
 
+    // A store file answers the whole experiment, or some of its points:
+    // those take the file's counters and only the others replay live.
     uint64_t TraceEvents = 0;
-    std::vector<CacheStats> Replayed;
-    std::vector<RefAttribution> ReplayedAttrib;
+    std::vector<CacheStats> Replayed(Rest.size());
+    std::vector<RefAttribution> ReplayedAttrib(Rest.size());
+    std::vector<bool> FromRecord(Rest.size(), false);
+    std::vector<StoredPoint> Carried;
     std::string Violation;
     const bool StoreEnabled = StoreUsable && E.ContentHash != 0;
     const bool Served =
-        StoreEnabled && serveFromStore(E, Rest, Workers, TraceEvents,
-                                       Replayed, ReplayedAttrib, Violation);
-
-    // On a store miss the live run tees its trace into a writer so the
-    // next process (or a rerun) is served warm. The writer observes; it
-    // can never fail the experiment (open failure leaves it closed and
-    // every call below a no-op). Nothing is recorded over a directory at
-    // the store path: the writer's rename cannot replace one, and the
-    // reader has already reported it.
-    TraceStoreWriter Writer;
-    std::error_code EC;
-    if (!Served && StoreEnabled &&
-        !std::filesystem::is_directory(
-            traceStorePath(StoreDir, E.ContentHash), EC)) {
-      DiagnosticEngine WriterDiags;
-      Writer.open(StoreDir, E.ContentHash, WriterDiags);
-      forwardStoreDiags(WriterDiags);
-    }
+        StoreEnabled && serveFromStore(E, Rest, Replayed, FromRecord, Carried);
+    if (StoreEnabled)
+      (Served ? NumStoreHits : NumStoreMisses).add();
+    std::vector<SweepPoint> Live;
+    std::vector<size_t> LiveIndex;
+    for (size_t R = 0; R != Rest.size() && !Served; ++R)
+      if (!FromRecord[R]) {
+        Live.push_back(Rest[R]);
+        LiveIndex.push_back(R);
+      }
+    std::vector<CacheStats> LiveStats;
+    std::vector<RefAttribution> LiveAttrib;
 
     if (Served) {
       // Nothing to simulate: base result and points came from the store.
-    } else if (SweepPointStream::streamable(Rest)) {
+    } else if (Live.empty()) {
+      E.Result = E.Run(Config); // No replay consumers at all.
+    } else if (SweepPointStream::streamable(Live)) {
       // Streaming mode: replay overlaps generation chunk by chunk and
       // the trace is never materialized — peak trace memory drops from
       // O(trace) to O(chunk), which is what lets the sweep methodology
-      // scale to much larger workloads.
-      if (Rest.empty()) {
-        if (Writer.isOpen()) {
-          // No replay consumers, but the trace is still worth
-          // recording: stream it straight into the store.
-          TraceRecordSink Record(Writer);
-          Config.Sink = &Record;
-          E.Result = E.Run(Config);
-          Config.Sink = nullptr;
-          TraceEvents = Writer.eventCount();
-        } else {
-          E.Result = E.Run(Config); // No replay consumers at all.
-        }
-      } else {
-        // The span covers the whole streamed pipeline (replay overlaps
-        // generation on this thread); SweepReplayNs meters the replay
-        // kernels' active time alone. With several workers, each chunk's
-        // feed() fans the points out across the pool via nested
-        // parallelFor.
-        telemetry::ScopedPhase Replay(
-            "sweep.replay", Workers > 1 ? "parallel" : "streaming");
-        uint64_t SizeHint = 0;
-        {
-          std::lock_guard<std::mutex> Lock(M);
-          auto It = Hints.find(E.HintGroup);
-          if (It != Hints.end())
-            SizeHint = It->second;
-        }
-        // Replay work is interleaved with generation on this thread, so
-        // it is metered by accumulated intervals rather than one span.
-        // Recording rides the producer thread: the tap sees each chunk
-        // before it is queued for replay, so a store miss costs one
-        // encode pass overlapped with replay, not an extra trace walk.
-        std::function<void(const TraceEvent *, size_t)> RecordTap;
-        if (Writer.isOpen())
-          RecordTap = [&Writer](const TraceEvent *Events, size_t Count) {
-            Writer.append(Events, Count);
-          };
-        SweepPointStream Stream(Rest, nullptr, /*AllowStackFastPath=*/true,
-                                Workers, Pool);
-        if (SizeHint)
-          Stream.reserve(SizeHint);
-        const bool Metered = telemetry::enabled();
-        uint64_t ReplayNs = 0;
-        E.Result = streamTrace(
-            Config, E.Run,
-            [&](const TraceEvent *Events, size_t Count) {
-              if (!Metered) {
-                Stream.feed(Events, Count);
-                return;
-              }
-              uint64_t T0 = telemetry::nowNanos();
-              Stream.feed(Events, Count);
-              ReplayNs += telemetry::nowNanos() - T0;
-            },
-            /*QueueDepth=*/4, &TraceEvents, RecordTap);
-        if (E.Result.ok()) {
-          uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
-          Replayed = Stream.finish();
-          if (T0)
-            ReplayNs += telemetry::nowNanos() - T0;
-          collectStreamResults(Stream, Rest, ReplayedAttrib, Violation);
-        }
-        SweepReplayNs.add(ReplayNs);
+      // scale to much larger workloads. The span covers the whole
+      // streamed pipeline (replay overlaps generation on this thread);
+      // SweepReplayNs meters the replay kernels' active time alone. With
+      // several workers, each chunk's feed() fans the points out across
+      // the pool via nested parallelFor.
+      telemetry::ScopedPhase Replay("sweep.replay",
+                                    Workers > 1 ? "parallel" : "streaming");
+      uint64_t SizeHint = 0;
+      {
+        std::lock_guard<std::mutex> Lock(M);
+        auto It = Hints.find(E.HintGroup);
+        if (It != Hints.end())
+          SizeHint = It->second;
       }
+      // Replay work is interleaved with generation on this thread, so it
+      // is metered by accumulated intervals rather than one span.
+      SweepPointStream Stream(Live, nullptr, /*AllowStackFastPath=*/true,
+                              Workers, Pool);
+      if (SizeHint)
+        Stream.reserve(SizeHint);
+      const bool Metered = telemetry::enabled();
+      uint64_t ReplayNs = 0;
+      E.Result = streamTrace(
+          Config, E.Run,
+          [&](const TraceEvent *Events, size_t Count) {
+            if (!Metered) {
+              Stream.feed(Events, Count);
+              return;
+            }
+            uint64_t T0 = telemetry::nowNanos();
+            Stream.feed(Events, Count);
+            ReplayNs += telemetry::nowNanos() - T0;
+          },
+          /*QueueDepth=*/4, &TraceEvents);
+      if (E.Result.ok()) {
+        uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
+        LiveStats = Stream.finish();
+        if (T0)
+          ReplayNs += telemetry::nowNanos() - T0;
+        collectStreamResults(Stream, Live, LiveAttrib, Violation);
+      }
+      SweepReplayNs.add(ReplayNs);
     } else {
       // Belady MIN needs the whole trace (backward next-use pass):
       // materialize it, replay, and drop it before the next experiment.
@@ -892,21 +818,21 @@ void SweepEngine::run() {
       E.Result = E.Run(Config);
       if (E.Result.ok()) {
         TraceEvents = E.Result.Trace.size();
-        if (Writer.isOpen())
-          Writer.append(E.Result.Trace.data(), E.Result.Trace.size());
-        if (!Rest.empty()) {
-          telemetry::ScopedPhase Replay("sweep.replay");
-          uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
-          Replayed = replayMaterialized(E.Result.Trace, Rest, Workers,
-                                        Pool, ReplayedAttrib, Violation);
-          if (T0)
-            SweepReplayNs.add(telemetry::nowNanos() - T0);
-        }
+        telemetry::ScopedPhase Replay("sweep.replay");
+        uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
+        LiveStats = replayMaterialized(E.Result.Trace, Live, Workers, Pool,
+                                       LiveAttrib, Violation);
+        if (T0)
+          SweepReplayNs.add(telemetry::nowNanos() - T0);
       }
       NumSweepBytesFreed.add(E.Result.Trace.capacity() *
                              sizeof(TraceEvent));
       E.Result.Trace.clear();
       E.Result.Trace.shrink_to_fit();
+    }
+    for (size_t L = 0; L != LiveStats.size(); ++L) {
+      Replayed[LiveIndex[L]] = LiveStats[L];
+      ReplayedAttrib[LiveIndex[L]] = std::move(LiveAttrib[L]);
     }
 
     // Counters that break a conservation law fail the experiment, like a
@@ -914,23 +840,28 @@ void SweepEngine::run() {
     if (E.Result.ok() && !Violation.empty())
       E.Result.Error = Violation;
 
-    if (Writer.isOpen()) {
-      if (E.Result.ok()) {
-        // Every replayed point's counters ride along, so the next run
-        // asking for the same points reads them instead of replaying.
-        // Attribution points are left out: their tables are not stored.
-        std::vector<StoredPoint> Records;
-        for (size_t R = 0; R != Rest.size(); ++R)
-          if (!Rest[R].wantsAttribution() &&
-              !findStoredPoint(Records, RestKey[R]))
-            Records.push_back({RestKey[R].first, RestKey[R].second,
-                               Replayed[R]});
-        DiagnosticEngine CommitDiags;
-        Writer.commit(E.Result, Config.Cache, CommitDiags, Records);
-        forwardStoreDiags(CommitDiags);
-      } else {
-        Writer.discard(); // Never publish a failed run's trace.
-      }
+    // A live run records its summary and the counters of every point it
+    // needed, next to the records a valid file already held, so the next
+    // run asking for any of them is served warm. Attribution points are
+    // left out: their tables are not stored. The store is an observer:
+    // writing can never fail the experiment. Nothing is recorded over a
+    // directory at the store path: the rename cannot replace one, and
+    // the reader has already reported it.
+    std::error_code EC;
+    if (!Served && StoreEnabled && E.Result.ok() &&
+        !std::filesystem::is_directory(
+            traceStorePath(StoreDir, E.ContentHash), EC)) {
+      std::vector<StoredPoint> Records = std::move(Carried);
+      for (size_t R = 0; R != Rest.size(); ++R)
+        if (!Rest[R].wantsAttribution() &&
+            !findStoredPoint(Records, RestKey[R]))
+          Records.push_back({RestKey[R].first, RestKey[R].second,
+                             Replayed[R]});
+      DiagnosticEngine WriterDiags;
+      TraceStoreWriter Writer;
+      if (Writer.open(StoreDir, E.ContentHash, WriterDiags))
+        Writer.commit(E.Result, Config.Cache, WriterDiags, Records);
+      forwardStoreDiags(WriterDiags);
     }
 
     if (E.Result.ok()) {
@@ -950,8 +881,7 @@ void SweepEngine::run() {
       E.Attrib.resize(E.Points.size());
       for (size_t R = 0; R != RestIndex.size(); ++R) {
         E.Stats[RestIndex[R]] = Replayed[R];
-        if (R < ReplayedAttrib.size())
-          E.Attrib[RestIndex[R]] = std::move(ReplayedAttrib[R]);
+        E.Attrib[RestIndex[R]] = std::move(ReplayedAttrib[R]);
       }
     }
     std::lock_guard<std::mutex> Lock(M);

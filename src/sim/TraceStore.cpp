@@ -21,14 +21,15 @@
 //    reset per chunk), so any chunk decodes independently of the rest
 //    of the file.
 //
+//  * The sweep engine writes no chunks (format v5): its files hold the
+//    header, the summary with its point records, and the footer. The
+//    codec and the chunk framing serve the raw writer/reader API alone.
+//
 //  * Validation is front-loaded: TraceStoreReader::open checks the whole
-//    file (CRCs included) before reporting Ok, because a sweep that
-//    discovers corruption after feeding half the trace into replay
-//    consumers cannot "un-feed" it — the engine would have to throw the
-//    replay state away and restart live. After open, decode stays
+//    file (CRCs included) before reporting Ok, so a reader never serves
+//    a prefix of a file that turns out corrupt. After open, decode stays
 //    bounds-checked anyway (the file could change under us); failures
-//    turn into failed(), never UB. Validation is the whole cost of a
-//    warm experiment served from its summary alone, so it runs in two
+//    turn into failed(), never UB. Chunk validation runs in two
 //    phases: a sequential walk of the chunk headers (bounds and
 //    framing, nothing allocated from a length it has not bounded), then
 //    the payload CRCs in 256 KB batches across the thread pool, one
@@ -50,7 +51,6 @@
 
 #include "urcm/sim/TraceStore.h"
 
-#include "urcm/sim/TraceStream.h"
 #include "urcm/support/Telemetry.h"
 #include "urcm/support/ThreadPool.h"
 
@@ -60,7 +60,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -78,10 +77,6 @@
 
 using namespace urcm;
 
-URCM_STAT(NumStoreHits, "sim.store.hits",
-          "Experiments served from the persistent trace store");
-URCM_STAT(NumStoreMisses, "sim.store.misses",
-          "Trace-store lookups that fell back to live simulation");
 URCM_STAT(NumStoreBytesWritten, "sim.store.bytes-written",
           "Encoded bytes written to published store files");
 URCM_STAT(NumStoreBytesRead, "sim.store.bytes-read",
@@ -107,10 +102,12 @@ constexpr char FooterMagic[8] = {'U', 'R', 'C', 'M', 'E', 'N', 'D', '\x01'};
 // v2: the per-event flag stream grew from 5 to 6 bits to carry the
 // static reference id (attribution profiler). v3: the summary records
 // the data-cache policy and seed its cache row was measured under. v4:
-// the summary ends with one record per replayed sweep point. The
+// the summary ends with one record per replayed sweep point. v5: the
+// sweep engine writes no chunks; an older reader must reject such a
+// file rather than replay its empty chunk stream as the trace. The
 // version is part of the content-hash salt below, so bumping it retires
 // existing files as plain misses — no migration path needed.
-constexpr uint32_t FormatVersion = 4;
+constexpr uint32_t FormatVersion = 5;
 constexpr uint32_t ChunkSentinel = 0xFFFFFFFFu;
 /// Sanity bounds a corrupt length field must not exceed (decode buffers
 /// are allocated from these numbers, so garbage must be caught before
@@ -795,7 +792,6 @@ bool TraceStoreWriter::open(const std::string &Dir, uint64_t ContentHash,
   Events = Chunks = BytesWritten = 0;
   Failed = false;
   Pending.clear();
-  Pending.reserve(ChunkEvents);
 
   std::vector<uint8_t> Header;
   appendMagic(Header, HeaderMagic);
@@ -813,6 +809,7 @@ bool TraceStoreWriter::open(const std::string &Dir, uint64_t ContentHash,
 void TraceStoreWriter::append(const TraceEvent *EventsIn, size_t Count) {
   if (!File || Failed)
     return;
+  Pending.reserve(ChunkEvents);
   while (Count != 0) {
     const size_t Room = ChunkEvents - Pending.size();
     const size_t Take = std::min(Room, Count);
@@ -1020,7 +1017,6 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
   }
   if (!File) {
     // A missing file is a plain cache miss, not a corruption report.
-    NumStoreMisses.add();
     if (OpenErrno != ENOENT)
       Diags.error({}, "trace store: cannot open '" + Path +
                           "': " + std::strerror(OpenErrno));
@@ -1032,7 +1028,6 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
                         " (falling back to live simulation)");
     std::fclose(File);
     File = nullptr;
-    NumStoreMisses.add();
     return OpenStatus::Invalid;
   };
 
@@ -1176,7 +1171,6 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
   NumStoreBytesRead.add(static_cast<uint64_t>(std::ftell(File)));
   if (std::fseek(File, ChunksBegin, SEEK_SET) != 0)
     return Reject("seek failed");
-  NumStoreHits.add();
   return OpenStatus::Ok;
 }
 
@@ -1232,45 +1226,4 @@ bool TraceStoreReader::readAll(std::vector<TraceEvent> &Trace) {
   while (next(Chunk))
     Trace.insert(Trace.end(), Chunk.begin(), Chunk.end());
   return !Failed && ChunksSeen == ChunkCount;
-}
-
-//===----------------------------------------------------------------------===//
-// Streamed decode (decode thread + SPSC hand-off, recycled buffers).
-//===----------------------------------------------------------------------===//
-
-bool urcm::streamStoredTrace(
-    TraceStoreReader &Reader,
-    const std::function<void(const TraceEvent *, size_t)> &Consume,
-    size_t QueueDepth) {
-  StreamedTrace Stream(QueueDepth);
-  std::thread Decoder([&] {
-    if (telemetry::enabled())
-      telemetry::setThreadName("store-decoder");
-    std::vector<TraceEvent> Chunk;
-    while (Reader.next(Chunk)) {
-      if (Chunk.empty())
-        continue;
-      // Hand the decoded chunk off; the returned buffer is a recycled
-      // one the consumer has finished with (or a fresh empty one), so
-      // the steady state allocates nothing and peak memory is O(chunk).
-      Chunk = Stream.chunk(std::move(Chunk));
-    }
-    Stream.producerDone();
-  });
-
-  std::exception_ptr ConsumerError;
-  std::vector<TraceEvent> Chunk;
-  while (Stream.next(Chunk)) {
-    if (ConsumerError)
-      continue; // Keep draining so the decoder never deadlocks.
-    try {
-      Consume(Chunk.data(), Chunk.size());
-    } catch (...) {
-      ConsumerError = std::current_exception();
-    }
-  }
-  Decoder.join();
-  if (ConsumerError)
-    std::rethrow_exception(ConsumerError);
-  return !Reader.failed();
 }

@@ -19,38 +19,13 @@ URCM_STAT(NumProducerStalls, "trace.producer-stalls",
 URCM_STAT(NumConsumerStalls, "trace.consumer-stalls",
           "Consumer blocked on an empty chunk queue");
 
-namespace {
-
-/// Pass-through sink interposed ahead of the stream when a producer-side
-/// tap is requested: the tap sees each chunk on the simulating thread,
-/// then the chunk flows downstream unchanged.
-class TapSink : public TraceSink {
-public:
-  TapSink(TraceSink &Next,
-          const std::function<void(const TraceEvent *, size_t)> &Tap)
-      : Next(Next), Tap(Tap) {}
-
-  std::vector<TraceEvent> chunk(std::vector<TraceEvent> Chunk) override {
-    Tap(Chunk.data(), Chunk.size());
-    return Next.chunk(std::move(Chunk));
-  }
-
-private:
-  TraceSink &Next;
-  const std::function<void(const TraceEvent *, size_t)> &Tap;
-};
-
-} // namespace
-
 SimResult urcm::streamTrace(
     SimConfig Config,
     const std::function<SimResult(const SimConfig &)> &Produce,
     const std::function<void(const TraceEvent *, size_t)> &Consume,
-    size_t QueueDepth, uint64_t *EventCount,
-    const std::function<void(const TraceEvent *, size_t)> &ProducerTap) {
+    size_t QueueDepth, uint64_t *EventCount) {
   StreamedTrace Stream(QueueDepth);
-  TapSink Tap(Stream, ProducerTap);
-  Config.Sink = ProducerTap ? static_cast<TraceSink *>(&Tap) : &Stream;
+  Config.Sink = &Stream;
   Config.RecordTrace = false;
 
   SimResult Result;

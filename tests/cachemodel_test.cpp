@@ -529,9 +529,11 @@ TEST(CacheModelStore, PolicyAndSeedNeverChangeTheContentHash) {
 }
 
 TEST(CacheModelStore, WarmServesDifferentBasePolicyCorrectly) {
-  // Record under LRU, then serve a FIFO-base experiment warm: the
-  // producer must not run again, and the FIFO base counters must equal
-  // a live FIFO simulation.
+  // Record under LRU, then run a FIFO-base experiment against the store:
+  // no record answers FIFO, so it simulates once, matches a live FIFO
+  // run, and re-records. After that both bases are served without the
+  // producer: FIFO from the new summary, LRU from the old summary row,
+  // which the re-recorded file keeps as a record.
   ScratchDir Dir("policy");
   CountedProducer Sieve("Sieve");
   SimConfig LruBase;
@@ -556,18 +558,33 @@ TEST(CacheModelStore, WarmServesDifferentBasePolicyCorrectly) {
   ASSERT_TRUE(Live.base("exp").ok());
   EXPECT_EQ(Sieve.Calls->load(), 2);
 
-  DiagnosticEngine WarmDiags;
-  SweepEngine Warm;
-  Warm.setTraceStore(Dir.str(), &WarmDiags);
-  Warm.schedule("exp", "g", FifoBase, {}, Sieve.producer(), Hash);
-  Warm.run();
-  EXPECT_EQ(Sieve.Calls->load(), 2) << "warm serve ran the producer";
-  EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
-  ASSERT_TRUE(Warm.base("exp").ok());
-  EXPECT_EQ(Warm.base("exp").Cache, Live.base("exp").Cache)
-      << "warm FIFO base counters diverge from the live FIFO run";
-  EXPECT_EQ(Warm.base("exp").Steps, Live.base("exp").Steps);
-  EXPECT_EQ(Warm.base("exp").Output, Live.base("exp").Output);
+  DiagnosticEngine MissDiags;
+  SweepEngine Miss;
+  Miss.setTraceStore(Dir.str(), &MissDiags);
+  Miss.schedule("exp", "g", FifoBase, {}, Sieve.producer(), Hash);
+  Miss.run();
+  EXPECT_EQ(Sieve.Calls->load(), 3) << "no record answers the FIFO base";
+  EXPECT_FALSE(MissDiags.hasErrors()) << MissDiags.str();
+  ASSERT_TRUE(Miss.base("exp").ok());
+  EXPECT_EQ(Miss.base("exp").Cache, Live.base("exp").Cache);
+
+  for (const SweepEngine *Expected : {&Live, &Cold}) {
+    const SimConfig &Base = Expected == &Live ? FifoBase : LruBase;
+    DiagnosticEngine WarmDiags;
+    SweepEngine Warm;
+    Warm.setTraceStore(Dir.str(), &WarmDiags);
+    Warm.schedule("exp", "g", Base, {}, Sieve.producer(), Hash);
+    Warm.run();
+    const char *Name = cachePolicyName(Base.Cache.Policy);
+    EXPECT_EQ(Sieve.Calls->load(), 3)
+        << Name << ": warm serve ran the producer";
+    EXPECT_FALSE(WarmDiags.hasErrors()) << Name << ": " << WarmDiags.str();
+    ASSERT_TRUE(Warm.base("exp").ok()) << Name;
+    EXPECT_EQ(Warm.base("exp").Cache, Expected->base("exp").Cache)
+        << Name << ": warm base counters diverge from the live run";
+    EXPECT_EQ(Warm.base("exp").Steps, Expected->base("exp").Steps) << Name;
+    EXPECT_EQ(Warm.base("exp").Output, Expected->base("exp").Output) << Name;
+  }
 }
 
 TEST(CacheModelStore, WarmPolicyGridMatchesColdAndPlain) {

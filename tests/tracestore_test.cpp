@@ -12,10 +12,11 @@
 //     rejected with a clean diagnostic (never an assert or a crash) and
 //     the engine falls back to live simulation automatically;
 //  3. the warm path really is warm — on a store hit the producer (and
-//     the Simulator inside it) is never invoked, a base-only experiment
-//     whose summary was measured under its own cache policy decodes
-//     nothing at all, and neither does a sweep whose every point has a
-//     stored record: only points without one decode and replay.
+//     the Simulator inside it) is never invoked and nothing is decoded:
+//     the summary and the point records answer the experiment. A point
+//     without a record makes the experiment a miss that runs live,
+//     replays only that point, and re-records the file with the old
+//     records kept, so the next run is a hit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -519,6 +520,8 @@ TEST(TraceStoreFile, RejectsMalformedPointRecords) {
 }
 
 TEST(TraceStoreFile, StreamedDecodeMatchesReadAll) {
+  // Chunk-by-chunk decode with next(), after a rewind, yields the trace
+  // readAll() decodes, in order.
   ScratchDir Dir("streamed");
   std::vector<TraceEvent> Trace = hintedTrace(77, 150000);
   DiagnosticEngine Diags;
@@ -532,14 +535,24 @@ TEST(TraceStoreFile, StreamedDecodeMatchesReadAll) {
   TraceStoreReader Reader;
   ASSERT_EQ(Reader.open(traceStorePath(Dir.str(), 7), 7, Diags),
             TraceStoreReader::OpenStatus::Ok);
-  std::vector<TraceEvent> Streamed;
-  ASSERT_TRUE(streamStoredTrace(
-      Reader, [&](const TraceEvent *Events, size_t Count) {
-        Streamed.insert(Streamed.end(), Events, Events + Count);
-      }));
+  std::vector<TraceEvent> All;
+  ASSERT_TRUE(Reader.readAll(All));
+  Reader.rewind();
+  std::vector<TraceEvent> Streamed, Chunk;
+  size_t Chunks = 0;
+  while (Reader.next(Chunk)) {
+    EXPECT_LE(Chunk.size(), TraceStoreWriter::ChunkEvents);
+    Streamed.insert(Streamed.end(), Chunk.begin(), Chunk.end());
+    ++Chunks;
+  }
+  EXPECT_FALSE(Reader.failed());
+  EXPECT_EQ(Chunks, 3u);
   ASSERT_EQ(Streamed.size(), Trace.size());
-  for (size_t I = 0; I != Trace.size(); ++I)
+  ASSERT_EQ(All.size(), Trace.size());
+  for (size_t I = 0; I != Trace.size(); ++I) {
     ASSERT_TRUE(Streamed[I] == Trace[I]) << "event " << I;
+    ASSERT_TRUE(All[I] == Trace[I]) << "event " << I;
+  }
 }
 
 TEST(TraceStoreFile, RejectsCorruptionCleanly) {
@@ -1063,12 +1076,12 @@ TEST(TraceStoreEngine, FallsBackToLiveOnCorruptFile) {
     EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
 }
 
-/// Regression for the observability contract: a warm run with automatic
-/// replay workers must still light up the sim.store.* counters (hits,
-/// bytes read) and the sweep.parallel.* counters (streams, units,
-/// workers) — a refactor that serves the store without metering, or
-/// replays in parallel without counting, silently blinds the benches
-/// and the metrics time series.
+/// Regression for the observability contract: a store lookup must light
+/// up the sim.store.* counters (a miss or a hit, bytes read) and a live
+/// run with automatic replay workers the sweep.parallel.* counters
+/// (streams, units, workers) — a refactor that serves the store without
+/// metering, or replays in parallel without counting, silently blinds
+/// the benches and the metrics time series.
 TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   TelemetryGuard Guard;
 
@@ -1078,39 +1091,63 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   SimConfig Base;
   const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
 
-  // The cold run records only the first two points, so the warm run
-  // has five points without a stored record and must still decode and
-  // replay them in parallel.
+  SweepEngine Plain;
+  Plain.schedule("exp", "g", Base, Points, Queen.producer(), 0);
+  Plain.run();
+
+  // The first run records only the first two points, so the second run
+  // has five points without a stored record: it runs live and replays
+  // them in parallel.
   const std::vector<SweepPoint> ColdPoints(Points.begin(),
                                            Points.begin() + 2);
+  telemetry::reset();
   SweepEngine Cold;
   Cold.setTraceStore(Dir.str());
   Cold.schedule("exp", "g", Base, ColdPoints, Queen.producer(), Hash);
   Cold.run();
-  ASSERT_EQ(Queen.Calls->load(), 1);
+  ASSERT_EQ(Queen.Calls->load(), 2);
 
   auto counter = counterValue;
-  EXPECT_GT(counter("sim.store.misses"), 0u);
+  EXPECT_EQ(counter("sim.store.misses"), 1u);
   EXPECT_GT(counter("sim.store.bytes-written"), 0u);
 
-  telemetry::reset();
   // An explicit pool: auto resolves to the pool width, which must
   // exceed 1 for parallel replay to engage even on a 1-core host.
   ThreadPool Pool(4);
-  SweepEngine Warm(&Pool);
-  Warm.setReplayWorkers(0); // auto
-  Warm.setTraceStore(Dir.str());
-  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
-  Warm.run();
-  EXPECT_EQ(Queen.Calls->load(), 1) << "warm run was not warm";
-  ASSERT_TRUE(Warm.base("exp").ok());
-
-  EXPECT_GT(counter("sim.store.hits"), 0u);
+  telemetry::reset();
+  SweepEngine Partial(&Pool);
+  Partial.setReplayWorkers(0); // auto
+  Partial.setTraceStore(Dir.str());
+  Partial.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Partial.run();
+  EXPECT_EQ(Queen.Calls->load(), 3) << "a point without a record ran live";
+  ASSERT_TRUE(Partial.base("exp").ok());
+  EXPECT_EQ(counter("sim.store.hits"), 0u);
+  EXPECT_EQ(counter("sim.store.misses"), 1u);
   EXPECT_GT(counter("sim.store.bytes-read"), 0u);
-  EXPECT_EQ(counter("sim.store.misses"), 0u);
+  EXPECT_GT(counter("sim.store.bytes-written"), 0u);
+  EXPECT_EQ(counter("sim.store.points-served"), 1u);
   EXPECT_GT(counter("sweep.parallel.streams"), 0u);
   EXPECT_GT(counter("sweep.parallel.units"), 0u);
   EXPECT_GT(counter("sweep.parallel.workers"), 0u);
+  for (size_t P = 0; P != Points.size(); ++P)
+    EXPECT_EQ(Partial.point("exp", P), Plain.point("exp", P)) << P;
+
+  // The re-recorded file answers every point: a hit, nothing simulated.
+  telemetry::reset();
+  SweepEngine Warm(&Pool);
+  Warm.setReplayWorkers(0);
+  Warm.setTraceStore(Dir.str());
+  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Queen.Calls->load(), 3) << "warm run was not warm";
+  EXPECT_EQ(counter("sim.runs"), 0u);
+  EXPECT_EQ(counter("sim.store.hits"), 1u);
+  EXPECT_EQ(counter("sim.store.misses"), 0u);
+  EXPECT_GT(counter("sim.store.bytes-read"), 0u);
+  EXPECT_EQ(counter("sim.store.points-served"), 6u);
+  for (size_t P = 0; P != Points.size(); ++P)
+    EXPECT_EQ(Warm.point("exp", P), Plain.point("exp", P)) << P;
 }
 
 TEST(TraceStoreEngine, BaseOnlyWarmIsServedFromSummary) {
@@ -1145,10 +1182,12 @@ TEST(TraceStoreEngine, BaseOnlyWarmIsServedFromSummary) {
   expectSameBase(Warm.base("exp"), Cold.base("exp"));
 }
 
-TEST(TraceStoreEngine, PolicyOrSeedMismatchReplaysBase) {
+TEST(TraceStoreEngine, PolicyOrSeedMismatchRunsLiveThenServes) {
   // The content hash ignores the base policy and seed, so these stores
-  // hit; their summary rows answer another configuration, so the warm
-  // run must re-derive the base counters by replay and match live.
+  // are found; their summary rows answer another configuration and no
+  // record answers this one, so the run is a miss: it simulates once,
+  // matches live, and re-records. The next run with either base is then
+  // served without simulating.
   TelemetryGuard Guard;
   CountedProducer Queen("Queen");
   auto WithPolicy = [](CachePolicy Policy, uint64_t Seed) {
@@ -1167,6 +1206,7 @@ TEST(TraceStoreEngine, PolicyOrSeedMismatchReplaysBase) {
        WithPolicy(CachePolicy::Random, 2)},
   };
   for (const auto &Case : Cases) {
+    SCOPED_TRACE(Case.Name);
     ScratchDir Dir(Case.Name);
     const uint64_t Hash = traceContentHash(*Queen.Prog, Case.Recorded);
     ASSERT_EQ(Hash, traceContentHash(*Queen.Prog, Case.Served));
@@ -1183,20 +1223,39 @@ TEST(TraceStoreEngine, PolicyOrSeedMismatchReplaysBase) {
 
     telemetry::reset();
     DiagnosticEngine Diags;
-    SweepEngine Warm;
-    Warm.setTraceStore(Dir.str(), &Diags);
-    Warm.schedule("exp", "g", Case.Served, mixedPoints(), Queen.producer(),
+    SweepEngine Miss;
+    Miss.setTraceStore(Dir.str(), &Diags);
+    Miss.schedule("exp", "g", Case.Served, mixedPoints(), Queen.producer(),
                   Hash);
-    Warm.run();
-    EXPECT_EQ(Queen.Calls->load(), Calls) << Case.Name;
-    EXPECT_FALSE(Diags.hasErrors()) << Case.Name << Diags.str();
-    EXPECT_EQ(counterValue("sim.store.hits"), 1u) << Case.Name;
-    EXPECT_EQ(counterValue("sim.store.summary-served"), 0u) << Case.Name;
-    EXPECT_GT(counterValue("sim.store.decode-ns"), 0u) << Case.Name;
-    SCOPED_TRACE(Case.Name);
-    expectSameBase(Warm.base("exp"), Live.base("exp"));
+    Miss.run();
+    EXPECT_EQ(Queen.Calls->load(), Calls + 1);
+    EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+    EXPECT_EQ(counterValue("sim.store.hits"), 0u);
+    EXPECT_EQ(counterValue("sim.store.misses"), 1u);
+    EXPECT_EQ(counterValue("sim.store.summary-served"), 0u);
+    expectSameBase(Miss.base("exp"), Live.base("exp"));
     for (size_t P = 0; P != mixedPoints().size(); ++P)
-      EXPECT_EQ(Warm.point("exp", P), Live.point("exp", P)) << P;
+      EXPECT_EQ(Miss.point("exp", P), Live.point("exp", P)) << P;
+
+    // Both bases are served from the re-recorded file: the served one
+    // from the summary, the recorded one from its carried-over row.
+    for (const SimConfig *Base : {&Case.Served, &Case.Recorded}) {
+      telemetry::reset();
+      SweepEngine Warm;
+      Warm.setTraceStore(Dir.str(), &Diags);
+      Warm.schedule("exp", "g", *Base, mixedPoints(), Queen.producer(),
+                    Hash);
+      Warm.run();
+      EXPECT_EQ(Queen.Calls->load(), Calls + 1);
+      EXPECT_EQ(counterValue("sim.runs"), 0u);
+      EXPECT_EQ(counterValue("sim.store.hits"), 1u);
+      EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+      expectSameBase(Warm.base("exp"), Base == &Case.Served
+                                           ? Live.base("exp")
+                                           : Record.base("exp"));
+      for (size_t P = 0; P != mixedPoints().size(); ++P)
+        EXPECT_EQ(Warm.point("exp", P), Live.point("exp", P)) << P;
+    }
   }
 }
 
@@ -1319,20 +1378,63 @@ TEST(TraceStoreEngine, PartialRecordsReplayOnlyMissingPoints) {
   Cold.run();
   ASSERT_EQ(Queen.Calls->load(), 2);
 
+  // The run simulates once more and replays only the three points
+  // without a record; the other three come from the file.
   telemetry::reset();
   DiagnosticEngine Diags;
+  SweepEngine Partial;
+  Partial.setTraceStore(Dir.str(), &Diags);
+  Partial.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Partial.run();
+  EXPECT_EQ(Queen.Calls->load(), 3);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  EXPECT_EQ(counterValue("sim.runs"), 1u);
+  EXPECT_EQ(counterValue("sim.store.points-served"), 3u);
+  // Three served plus the three that replayed.
+  EXPECT_EQ(counterValue("check.replay.points"), 6u);
+  EXPECT_EQ(counterValue("sim.store.decode-ns"), 0u);
+  for (size_t P = 0; P != Points.size(); ++P)
+    EXPECT_EQ(Partial.point("exp", P), Plain.point("exp", P)) << P;
+
+  // The re-recorded file holds all six records.
+  telemetry::reset();
   SweepEngine Warm;
   Warm.setTraceStore(Dir.str(), &Diags);
   Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
   Warm.run();
-  EXPECT_EQ(Queen.Calls->load(), 2) << "warm run was not warm";
+  EXPECT_EQ(Queen.Calls->load(), 3) << "warm run was not warm";
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  EXPECT_EQ(counterValue("sim.store.points-served"), 3u);
-  // Three served plus the three that replayed.
-  EXPECT_EQ(counterValue("check.replay.points"), 6u);
-  EXPECT_GT(counterValue("sim.store.decode-ns"), 0u);
+  EXPECT_EQ(counterValue("sim.runs"), 0u);
+  EXPECT_EQ(counterValue("sim.store.points-served"), 6u);
   for (size_t P = 0; P != Points.size(); ++P)
     EXPECT_EQ(Warm.point("exp", P), Plain.point("exp", P)) << P;
+}
+
+TEST(TraceStoreEngine, PartialMissCountsOneMissAndNoHit) {
+  TelemetryGuard Guard;
+  ScratchDir Dir("partial_miss");
+  CountedProducer Sieve("Sieve");
+  std::vector<SweepPoint> Points = mixedPoints();
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Sieve.Prog, Base);
+
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base,
+                std::vector<SweepPoint>(Points.begin(), Points.begin() + 3),
+                Sieve.producer(), Hash);
+  Cold.run();
+
+  telemetry::reset();
+  DiagnosticEngine Diags;
+  SweepEngine Partial;
+  Partial.setTraceStore(Dir.str(), &Diags);
+  Partial.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+  Partial.run();
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  EXPECT_EQ(Sieve.Calls->load(), 2);
+  EXPECT_EQ(counterValue("sim.store.misses"), 1u);
+  EXPECT_EQ(counterValue("sim.store.hits"), 0u);
 }
 
 TEST(TraceStoreEngine, AttributionPointReplaysNextToRecordedPoints) {
@@ -1342,7 +1444,8 @@ TEST(TraceStoreEngine, AttributionPointReplaysNextToRecordedPoints) {
   const uint32_t NumRefs =
       static_cast<uint32_t>(Queen.Prog->RefTable.size());
   ASSERT_GT(NumRefs, 0u);
-  std::vector<SweepPoint> Points = mixedPoints();
+  const std::vector<SweepPoint> Grid = mixedPoints();
+  std::vector<SweepPoint> Points = Grid;
   SweepPoint Attributed = Points[2]; // 64 lines, 4-way, LRU, hinted.
   Attributed.AttributionRefs = NumRefs;
   Points.push_back(Attributed);
@@ -1356,26 +1459,39 @@ TEST(TraceStoreEngine, AttributionPointReplaysNextToRecordedPoints) {
   ASSERT_TRUE(Cold.base("exp").ok());
   const size_t A = Points.size() - 1;
 
+  // No attribution table is stored, so the run simulates once more and
+  // replays the attribution point alone; the others come from records.
   telemetry::reset();
   DiagnosticEngine Diags;
-  SweepEngine Warm;
-  Warm.setTraceStore(Dir.str(), &Diags);
-  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
-  Warm.run();
-  EXPECT_EQ(Queen.Calls->load(), 1);
+  SweepEngine Again;
+  Again.setTraceStore(Dir.str(), &Diags);
+  Again.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Again.run();
+  EXPECT_EQ(Queen.Calls->load(), 2);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  // Six points from their records; the attribution point alone replays.
   EXPECT_EQ(counterValue("sim.store.points-served"), 6u);
   EXPECT_EQ(counterValue("check.replay.points"), 7u);
-  EXPECT_GT(counterValue("sim.store.decode-ns"), 0u);
+  EXPECT_EQ(counterValue("sim.store.misses"), 1u);
   for (size_t P = 0; P != Points.size(); ++P)
-    EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
-  EXPECT_EQ(Warm.point("exp", A), Warm.point("exp", 2));
-  EXPECT_TRUE(Warm.attribution("exp", A) == Cold.attribution("exp", A));
-  uint64_t Accesses = Warm.attribution("exp", A).overflow().accesses();
+    EXPECT_EQ(Again.point("exp", P), Cold.point("exp", P)) << P;
+  EXPECT_EQ(Again.point("exp", A), Again.point("exp", 2));
+  EXPECT_TRUE(Again.attribution("exp", A) == Cold.attribution("exp", A));
+  uint64_t Accesses = Again.attribution("exp", A).overflow().accesses();
   for (uint32_t R = 0; R != NumRefs; ++R)
-    Accesses += Warm.attribution("exp", A).row(R).accesses();
+    Accesses += Again.attribution("exp", A).row(R).accesses();
   EXPECT_GT(Accesses, 0u);
+
+  // Without the attribution point, the grid is served from the file.
+  telemetry::reset();
+  SweepEngine Warm;
+  Warm.setTraceStore(Dir.str(), &Diags);
+  Warm.schedule("exp", "g", Base, Grid, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Queen.Calls->load(), 2);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  EXPECT_EQ(counterValue("sim.runs"), 0u);
+  for (size_t P = 0; P != Grid.size(); ++P)
+    EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
 }
 
 TEST(TraceStoreEngine, LawBreakingRecordFallsBackToLiveAndHeals) {
@@ -1545,12 +1661,12 @@ void expectGolden(const std::vector<std::string> &Lines, const char *Name) {
 }
 
 TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
-  // 150 seeded corruptions of a recorded Sieve store: truncations,
-  // single bit flips, header-byte rewrites and 8-byte smears. Every one
-  // is rejected with a diagnostic naming the file, and the experiment
+  // 150 seeded corruptions of a recorded Sieve store (a records-only
+  // file: header, sentinel, summary, footer): truncations, single bit
+  // flips, header-byte rewrites and 8-byte smears. Every one is
+  // rejected with one diagnostic naming the file, and the experiment
   // runs live with the store-less counters. The diagnostics, path
-  // stripped, are pinned by a golden file recorded with the sequential
-  // one-chunk-at-a-time walk that validation replaced.
+  // stripped, are pinned by a golden file.
   ScratchDir Dir("fuzz");
   CountedProducer Sieve("Sieve");
   CacheConfig Small;
@@ -1616,6 +1732,8 @@ TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
     Warm.run();
     EXPECT_EQ(Sieve.Calls->load(), CallsBefore + 1)
         << "mutant " << I << " was served";
+    EXPECT_EQ(Diags.errorCount(), 1u) << "mutant " << I << ": "
+                                      << Diags.str();
     EXPECT_NE(Diags.str().find("'" + Path + "'"), std::string::npos)
         << "mutant " << I << ": " << Diags.str();
     std::string Line = "mutant " + std::to_string(I) + ":";
@@ -1646,6 +1764,146 @@ TEST(TraceStoreEngine, EveryCorruptionFallsBackToLive) {
   Warm.run();
   EXPECT_EQ(Sieve.Calls->load(), CallsBefore);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+}
+
+/// The bytes of the store file at \p Path.
+std::vector<char> readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(In),
+                           std::istreambuf_iterator<char>());
+}
+
+TEST(TraceStoreEngine, EngineFileHoldsOnlySummaryAndRecords) {
+  // The engine writes no chunks: the header is followed at once by the
+  // sentinel, the footer counts 0 events in 0 chunks, and the whole file
+  // for Queen's mixed grid stays under 1 KB.
+  ScratchDir Dir("records_only");
+  CountedProducer Queen("Queen");
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base, mixedPoints(), Queen.producer(), Hash);
+  Cold.run();
+  ASSERT_TRUE(Cold.base("exp").ok());
+
+  const std::string Path = traceStorePath(Dir.str(), Hash);
+  const std::vector<char> Bytes = readFile(Path);
+  ASSERT_GT(Bytes.size(), 32u + 4 + 24);
+  EXPECT_LT(Bytes.size(), 1024u);
+  EXPECT_EQ(loadLE32(Bytes, 32), 0xFFFFFFFFu) << "a chunk was written";
+  const size_t Footer = Bytes.size() - 24;
+  for (size_t B = 0; B != 16; ++B)
+    EXPECT_EQ(Bytes[Footer + B], 0) << "footer count byte " << B;
+
+  DiagnosticEngine Diags;
+  TraceStoreReader Reader;
+  ASSERT_EQ(Reader.open(Path, Hash, Diags), TraceStoreReader::OpenStatus::Ok)
+      << Diags.str();
+  EXPECT_EQ(Reader.eventCount(), 0u);
+  // Every replayed point has a record: all but the reused base point.
+  EXPECT_EQ(Reader.storedPoints().size(), mixedPoints().size() - 1);
+  std::vector<TraceEvent> Chunk;
+  EXPECT_FALSE(Reader.next(Chunk));
+  EXPECT_FALSE(Reader.failed());
+}
+
+TEST(TraceStoreEngine, TwoGridsRecordedInTurnKeepBothRecordSets) {
+  // Two grids on one program share one file. Recording the second keeps
+  // the first one's records, so afterwards both are served without
+  // simulating.
+  TelemetryGuard Guard;
+  ScratchDir Dir("carry_forward");
+  CountedProducer Queen("Queen");
+  const std::vector<SweepPoint> Points = mixedPoints();
+  const std::vector<SweepPoint> GridA(Points.begin(), Points.begin() + 4);
+  const std::vector<SweepPoint> GridB(Points.begin() + 4, Points.end());
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Queen.Prog, Base);
+
+  SweepEngine Plain;
+  Plain.schedule("a", "g", Base, GridA, Queen.producer(), 0);
+  Plain.schedule("b", "g", Base, GridB, Queen.producer(), 0);
+  Plain.run();
+
+  for (const auto *Grid : {&GridA, &GridB}) {
+    SweepEngine Record;
+    Record.setTraceStore(Dir.str());
+    Record.schedule("exp", "g", Base, *Grid, Queen.producer(), Hash);
+    Record.run();
+    ASSERT_TRUE(Record.base("exp").ok());
+  }
+  ASSERT_EQ(Queen.Calls->load(), 4);
+  {
+    DiagnosticEngine Diags;
+    TraceStoreReader Reader;
+    ASSERT_EQ(Reader.open(traceStorePath(Dir.str(), Hash), Hash, Diags),
+              TraceStoreReader::OpenStatus::Ok)
+        << Diags.str();
+    // GridA's three replayed points (its first is the base), then
+    // GridB's three.
+    EXPECT_EQ(Reader.storedPoints().size(), 6u);
+  }
+
+  for (const char *Key : {"a", "b"}) {
+    const std::vector<SweepPoint> &Grid = *Key == 'a' ? GridA : GridB;
+    telemetry::reset();
+    DiagnosticEngine Diags;
+    SweepEngine Warm;
+    Warm.setTraceStore(Dir.str(), &Diags);
+    Warm.schedule(Key, "g", Base, Grid, Queen.producer(), Hash);
+    Warm.run();
+    EXPECT_EQ(Queen.Calls->load(), 4) << Key;
+    EXPECT_FALSE(Diags.hasErrors()) << Key << ": " << Diags.str();
+    EXPECT_EQ(counterValue("sim.runs"), 0u) << Key;
+    EXPECT_EQ(counterValue("sim.store.hits"), 1u) << Key;
+    for (size_t P = 0; P != Grid.size(); ++P)
+      EXPECT_EQ(Warm.point(Key, P), Plain.point(Key, P)) << Key << " " << P;
+  }
+}
+
+TEST(TraceStoreEngine, SieveSweepFileMiddleByteIsInTheSummary) {
+  // scripts/store_smoke.sh flips the middle byte of the file that
+  // `urcmc --workload=Sieve --sweep=16,64,256` records and expects a CRC
+  // diagnostic. That holds because the middle byte lies inside the
+  // CRC-covered summary; this is the same experiment urcmc schedules.
+  ScratchDir Dir("sieve_sweep");
+  CountedProducer Sieve("Sieve");
+  std::vector<SweepPoint> Points;
+  for (uint32_t Size : {16u, 64u, 256u}) {
+    SweepPoint P;
+    P.Config.NumLines = P.Config.Assoc = Size;
+    P.Config.LineWords = 1;
+    Points.push_back(P);
+    P.IgnoreHints = true;
+    Points.push_back(P);
+  }
+  SimConfig Base;
+  const uint64_t Hash = traceContentHash(*Sieve.Prog, Base);
+  SweepEngine Cold;
+  Cold.setTraceStore(Dir.str());
+  Cold.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+  Cold.run();
+  ASSERT_TRUE(Cold.base("exp").ok());
+
+  const std::string Path = traceStorePath(Dir.str(), Hash);
+  std::vector<char> Bytes = readFile(Path);
+  ASSERT_EQ(loadLE32(Bytes, 32), 0xFFFFFFFFu);
+  const size_t SummaryAt = 40, SummaryBytes = loadLE32(Bytes, 36);
+  const size_t Middle = Bytes.size() / 2;
+  EXPECT_GE(Middle, SummaryAt);
+  EXPECT_LT(Middle, SummaryAt + SummaryBytes);
+
+  Bytes[Middle] ^= 0x40;
+  writeBytes(Path, Bytes);
+  DiagnosticEngine Diags;
+  SweepEngine Warm;
+  Warm.setTraceStore(Dir.str(), &Diags);
+  Warm.schedule("exp", "g", Base, Points, Sieve.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Sieve.Calls->load(), 2);
+  EXPECT_NE(Diags.str().find("summary CRC mismatch"), std::string::npos)
+      << Diags.str();
 }
 
 TEST(TraceStoreEngine, ZeroHashOptsOut) {

@@ -215,8 +215,8 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 /// \p ReplayWorkers spreads each replay's points across the pool
 /// without changing a single bit (tests/shardedreplay_test), and
 /// \p StoreDir serves every
-/// experiment from persisted traces when warm (byte-identical output,
-/// asserted by scripts/check.sh --store).
+/// experiment from persisted summaries and point records when warm
+/// (byte-identical output, asserted by scripts/report_fixed_point.sh).
 ///
 /// When \p ProfileDir is nonempty, the hinted Figure-5 replay point of
 /// every workload additionally accumulates per-reference attribution,
@@ -319,11 +319,12 @@ void usage(std::FILE *To) {
                "                     thread-pool width, the default; "
                "output is bit-identical\n"
                "                     for every value)\n"
-               "  --trace-store=DIR  persist recorded traces under DIR "
-               "and serve repeat\n"
-               "                     runs from them (skips "
-               "re-simulation; output is\n"
-               "                     byte-identical cold or warm)\n"
+               "  --trace-store=DIR  record each run's summary and point "
+               "counters under DIR\n"
+               "                     and serve repeat runs from them "
+               "(skips re-simulation;\n"
+               "                     output is byte-identical cold or "
+               "warm)\n"
                "  --profile-refs=DIR write one per-reference "
                "attribution profile JSON\n"
                "                     per workload "

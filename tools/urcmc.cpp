@@ -176,10 +176,12 @@ void usage(std::FILE *Out) {
       "                       (auto = thread-pool width, the default; "
       "results\n"
       "                       bit-identical)\n"
-      "  --trace-store=DIR    persist recorded traces under DIR and "
-      "serve\n"
-      "                       repeat runs and sweeps from them (skips "
-      "re-simulation)\n"
+      "  --trace-store=DIR    record each run's summary and point "
+      "counters under DIR\n"
+      "                       and serve repeat runs and sweeps from them "
+      "(skips\n"
+      "                       re-simulation; a point without a record "
+      "runs live once)\n"
       "inspection:\n"
       "  --dump-ast --dump-ir --dump-asm --stats --compare\n"
       "  --workload=NAME      built-in benchmark instead of a file\n"
