@@ -134,9 +134,10 @@ replaySweepPoints(const std::vector<TraceEvent> &Trace,
 /// Chunk-driven replay of a set of sweep points: the streaming form of
 /// replaySweepPoints, advanced one trace chunk at a time so replay can
 /// start before generation finishes (see urcm/sim/TraceStream.h).
-/// Feeding the whole trace as one chunk is exactly the batch call — the
-/// batch entry points are wrappers over this class, so the two modes
-/// cannot diverge. Internally dispatches to the same kernels: the
+/// Counters do not depend on how the trace is cut into chunks, and the
+/// batch entry points are wrappers over this class (fed in 64 Ki-event
+/// slices), so the two modes cannot diverge. Internally dispatches to
+/// the same kernels: the
 /// hole-extended Mattson stack-distance sweep (one walk per hint view)
 /// when every point is eligible (unless \p AllowStackFastPath is false,
 /// which pins the per-point kernels — that is replayTraceMulti's
@@ -149,6 +150,14 @@ replaySweepPoints(const std::vector<TraceEvent> &Trace,
 /// costliest kernels are claimed first. Every point is replayed by
 /// exactly one kernel in trace order, so counters and attribution
 /// tables are bit-identical for every worker count.
+///
+/// Repeat filter: hint-stripped packed points under LRU, FIFO, Random,
+/// TreePLRU or SRRIP without attribution, at least two of them at one
+/// set count, share a filter that drops the third and later accesses
+/// of a same-address run in a set (each a hit that changes no state),
+/// and replay only the kept events, one chunk behind the filter;
+/// finish() drains the last chunk and adds the dropped accesses to
+/// their hit counters. Counters are bit-identical to unfiltered replay.
 class SweepPointStream {
 public:
   /// True when every point replays in one forward pass. Belady MIN

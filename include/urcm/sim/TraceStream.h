@@ -44,15 +44,10 @@ public:
       : Full(QueueDepth), Free(QueueDepth) {}
 
   /// Producer side (TraceSink): blocks when the consumer is more than
-  /// QueueDepth chunks behind.
-  std::vector<TraceEvent> chunk(std::vector<TraceEvent> Chunk) override {
-    Events += Chunk.size();
-    ++Chunks;
-    Full.push(std::move(Chunk));
-    std::vector<TraceEvent> Recycled;
-    Free.tryPop(Recycled); // Empty fresh buffer if none drained yet.
-    return Recycled;
-  }
+  /// QueueDepth chunks behind. A blocking push runs under a
+  /// trace.producer-wait span, so the wait is not billed to the
+  /// simulation that produced the chunk.
+  std::vector<TraceEvent> chunk(std::vector<TraceEvent> Chunk) override;
 
   /// Producer side: no more chunks will arrive; unblocks next().
   void producerDone() { Full.close(); }
@@ -82,11 +77,16 @@ public:
   /// stream; includes the unavoidable wait for the first chunk).
   uint64_t consumerStalls() const { return Full.popWaits(); }
 
+  /// Nanoseconds the producer spent in blocking pushes, measured while
+  /// telemetry is enabled (stable after the stream ends).
+  uint64_t producerWaitNs() const { return WaitNs; }
+
 private:
   SPSCQueue<std::vector<TraceEvent>> Full;
   SPSCQueue<std::vector<TraceEvent>> Free;
   uint64_t Events = 0;
   uint64_t Chunks = 0;
+  uint64_t WaitNs = 0;
 };
 
 /// Runs \p Produce — a closure that must pass \p Config (sink included)

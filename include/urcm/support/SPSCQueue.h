@@ -142,6 +142,14 @@ public:
     NotEmpty.notify_all();
   }
 
+  /// Producer side: true when push() would block now. Only the producer
+  /// pushes, so a queue it finds not full stays so until its next push.
+  bool full() const {
+    return Tail.load(std::memory_order_relaxed) -
+               Head.load(std::memory_order_seq_cst) >=
+           Capacity;
+  }
+
   /// Times push() found the queue full and had to block.
   uint64_t pushWaits() const {
     return PushWaits.load(std::memory_order_relaxed);

@@ -382,6 +382,85 @@ private:
   }
 };
 
+/// The repeat filter in front of hint-stripped packed points (DESIGN.md
+/// §16, "Repeat-filtered stripped replay"). For one set count it drops
+/// every access that is at least the third consecutive access to its
+/// set, all to the same address, provided it is a read or an earlier
+/// access of that run wrote. In the stripped view such an access hits
+/// and changes no state under LRU, FIFO, Random, TreePLRU and SRRIP, so
+/// those points replay only the kept events and add the dropped reads
+/// and writes to their hit counters. Run states persist across chunks.
+class RepeatFilter {
+  // Run word per set: [31:0] address, 32 valid, 33 the run has at least
+  // two accesses, 34 an access of the run wrote. An untouched set is the
+  // all-zero word, which no key matches.
+  static constexpr uint64_t AddrMask = 0xFFFFFFFFull;
+  static constexpr uint64_t ValidBit = uint64_t(1) << 32;
+  static constexpr unsigned RepeatShift = 33;
+  static constexpr unsigned WrittenShift = 34;
+
+  std::vector<uint64_t> Runs;
+  uint64_t SetMask;
+  uint64_t DroppedReads = 0;
+  uint64_t DroppedWrites = 0;
+
+public:
+  /// The points whose packed kernel is exact over the kept events: the
+  /// stripped view (a bypass would make a run's next access miss), no
+  /// attribution (per-RefId rows need every event) and no
+  /// LivenessBypass (a predicted-dead access bypasses, and the run's
+  /// next access misses again).
+  static bool eligible(const SweepPoint &P) {
+    return P.IgnoreHints && !P.wantsAttribution() &&
+           P.Policy != CachePolicy::LivenessBypass &&
+           PackedOneWordStream::eligible(P);
+  }
+
+  /// Set count of \p P, the filter's key: points sharing it share one
+  /// filter whatever their associativity.
+  static uint32_t sets(const SweepPoint &P) {
+    return P.Config.NumLines / P.Config.Assoc;
+  }
+
+  /// \p Sets is a power of two (PackedOneWordStream::eligible).
+  explicit RepeatFilter(uint32_t Sets) : Runs(Sets, 0), SetMask(Sets - 1) {
+    assert(Sets != 0 && (Sets & (Sets - 1)) == 0);
+  }
+
+  /// Copies the events of \p Events that are not dropped to \p Out,
+  /// which has room for \p Count, in order; returns how many.
+  size_t filter(const TraceEvent *Events, size_t Count, TraceEvent *Out) {
+    uint64_t *const Runs = this->Runs.data();
+    const uint64_t SetMask = this->SetMask;
+    uint64_t Reads = 0, Writes = 0;
+    size_t Kept = 0;
+    // Branch-free: every event is stored and the cursor advances only
+    // past a kept one, since most events of a stripped trace drop.
+    for (const TraceEvent *E = Events, *End = Events + Count; E != End;
+         ++E) {
+      const uint64_t Addr = E->Addr;
+      const uint64_t W = E->IsWrite;
+      uint64_t &Run = Runs[Addr & SetMask];
+      const uint64_t Old = Run;
+      const uint64_t Same = (Old & (AddrMask | ValidBit)) == (Addr | ValidBit);
+      const uint64_t Drop = Same & (Old >> RepeatShift) &
+                            ((W ^ 1) | (Old >> WrittenShift)) & 1;
+      Run = Addr | ValidBit | Same << RepeatShift |
+            ((Same & (Old >> WrittenShift)) | W) << WrittenShift;
+      Out[Kept] = *E;
+      Kept += Drop ^ 1;
+      Writes += Drop & W;
+      Reads += Drop & (W ^ 1);
+    }
+    DroppedReads += Reads;
+    DroppedWrites += Writes;
+    return Kept;
+  }
+
+  uint64_t droppedReads() const { return DroppedReads; }
+  uint64_t droppedWrites() const { return DroppedWrites; }
+};
+
 constexpr uint64_t StackNever = std::numeric_limits<uint64_t>::max();
 
 /// Fenwick tree of 0/1 flags over a growable 1-based position domain.

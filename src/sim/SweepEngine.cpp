@@ -46,9 +46,10 @@
 // CacheModel, the stack-distance sweep) is written as a
 // chunk-fed stream — construct, feed(events), finish() — and the batch
 // entry points (replayTraceMulti, sweepLRUStackDistance,
-// replaySweepPoints) are one-chunk wrappers, so the streaming pipeline
-// (urcm/sim/TraceStream.h) and the materialized-trace path execute the
-// same per-event code and cannot diverge. The stack-distance stream's
+// replaySweepPoints) are wrappers that feed the trace in chunk-sized
+// slices, so the streaming pipeline (urcm/sim/TraceStream.h) and the
+// materialized-trace path execute the same per-event code and cannot
+// diverge. The stack-distance stream's
 // Fenwick trees grow geometrically because a streaming consumer does
 // not know the trace length up front; the batch wrapper pre-sizes them
 // to the exact domain.
@@ -68,8 +69,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <map>
+#include <new>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -103,6 +107,13 @@ URCM_STAT(NumStoreSummaryServed, "sim.store.summary-served",
 URCM_STAT(NumStorePointsServed, "sim.store.points-served",
           "Sweep points answered from a stored point record (no decode, "
           "no replay)");
+URCM_STAT(NumFilterEventsIn, "sweep.filter.events-in",
+          "Trace events fed to repeat filters (one count per filter)");
+URCM_STAT(NumFilterEventsKept, "sweep.filter.events-kept",
+          "Trace events repeat filters kept for their points to replay");
+URCM_STAT(NumFilterPoints, "sweep.filter.points",
+          "Hint-stripped sweep points replayed over a repeat filter's kept "
+          "events");
 URCM_STAT(NumParallelStreams, "sweep.parallel.streams",
           "Point sets replayed by more than one worker");
 URCM_STAT(NumParallelUnits, "sweep.parallel.units",
@@ -168,14 +179,57 @@ namespace {
 /// One independent replay job: a kernel plus the sweep points it
 /// answers. A stack walk answers every size of one hint view; the other
 /// kernels answer one point each. Every kernel honours IgnoreHints
-/// itself, so all of them read the same chunk. Padded to its own cache
-/// lines because CacheModel bumps its counters in place: two units
-/// sharing a line would ping-pong it between the workers replaying them.
+/// itself, so all of them read the same chunk, except a unit fed by a
+/// repeat filter (Stage), which reads that filter's kept events. Padded
+/// to its own cache lines because CacheModel bumps its counters in
+/// place: two units sharing a line would ping-pong it between the
+/// workers replaying them.
 struct alignas(DestructiveInterferenceSize) ReplayUnit {
   std::variant<detail::StackDistanceStream, detail::PackedOneWordStream,
                CacheModel>
       Kernel;
   std::vector<size_t> PointIdx;
+  size_t Stage = 0; // Index into Impl::Stages; read for filtered units only.
+};
+
+struct FreeDeleter {
+  void operator()(void *Ptr) const { std::free(Ptr); }
+};
+
+/// A repeat filter (detail::RepeatFilter) and its two kept-event
+/// buffers. It filters chunk k into Kept[k & 1] while its units replay
+/// Kept[(k - 1) & 1], so the filter and its units are independent jobs
+/// of one fan-out. The buffers are malloc'd, not zero-filled: only the
+/// pages the filter writes become resident.
+struct alignas(DestructiveInterferenceSize) FilterStage {
+  explicit FilterStage(uint32_t Sets) : Filter(Sets) {}
+
+  detail::RepeatFilter Filter;
+  std::unique_ptr<TraceEvent, FreeDeleter> Kept[2];
+  size_t Capacity[2] = {0, 0};
+  size_t KeptCount[2] = {0, 0};
+  uint64_t EventsIn = 0;
+  uint64_t EventsKept = 0;
+  size_t Points = 0;
+
+  /// Makes Kept[Buf] hold at least \p Count events (its contents are
+  /// dead: the units finished reading it a fan-out ago).
+  void reserve(unsigned Buf, size_t Count) {
+    if (Count <= Capacity[Buf])
+      return;
+    Kept[Buf].reset();
+    Kept[Buf].reset(
+        static_cast<TraceEvent *>(std::malloc(Count * sizeof(TraceEvent))));
+    if (!Kept[Buf])
+      throw std::bad_alloc();
+    Capacity[Buf] = Count;
+  }
+
+  void filter(unsigned Buf, const TraceEvent *Events, size_t Count) {
+    KeptCount[Buf] = Filter.filter(Events, Count, Kept[Buf].get());
+    EventsIn += Count;
+    EventsKept += KeptCount[Buf];
+  }
 };
 
 /// Relative per-event cost of a point's kernel, for the parallel claim
@@ -187,12 +241,29 @@ int kernelCost(const SweepPoint &P) {
   return P.Policy != CachePolicy::LRU || P.Config.Assoc > 2 ? 1 : 0;
 }
 
+/// Advances \p U over \p Count events starting at trace position \p Base.
+void replayUnit(ReplayUnit &U, const TraceEvent *Events, size_t Count,
+                uint64_t Base) {
+  std::visit(
+      [&](auto &K) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(K)>, CacheModel>)
+          K.feed(Events, Count, Base);
+        else
+          K.feed(Events, Count);
+      },
+      U.Kernel);
+}
+
 } // namespace
 
 struct SweepPointStream::Impl {
   std::vector<SweepPoint> Points;
-  /// Costliest kernels first, so the parallel claim order balances.
+  /// Units[0, RawUnits) read the chunk, costliest first, so the parallel
+  /// claim order balances; the rest read a filter stage's kept events.
   std::vector<ReplayUnit> Units;
+  size_t RawUnits = 0;
+  std::vector<FilterStage> Stages;
+  uint64_t Chunks = 0; // Chunks fed so far; picks the stages' buffers.
   uint32_t Workers = 1;
   ThreadPool *Pool = nullptr;
   uint64_t RunningIndex = 0; // Trace position of the next chunk.
@@ -203,6 +274,23 @@ struct SweepPointStream::Impl {
   /// rows for points that did not request attribution); the kernels
   /// accumulate into these in place and takeAttribution moves them out.
   std::vector<RefAttribution> Attrib;
+
+  /// Runs Job(0) .. Job(Jobs - 1): up to Workers threads claim them in
+  /// order until none are left.
+  template <typename Fn> void fanOut(size_t Jobs, const Fn &Job) {
+    const size_t Lanes = std::min<size_t>(Workers, Jobs);
+    if (Lanes <= 1) {
+      for (size_t J = 0; J != Jobs; ++J)
+        Job(J);
+      return;
+    }
+    std::atomic<size_t> Next{0};
+    Pool->parallelFor(Lanes, [&](size_t) {
+      for (size_t J; (J = Next.fetch_add(1, std::memory_order_relaxed)) <
+                     Jobs;)
+        Job(J);
+    });
+  }
 };
 
 bool SweepPointStream::streamable(const std::vector<SweepPoint> &Points) {
@@ -248,6 +336,7 @@ SweepPointStream::SweepPointStream(
                                                      IgnoreHints),
                          std::move(Idx)});
     }
+    P->RawUnits = Units.size();
     return;
   }
   // One kernel per point: the packed one-word kernel where the point is
@@ -260,6 +349,19 @@ SweepPointStream::SweepPointStream(
     P->Attrib[I] = RefAttribution(Pts[I].AttributionRefs);
     Kernel.setAttribution(&P->Attrib[I]);
   };
+  // Filter-eligible points sharing a set count share one repeat filter;
+  // a filter pays only where at least two points share it.
+  std::map<uint32_t, size_t> FilterShare;
+  for (const SweepPoint &Pt : Pts)
+    if (detail::RepeatFilter::eligible(Pt))
+      ++FilterShare[detail::RepeatFilter::sets(Pt)];
+  std::map<uint32_t, size_t> StageOf;
+  for (auto [Sets, Count] : FilterShare)
+    if (Count >= 2) {
+      StageOf[Sets] = P->Stages.size();
+      P->Stages.emplace_back(Sets);
+    }
+  std::vector<ReplayUnit> Filtered;
   // MIN points with the same line size and hint view share one next-use
   // index.
   std::map<std::pair<uint32_t, bool>,
@@ -275,6 +377,14 @@ SweepPointStream::SweepPointStream(
     const SweepPoint &Pt = Pts[I];
     if (detail::PackedOneWordStream::eligible(Pt)) {
       detail::PackedOneWordStream Packed(Pt);
+      if (detail::RepeatFilter::eligible(Pt)) {
+        auto Stage = StageOf.find(detail::RepeatFilter::sets(Pt));
+        if (Stage != StageOf.end()) {
+          ++P->Stages[Stage->second].Points;
+          Filtered.push_back({std::move(Packed), {I}, Stage->second});
+          continue;
+        }
+      }
       Attribute(Packed, I);
       Units.push_back({std::move(Packed), {I}});
       continue;
@@ -293,6 +403,8 @@ SweepPointStream::SweepPointStream(
     Attribute(Model, I);
     Units.push_back({std::move(Model), {I}});
   }
+  P->RawUnits = Units.size();
+  std::move(Filtered.begin(), Filtered.end(), std::back_inserter(Units));
 }
 
 SweepPointStream::~SweepPointStream() = default;
@@ -309,35 +421,38 @@ void SweepPointStream::feed(const TraceEvent *Events, size_t Count) {
   Impl &I = *P;
   const uint64_t Base = I.RunningIndex;
   I.RunningIndex += Count;
-  auto Replay = [&](ReplayUnit &U) {
-    std::visit(
-        [&](auto &K) {
-          if constexpr (std::is_same_v<std::decay_t<decltype(K)>,
-                                       CacheModel>)
-            K.feed(Events, Count, Base);
-          else
-            K.feed(Events, Count);
-        },
-        U.Kernel);
-  };
-  const size_t Lanes = std::min<size_t>(I.Workers, I.Units.size());
-  if (Lanes <= 1) {
-    for (ReplayUnit &U : I.Units)
-      Replay(U);
-    return;
-  }
-  // Up to Workers threads claim units until none are left.
-  std::atomic<size_t> Next{0};
-  I.Pool->parallelFor(Lanes, [&](size_t) {
-    for (size_t U; (U = Next.fetch_add(1, std::memory_order_relaxed)) <
-                   I.Units.size();)
-      Replay(I.Units[U]);
+  const unsigned Cur = I.Chunks++ & 1, Prev = Cur ^ 1;
+  for (FilterStage &S : I.Stages)
+    S.reserve(Cur, Count);
+  // One fan-out: the raw units replay this chunk, each filter filters
+  // it, and the filtered units replay the previous chunk's kept events
+  // (finish() drains the last).
+  const size_t Raw = I.RawUnits, Filters = Raw + I.Stages.size();
+  I.fanOut(I.Units.size() + I.Stages.size(), [&](size_t J) {
+    if (J < Raw) {
+      replayUnit(I.Units[J], Events, Count, Base);
+    } else if (J < Filters) {
+      I.Stages[J - Raw].filter(Cur, Events, Count);
+    } else {
+      ReplayUnit &U = I.Units[J - I.Stages.size()];
+      const FilterStage &S = I.Stages[U.Stage];
+      replayUnit(U, S.Kept[Prev].get(), S.KeptCount[Prev], 0);
+    }
   });
 }
 
 std::vector<CacheStats> SweepPointStream::finish() {
-  std::vector<CacheStats> Out(P->Points.size());
-  for (ReplayUnit &U : P->Units)
+  Impl &I = *P;
+  if (I.Chunks != 0) {
+    const unsigned Last = (I.Chunks - 1) & 1;
+    I.fanOut(I.Units.size() - I.RawUnits, [&](size_t J) {
+      ReplayUnit &U = I.Units[I.RawUnits + J];
+      const FilterStage &S = I.Stages[U.Stage];
+      replayUnit(U, S.Kept[Last].get(), S.KeptCount[Last], 0);
+    });
+  }
+  std::vector<CacheStats> Out(I.Points.size());
+  for (ReplayUnit &U : I.Units)
     std::visit(
         [&](auto &K) {
           if constexpr (std::is_same_v<std::decay_t<decltype(K)>,
@@ -350,18 +465,38 @@ std::vector<CacheStats> SweepPointStream::finish() {
           }
         },
         U.Kernel);
-  if (P->Pool && P->Units.size() > 1) {
+  if (I.Pool && I.Units.size() > 1) {
     NumParallelStreams.add();
-    NumParallelUnits.add(P->Units.size());
-    NumParallelWorkers.add(std::min<size_t>(P->Workers, P->Units.size()));
+    NumParallelUnits.add(I.Units.size());
+    NumParallelWorkers.add(std::min<size_t>(I.Workers, I.Units.size()));
   }
-  P->Violated.assign(Out.size(), nullptr);
-  for (size_t I = 0; I != Out.size(); ++I) {
-    P->Violated[I] =
-        replayConservationViolation(Out[I], P->Points[I].Config);
-    if (P->Violated[I])
+  I.Violated.assign(Out.size(), nullptr);
+  // A filtered point hits on every access its filter dropped; the
+  // filter must account for every event it was fed.
+  for (auto U = I.Units.begin() + I.RawUnits; U != I.Units.end(); ++U) {
+    const FilterStage &S = I.Stages[U->Stage];
+    const uint64_t Reads = S.Filter.droppedReads();
+    const uint64_t Writes = S.Filter.droppedWrites();
+    const size_t Pt = U->PointIdx.front();
+    Out[Pt].Reads += Reads;
+    Out[Pt].ReadHits += Reads;
+    Out[Pt].Writes += Writes;
+    Out[Pt].WriteHits += Writes;
+    if (S.EventsKept + Reads + Writes != S.EventsIn)
+      I.Violated[Pt] = "kept + dropped reads + dropped writes == events in";
+  }
+  for (size_t Pt = 0; Pt != Out.size(); ++Pt)
+    if (!I.Violated[Pt])
+      I.Violated[Pt] =
+          replayConservationViolation(Out[Pt], I.Points[Pt].Config);
+  for (const FilterStage &S : I.Stages) {
+    NumFilterEventsIn.add(S.EventsIn);
+    NumFilterEventsKept.add(S.EventsKept);
+    NumFilterPoints.add(S.Points);
+  }
+  for (const char *Law : I.Violated)
+    if (Law)
       NumReplayViolations.add();
-  }
   NumReplayCheckedPoints.add(Out.size());
   return Out;
 }
@@ -378,14 +513,29 @@ RefAttribution SweepPointStream::takeAttribution(size_t PointIndex) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batch wrappers: one chunk, then finish.
+// Batch wrappers: the trace in streamed-chunk slices, then finish.
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Feeds \p Trace in slices of the streaming pipeline's chunk size, so a
+/// batch replay pipelines its repeat filters as a streamed one does
+/// (one whole-trace chunk would leave every kept event to finish(), in
+/// a buffer as large as the trace).
+void feedSlices(SweepPointStream &Stream,
+                const std::vector<TraceEvent> &Trace) {
+  const size_t Slice = SimConfig().TraceChunkEvents;
+  for (size_t At = 0; At < Trace.size(); At += Slice)
+    Stream.feed(Trace.data() + At, std::min(Slice, Trace.size() - At));
+}
+
+} // namespace
 
 std::vector<CacheStats>
 urcm::replayTraceMulti(const std::vector<TraceEvent> &Trace,
                        const std::vector<SweepPoint> &Points) {
   SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/false);
-  Stream.feed(Trace.data(), Trace.size());
+  feedSlices(Stream, Trace);
   return Stream.finish();
 }
 
@@ -425,7 +575,7 @@ urcm::replaySweepPoints(const std::vector<TraceEvent> &Trace,
   SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/true,
                           Workers, Pool);
   Stream.reserve(Trace.size());
-  Stream.feed(Trace.data(), Trace.size());
+  feedSlices(Stream, Trace);
   return Stream.finish();
 }
 
@@ -493,7 +643,7 @@ replayMaterialized(const std::vector<TraceEvent> &Trace,
   SweepPointStream Stream(Points, &Trace, /*AllowStackFastPath=*/true,
                           Workers, Pool);
   Stream.reserve(Trace.size());
-  Stream.feed(Trace.data(), Trace.size());
+  feedSlices(Stream, Trace);
   std::vector<CacheStats> Out = Stream.finish();
   collectStreamResults(Stream, Points, Attrib, Violation);
   return Out;
@@ -644,7 +794,9 @@ bool SweepEngine::serveFromStore(Experiment &E,
   // path; asserted by tests and check.sh).
   telemetry::ScopedPhase Serve("sweep.store-serve",
                                Work.empty() ? "summary" : "points");
-  NumStorePointsServed.add(Work.size());
+  // Scheduled points only: a base answered by a record instead of the
+  // summary is not one, so reused + replayed + served = scheduled.
+  NumStorePointsServed.add(Rest.size());
   E.Result = Reader.summary();
   if (SummaryServes) {
     NumStoreSummaryServed.add();
@@ -872,7 +1024,7 @@ void SweepEngine::run() {
       }
       NumSweepTraceEvents.add(TraceEvents);
       NumSweepPointsReused.add(ReusedIndex.size() + SharedIndex.size());
-      NumSweepPointsReplayed.add(RestIndex.size());
+      NumSweepPointsReplayed.add(Live.size());
       E.Stats.resize(E.Points.size());
       for (size_t P : ReusedIndex)
         E.Stats[P] = E.Result.Cache;

@@ -18,6 +18,26 @@ URCM_STAT(NumProducerStalls, "trace.producer-stalls",
           "Producer blocked on a full chunk queue");
 URCM_STAT(NumConsumerStalls, "trace.consumer-stalls",
           "Consumer blocked on an empty chunk queue");
+URCM_STAT(ProducerWaitNs, "trace.producer-wait-ns",
+          "Nanoseconds the producer blocked on a full chunk queue");
+
+std::vector<TraceEvent>
+StreamedTrace::chunk(std::vector<TraceEvent> Chunk) {
+  Events += Chunk.size();
+  ++Chunks;
+  if (Full.full()) {
+    telemetry::ScopedPhase Wait("trace.producer-wait");
+    const uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
+    Full.push(std::move(Chunk));
+    if (T0)
+      WaitNs += telemetry::nowNanos() - T0;
+  } else {
+    Full.push(std::move(Chunk));
+  }
+  std::vector<TraceEvent> Recycled;
+  Free.tryPop(Recycled); // Empty fresh buffer if none drained yet.
+  return Recycled;
+}
 
 SimResult urcm::streamTrace(
     SimConfig Config,
@@ -59,6 +79,7 @@ SimResult urcm::streamTrace(
     NumTraceEvents.add(Stream.eventCount());
     NumProducerStalls.add(Stream.producerStalls());
     NumConsumerStalls.add(Stream.consumerStalls());
+    ProducerWaitNs.add(Stream.producerWaitNs());
   }
   if (EventCount)
     *EventCount = Stream.eventCount();

@@ -24,8 +24,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <iterator>
+#include <thread>
 
 using namespace urcm;
 
@@ -757,6 +759,234 @@ TEST(Engine, TraceReserveHintDoesNotChangeResults) {
   EXPECT_GE(Hinted.Trace.capacity(), size_t(1) << 20);
 }
 
+//===----------------------------------------------------------------------===//
+// Repeat-filtered stripped replay: every filtered point must equal the
+// same point replayed alone (no filter) and CacheModel, field for field.
+//===----------------------------------------------------------------------===//
+
+/// The policies whose stripped points replay over a repeat filter.
+const CachePolicy FilteredPolicies[] = {CachePolicy::LRU, CachePolicy::FIFO,
+                                        CachePolicy::Random,
+                                        CachePolicy::TreePLRU,
+                                        CachePolicy::SRRIP};
+
+/// Every filtered policy at each of \p Assocs, all at \p Sets sets and
+/// hint-stripped, each Random point on its own seed.
+std::vector<SweepPoint> filteredPoints(uint32_t Sets,
+                                       std::initializer_list<uint32_t> Assocs,
+                                       uint64_t Seed) {
+  std::vector<SweepPoint> Points;
+  for (uint32_t Assoc : Assocs)
+    for (CachePolicy Policy : FilteredPolicies) {
+      SweepPoint P{config(Sets * Assoc, Assoc), Policy, /*IgnoreHints=*/true};
+      P.Config.Seed = Seed + Sets * 16 + Assoc;
+      Points.push_back(P);
+    }
+  return Points;
+}
+
+/// CacheModel's counters for \p P, honouring IgnoreHints itself (no
+/// stripped copy of a workload trace).
+CacheStats modelReplay(const std::vector<TraceEvent> &Trace,
+                       const SweepPoint &P) {
+  CacheModel Model(P.Config, P.Policy, nullptr, P.IgnoreHints);
+  Model.feed(Trace.data(), Trace.size(), 0);
+  return Model.finish();
+}
+
+/// \p P replayed alone: a filter needs two points to share it.
+CacheStats loneReplay(const std::vector<TraceEvent> &Trace,
+                      const SweepPoint &P) {
+  SweepPointStream Stream({P});
+  Stream.feed(Trace.data(), Trace.size());
+  return Stream.finish().front();
+}
+
+/// Same-address runs that stress the repeat filter. Four runs are open
+/// at once and interleave, each of 1-6 accesses to one address: all
+/// reads, read-write-read, write-first, or random writes. Addresses
+/// take one of 12 tags per set, so runs also conflict in one set and
+/// break each other, and SRRIP, Random and tree victims depend on every
+/// state change. Hint bits sit on some events; the stripped view must
+/// ignore them.
+std::vector<TraceEvent> runTrace(uint64_t Seed, size_t N, uint32_t Sets) {
+  struct Run {
+    uint32_t Addr = 0;
+    uint32_t Left = 0;
+    uint32_t Kind = 0;
+    uint32_t At = 0;
+  };
+  SplitMix64 Rng(Seed);
+  Run Open[4];
+  std::vector<TraceEvent> Trace;
+  Trace.reserve(N);
+  while (Trace.size() != N) {
+    Run &R = Open[Rng.nextBelow(4)];
+    if (R.Left == 0) {
+      R.Addr = static_cast<uint32_t>(Rng.nextBelow(Sets) +
+                                     Sets * Rng.nextBelow(12));
+      R.Left = static_cast<uint32_t>(1 + Rng.nextBelow(6));
+      R.Kind = static_cast<uint32_t>(Rng.nextBelow(4));
+      R.At = 0;
+    }
+    TraceEvent E;
+    E.Addr = R.Addr;
+    switch (R.Kind) {
+    case 0:
+      E.IsWrite = false;
+      break;
+    case 1:
+      E.IsWrite = R.At % 2 == 1; // Read, write, read, ...
+      break;
+    case 2:
+      E.IsWrite = R.At == 0;
+      break;
+    default:
+      E.IsWrite = Rng.nextBelow(3) == 0;
+    }
+    E.RefId = static_cast<uint16_t>(R.Kind);
+    E.Info.Bypass = Rng.nextBelow(10) == 0;
+    E.Info.LastRef = !E.Info.Bypass && Rng.nextBelow(10) == 0;
+    ++R.At;
+    --R.Left;
+    Trace.push_back(E);
+  }
+  return Trace;
+}
+
+/// Each point of \p Points replayed alone and on CacheModel (on
+/// \p Pool), which must agree; the filtered replays are compared with
+/// the result.
+std::vector<CacheStats> oracleStats(const std::vector<TraceEvent> &Trace,
+                                    const std::vector<SweepPoint> &Points,
+                                    ThreadPool &Pool) {
+  std::vector<CacheStats> Want(Points.size()), Lone(Points.size());
+  Pool.parallelFor(2 * Points.size(), [&](size_t J) {
+    const size_t I = J / 2;
+    if (J % 2)
+      Lone[I] = loneReplay(Trace, Points[I]);
+    else
+      Want[I] = modelReplay(Trace, Points[I]);
+  });
+  for (size_t I = 0; I != Points.size(); ++I)
+    EXPECT_EQ(Lone[I], Want[I])
+        << cachePolicyName(Points[I].Policy) << " "
+        << Points[I].Config.NumLines << "x" << Points[I].Config.Assoc;
+  return Want;
+}
+
+/// Replays \p Points over \p Trace in \p Chunk-event chunks on
+/// \p Workers workers, checks that the filters engaged, and compares
+/// each point with \p Want (oracleStats).
+void expectFilteredMatchesOracles(const std::vector<TraceEvent> &Trace,
+                                  const std::vector<SweepPoint> &Points,
+                                  size_t Chunk, uint32_t Workers,
+                                  ThreadPool &Pool,
+                                  const std::vector<CacheStats> &Want,
+                                  const std::string &Label) {
+  telemetry::reset();
+  SweepPointStream Stream(Points, nullptr, /*AllowStackFastPath=*/true,
+                          Workers, &Pool);
+  for (size_t At = 0; At < Trace.size(); At += Chunk)
+    Stream.feed(Trace.data() + At, std::min(Chunk, Trace.size() - At));
+  const std::vector<CacheStats> Got = Stream.finish();
+  const std::string What = Label + " chunk " + std::to_string(Chunk) +
+                           " workers " + std::to_string(Workers);
+  EXPECT_EQ(counterValue("sweep.filter.points"), Points.size()) << What;
+  EXPECT_LT(counterValue("sweep.filter.events-kept"),
+            counterValue("sweep.filter.events-in"))
+      << What;
+  for (size_t I = 0; I != Points.size(); ++I) {
+    const SweepPoint &P = Points[I];
+    const std::string Point = What + " " + cachePolicyName(P.Policy) +
+                              " sets " +
+                              std::to_string(P.Config.NumLines /
+                                             P.Config.Assoc) +
+                              " assoc " + std::to_string(P.Config.Assoc);
+    EXPECT_EQ(Stream.violatedLaw(I), nullptr) << Point;
+    EXPECT_EQ(Got[I], Want[I]) << Point;
+  }
+}
+
+TEST(RepeatFilter, SyntheticRunsMatchLoneReplayAndCacheModel) {
+  // Several set counts in one stream (one filter each), every
+  // associativity, runs crossing chunk boundaries (chunks of 1 and 7)
+  // and one whole chunk, sequential and parallel.
+  TelemetryGuard Guard;
+  ThreadPool Pool(4);
+  const uint32_t SetCounts[] = {1, 4, 64};
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    const uint32_t TraceSets = SetCounts[Seed - 1];
+    const std::vector<TraceEvent> Trace = runTrace(Seed, 12000, TraceSets);
+    std::vector<SweepPoint> Points;
+    for (uint32_t Sets : SetCounts)
+      for (const SweepPoint &P : filteredPoints(Sets, {1, 2, 4, 8}, Seed))
+        Points.push_back(P);
+    const std::vector<CacheStats> Want = oracleStats(Trace, Points, Pool);
+    for (size_t Chunk : {size_t(1), size_t(7), size_t(1) << 16})
+      for (uint32_t Workers : {1u, 5u})
+        expectFilteredMatchesOracles(Trace, Points, Chunk, Workers, Pool,
+                                     Want,
+                                     "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(RepeatFilter, StrippedWorkloadTracesMatchLoneReplayAndCacheModel) {
+  // The report's hint-stripped points on the six paper workloads'
+  // unified traces (Figure 5's geometry, 64 sets), plus a 4-way set.
+  TelemetryGuard Guard;
+  ThreadPool Pool(4);
+  CompileOptions O;
+  O.IRGen.ScalarLocalsInMemory = true;
+  O.Scheme = UnifiedOptions::unified();
+  SimConfig Sim;
+  Sim.Cache = config(128, 2);
+  Sim.RecordTrace = true;
+  const std::vector<SweepPoint> Points = filteredPoints(64, {2, 4}, 7);
+  for (const Workload &W : paperWorkloads()) {
+    const std::vector<TraceEvent> Trace =
+        runWorkload(W.Name, O, Sim).Trace;
+    ASSERT_FALSE(Trace.empty()) << W.Name;
+    const std::vector<CacheStats> Want = oracleStats(Trace, Points, Pool);
+    for (uint32_t Workers : {1u, 5u})
+      expectFilteredMatchesOracles(Trace, Points, size_t(1) << 16, Workers,
+                                   Pool, Want, W.Name);
+  }
+}
+
+TEST(RepeatFilter, OnlyStrippedPointsSharingASetCountAreFiltered) {
+  // LivenessBypass, attribution, hinted, lone, generic and MIN points
+  // replay unfiltered next to the filtered ones, over the batch
+  // wrappers' slices.
+  TelemetryGuard Guard;
+  const std::vector<TraceEvent> Trace = runTrace(9, 150000, 64);
+  std::vector<SweepPoint> Points = {
+      {config(128, 2), CachePolicy::LRU, true},   // filtered, 64 sets
+      {config(64, 1), CachePolicy::FIFO, true},   // filtered, 64 sets
+      {config(256, 4), CachePolicy::SRRIP, true}, // filtered, 64 sets
+      {config(128, 2), CachePolicy::LivenessBypass, true},
+      {config(128, 2), CachePolicy::Random, false},
+      {config(128, 2), CachePolicy::Random, true}, // attributed below
+      {config(64, 2), CachePolicy::LRU, true},     // alone at 32 sets
+      {config(32, 2, 4), CachePolicy::LRU, true},  // generic model
+      {config(128, 2), CachePolicy::MIN, true},
+  };
+  Points[5].AttributionRefs = 8;
+  const std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
+  EXPECT_EQ(counterValue("sweep.filter.points"), 3u);
+  EXPECT_EQ(counterValue("sweep.filter.events-in"), Trace.size());
+  EXPECT_LT(counterValue("sweep.filter.events-kept"), Trace.size());
+  EXPECT_EQ(counterValue("check.replay.violations"), 0u);
+  for (size_t I = 0; I != Points.size(); ++I)
+    EXPECT_EQ(Got[I], groundTruth(Trace, Points[I])) << "point " << I;
+
+  // A lone eligible point builds no filter.
+  telemetry::reset();
+  (void)replaySweepPoints(Trace, {Points[0]});
+  EXPECT_EQ(counterValue("sweep.filter.points"), 0u);
+  EXPECT_EQ(counterValue("sweep.filter.events-in"), 0u);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -860,6 +1090,43 @@ TEST(Streaming, StreamTraceMatchesBufferedRun) {
           << "event " << I;
     }
   }
+}
+
+TEST(Streaming, ProducerWaitIsBilledToItsOwnSpan) {
+  // A one-slot queue and a consumer that sleeps on its first chunks:
+  // the producer must block, and every blocking push falls inside a
+  // trace.producer-wait span whose time trace.producer-wait-ns counts.
+  TelemetryGuard Guard;
+  CompileOptions O;
+  SimConfig Sim;
+  Sim.Cache = config(64, 2);
+  Sim.TraceChunkEvents = 64;
+  const Workload *W = findWorkload("Queen");
+  int Seen = 0;
+  SimResult R = streamTrace(
+      Sim,
+      [&](const SimConfig &Cfg) {
+        DiagnosticEngine Diags;
+        return compileAndRun(W->Source, O, Cfg, Diags);
+      },
+      [&](const TraceEvent *, size_t) {
+        if (Seen++ < 3)
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      },
+      /*QueueDepth=*/1);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  const uint64_t Stalls = counterValue("trace.producer-stalls");
+  const uint64_t WaitNs = counterValue("trace.producer-wait-ns");
+  uint64_t Spans = 0, SpanNs = 0;
+  for (const telemetry::PhaseTotals &T : telemetry::phaseTotals())
+    if (T.Name == "trace.producer-wait") {
+      Spans = T.Count;
+      SpanNs = T.TotalNs;
+    }
+  EXPECT_GE(Stalls, 1u);
+  EXPECT_GE(Spans, Stalls);
+  EXPECT_GT(WaitNs, 0u);
+  EXPECT_LE(WaitNs, SpanNs);
 }
 
 TEST(Streaming, ConsumerExceptionPropagatesWithoutDeadlock) {

@@ -171,6 +171,15 @@ uint64_t counterValue(const char *Name) {
   return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
 }
 
+/// Every scheduled point is counted once, by the path that answered
+/// it: reused + replayed + served = scheduled (DESIGN.md §13).
+void expectEveryPointCountedOnce(uint64_t Scheduled) {
+  EXPECT_EQ(counterValue("sweep.points-reused") +
+                counterValue("sweep.points-replayed") +
+                counterValue("sim.store.points-served"),
+            Scheduled);
+}
+
 TEST(TraceStoreCrc, KnownAnswer) {
   const char *Check = "123456789";
   EXPECT_EQ(detail::crc32(reinterpret_cast<const uint8_t *>(Check), 9),
@@ -1249,6 +1258,10 @@ TEST(TraceStoreEngine, PolicyOrSeedMismatchRunsLiveThenServes) {
       EXPECT_EQ(Queen.Calls->load(), Calls + 1);
       EXPECT_EQ(counterValue("sim.runs"), 0u);
       EXPECT_EQ(counterValue("sim.store.hits"), 1u);
+      // The recorded base is answered by a record, not the summary; it
+      // is not a scheduled point and counts in neither.
+      EXPECT_EQ(counterValue("sweep.points-replayed"), 0u);
+      expectEveryPointCountedOnce(mixedPoints().size());
       EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
       expectSameBase(Warm.base("exp"), Base == &Case.Served
                                            ? Live.base("exp")
@@ -1349,6 +1362,8 @@ TEST(TraceStoreEngine, WarmServesEveryRecordedPointWithoutDecoding) {
     // Point 0 is the base configuration (reused); the other six were
     // replayed cold and are served from their records now.
     EXPECT_EQ(counterValue("sim.store.points-served"), 6u);
+    EXPECT_EQ(counterValue("sweep.points-replayed"), 0u);
+    expectEveryPointCountedOnce(Points.size());
     EXPECT_EQ(counterValue("check.replay.points"), 6u);
     EXPECT_EQ(counterValue("check.replay.violations"), 0u);
     expectSameBase(Warm.base("exp"), Cold.base("exp"));
@@ -1390,6 +1405,8 @@ TEST(TraceStoreEngine, PartialRecordsReplayOnlyMissingPoints) {
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   EXPECT_EQ(counterValue("sim.runs"), 1u);
   EXPECT_EQ(counterValue("sim.store.points-served"), 3u);
+  EXPECT_EQ(counterValue("sweep.points-replayed"), 3u);
+  expectEveryPointCountedOnce(Points.size());
   // Three served plus the three that replayed.
   EXPECT_EQ(counterValue("check.replay.points"), 6u);
   EXPECT_EQ(counterValue("sim.store.decode-ns"), 0u);
@@ -1406,6 +1423,8 @@ TEST(TraceStoreEngine, PartialRecordsReplayOnlyMissingPoints) {
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   EXPECT_EQ(counterValue("sim.runs"), 0u);
   EXPECT_EQ(counterValue("sim.store.points-served"), 6u);
+  EXPECT_EQ(counterValue("sweep.points-replayed"), 0u);
+  expectEveryPointCountedOnce(Points.size());
   for (size_t P = 0; P != Points.size(); ++P)
     EXPECT_EQ(Warm.point("exp", P), Plain.point("exp", P)) << P;
 }
