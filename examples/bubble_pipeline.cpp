@@ -18,6 +18,7 @@
 #include "urcm/driver/Driver.h"
 #include "urcm/ir/Verifier.h"
 #include "urcm/lang/Sema.h"
+#include "urcm/pass/AnalysisManager.h"
 
 #include <cstdio>
 
@@ -98,12 +99,13 @@ int main() {
 
   std::printf("\n=== 4. Register allocation + unified management ===\n");
   RegAllocOptions RAOptions;
-  RegAllocStats RAStats = allocateRegisters(*IR, RAOptions);
+  AnalysisManager AM(*IR);
+  RegAllocStats RAStats = allocateRegisters(*IR, RAOptions, AM);
   std::printf("webs=%u spilled=%u colors=%u iterations=%u\n",
               RAStats.NumWebs, RAStats.NumSpilledWebs,
               RAStats.NumColorsUsed, RAStats.Iterations);
   ClassificationStats Classified =
-      applyUnifiedManagement(*IR, UnifiedOptions::unified());
+      applyUnifiedManagement(*IR, UnifiedOptions::unified(), AM);
   std::printf("%s\n", Classified.str().c_str());
 
   std::printf("\n=== 5. Alias classification of bubble() ===\n");

@@ -15,6 +15,9 @@
 #define URCM_ANALYSIS_LIVENESS_H
 
 #include "urcm/analysis/CFG.h"
+#include "urcm/support/BitSet.h"
+
+#include <utility>
 
 namespace urcm {
 
@@ -23,15 +26,15 @@ class Liveness {
 public:
   Liveness(const IRFunction &F, const CFGInfo &CFG);
 
-  bool isLiveIn(uint32_t Block, Reg R) const { return LiveIn[Block][R]; }
-  bool isLiveOut(uint32_t Block, Reg R) const { return LiveOut[Block][R]; }
+  bool isLiveIn(uint32_t Block, Reg R) const {
+    return LiveIn[Block].test(R);
+  }
+  bool isLiveOut(uint32_t Block, Reg R) const {
+    return LiveOut[Block].test(R);
+  }
 
-  const std::vector<bool> &liveIn(uint32_t Block) const {
-    return LiveIn[Block];
-  }
-  const std::vector<bool> &liveOut(uint32_t Block) const {
-    return LiveOut[Block];
-  }
+  const BitSet &liveIn(uint32_t Block) const { return LiveIn[Block]; }
+  const BitSet &liveOut(uint32_t Block) const { return LiveOut[Block]; }
 
   /// Walks \p Block backwards, invoking \p Visit(Index, LiveAfter) for
   /// each instruction, where LiveAfter is the set of registers live
@@ -39,24 +42,22 @@ public:
   template <typename Callback>
   void scanBlockBackward(const IRFunction &F, uint32_t Block,
                          Callback Visit) const {
-    std::vector<bool> Live = LiveOut[Block];
+    BitSet Live = LiveOut[Block];
     const auto &Insts = F.block(Block)->insts();
-    std::vector<Reg> Uses;
     for (uint32_t I = static_cast<uint32_t>(Insts.size()); I-- > 0;) {
       const Instruction &Inst = Insts[I];
-      Visit(I, Live);
+      Visit(I, std::as_const(Live));
       if (Inst.Dst != NoReg)
-        Live[Inst.Dst] = false;
-      Uses.clear();
-      Inst.appendUses(Uses);
-      for (Reg R : Uses)
-        Live[R] = true;
+        Live.reset(Inst.Dst);
+      for (const Operand &O : Inst.Ops)
+        if (O.isReg())
+          Live.set(O.getReg());
     }
   }
 
 private:
-  std::vector<std::vector<bool>> LiveIn;
-  std::vector<std::vector<bool>> LiveOut;
+  std::vector<BitSet> LiveIn;
+  std::vector<BitSet> LiveOut;
 };
 
 } // namespace urcm

@@ -25,6 +25,7 @@
 
 #include "urcm/analysis/AliasAnalysis.h"
 #include "urcm/analysis/CFG.h"
+#include "urcm/support/BitSet.h"
 
 namespace urcm {
 

@@ -15,6 +15,7 @@
 #define URCM_ANALYSIS_REACHINGDEFS_H
 
 #include "urcm/analysis/CFG.h"
+#include "urcm/support/BitSet.h"
 
 namespace urcm {
 
@@ -37,14 +38,13 @@ public:
   const std::vector<DefSite> &defs() const { return Defs; }
 
   /// Definition ids of \p R reaching the *start* of instruction
-  /// (\p Block, \p Index). Linear scan within the block.
+  /// (\p Block, \p Index). Scans the block prefix, so a caller visiting
+  /// every use should walk the block forward instead (WebAnalysis does).
   std::vector<uint32_t> reachingDefsAt(const IRFunction &F, uint32_t Block,
                                        uint32_t Index, Reg R) const;
 
   /// Definition ids reaching block entry.
-  const std::vector<bool> &reachIn(uint32_t Block) const {
-    return In[Block];
-  }
+  const BitSet &reachIn(uint32_t Block) const { return In[Block]; }
 
   /// All def ids for register \p R.
   const std::vector<uint32_t> &defsOf(Reg R) const { return DefsOfReg[R]; }
@@ -52,7 +52,7 @@ public:
 private:
   std::vector<DefSite> Defs;
   std::vector<std::vector<uint32_t>> DefsOfReg;
-  std::vector<std::vector<bool>> In;
+  std::vector<BitSet> In;
 };
 
 } // namespace urcm

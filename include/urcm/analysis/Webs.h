@@ -50,9 +50,16 @@ public:
   /// Web id owning definition \p DefId.
   uint32_t webOfDef(uint32_t DefId) const { return WebOfDef[DefId]; }
 
+  /// Web id of every register use in program order: blocks in
+  /// F.blocks() order, instructions in order, register operands in
+  /// operand order (Instruction::appendUses). ~0u marks a use no
+  /// definition reaches (the verifier rejects those).
+  const std::vector<uint32_t> &useWebs() const { return UseWebs; }
+
 private:
   std::vector<Web> Webs;
   std::vector<uint32_t> WebOfDef;
+  std::vector<uint32_t> UseWebs;
 };
 
 } // namespace urcm

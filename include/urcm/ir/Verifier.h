@@ -15,7 +15,10 @@
 #define URCM_IR_VERIFIER_H
 
 #include "urcm/ir/IR.h"
+#include "urcm/support/BitSet.h"
 #include "urcm/support/Diagnostics.h"
+
+#include <vector>
 
 namespace urcm {
 
@@ -35,6 +38,15 @@ bool verifyModule(const IRModule &M, DiagnosticEngine &Diags);
 /// Verifies a single function.
 bool verifyFunction(const IRModule &M, const IRFunction &F,
                     DiagnosticEngine &Diags);
+
+/// The registers definitely assigned on entry to each block of \p F (one
+/// set of F.numRegs() bits per block id): the forward "must" dataflow
+/// behind verifyFunction's use-before-assignment check. The entry block
+/// starts with the parameters, a block without predecessors with
+/// nothing, and any other block with the intersection of its
+/// predecessors' exit sets. \p F must be structurally valid (blocks end
+/// in terminators, registers in range).
+std::vector<BitSet> definitelyAssignedIn(const IRFunction &F);
 
 } // namespace urcm
 

@@ -40,16 +40,10 @@ struct ValueNumberingStats {
   uint64_t ForwardedLoads = 0;
 };
 
-/// Runs local value numbering over \p F.
-ValueNumberingStats numberValues(IRModule &M, IRFunction &F);
-
-/// Same, against caller-provided alias facts (typically the
-/// AnalysisManager's cached result).
+/// Runs local value numbering over \p F against caller-provided alias
+/// facts (typically the AnalysisManager's cached result).
 ValueNumberingStats numberValues(IRModule &M, IRFunction &F,
                                  const AliasInfo &AA);
-
-/// Module-wide convenience.
-ValueNumberingStats numberValues(IRModule &M);
 
 } // namespace urcm
 

@@ -69,8 +69,9 @@ got=$(./build/tools/urcmc --print-pipeline)
 got=$(./build/tools/urcmc --O1 --print-pipeline)
 [ "$got" = "promote,cleanup,regalloc,unified,codegen" ] || {
   echo "--O1 pipeline drifted: $got" >&2; exit 1; }
-for w in Bubble Intmm Puzzle Queen Sieve Towers; do
+for w in Bubble Intmm Puzzle Queen Sieve Towers Quick Perm; do
   ./build/tools/urcmc --workload="$w" --O1 --verify-each >/dev/null
+  ./build/tools/urcmc --workload="$w" --era --verify-each >/dev/null
 done
 
 echo "== report fixed point: cold, parallel and warm vs urcmbench/expected =="

@@ -20,26 +20,21 @@ Liveness::Liveness(const IRFunction &F, const CFGInfo &CFG) {
   NumLivenessRuns.add();
   const uint32_t NumBlocks = F.numBlocks();
   const uint32_t NumRegs = F.numRegs();
-  LiveIn.assign(NumBlocks, std::vector<bool>(NumRegs, false));
-  LiveOut.assign(NumBlocks, std::vector<bool>(NumRegs, false));
+  LiveIn.assign(NumBlocks, BitSet(NumRegs));
+  LiveOut.assign(NumBlocks, BitSet(NumRegs));
 
   // Per-block gen (upward-exposed uses) and kill (defs) sets.
-  std::vector<std::vector<bool>> Gen(NumBlocks,
-                                     std::vector<bool>(NumRegs, false));
-  std::vector<std::vector<bool>> Kill(NumBlocks,
-                                      std::vector<bool>(NumRegs, false));
-  std::vector<Reg> Uses;
+  std::vector<BitSet> Gen(NumBlocks, BitSet(NumRegs));
+  std::vector<BitSet> Kill(NumBlocks, BitSet(NumRegs));
   for (const auto &B : F.blocks()) {
-    auto &G = Gen[B->id()];
-    auto &K = Kill[B->id()];
+    BitSet &G = Gen[B->id()];
+    BitSet &K = Kill[B->id()];
     for (const Instruction &I : B->insts()) {
-      Uses.clear();
-      I.appendUses(Uses);
-      for (Reg R : Uses)
-        if (!K[R])
-          G[R] = true;
+      for (const Operand &O : I.Ops)
+        if (O.isReg() && !K.test(O.getReg()))
+          G.set(O.getReg());
       if (I.Dst != NoReg)
-        K[I.Dst] = true;
+        K.set(I.Dst);
     }
   }
 
@@ -51,23 +46,10 @@ Liveness::Liveness(const IRFunction &F, const CFGInfo &CFG) {
     const auto &Order = CFG.rpo();
     for (auto It = Order.rbegin(), E = Order.rend(); It != E; ++It) {
       uint32_t Block = *It;
-      std::vector<bool> &Out = LiveOut[Block];
-      for (uint32_t Succ : CFG.succs(Block)) {
-        const std::vector<bool> &In = LiveIn[Succ];
-        for (uint32_t R = 0; R != NumRegs; ++R)
-          if (In[R] && !Out[R]) {
-            Out[R] = true;
-            Changed = true;
-          }
-      }
-      std::vector<bool> &In = LiveIn[Block];
-      for (uint32_t R = 0; R != NumRegs; ++R) {
-        bool NewIn = Gen[Block][R] || (Out[R] && !Kill[Block][R]);
-        if (NewIn != In[R]) {
-          In[R] = NewIn;
-          Changed = true;
-        }
-      }
+      BitSet &Out = LiveOut[Block];
+      for (uint32_t Succ : CFG.succs(Block))
+        Changed |= Out.unionWith(LiveIn[Succ]);
+      Changed |= LiveIn[Block].assignTransfer(Gen[Block], Out, Kill[Block]);
     }
   }
 }

@@ -20,23 +20,20 @@ MemoryLiveness::MemoryLiveness(const IRModule &M, const IRFunction &F,
   telemetry::ScopedPhase Phase("analysis.memliveness");
   NumMemLivenessRuns.add();
   // Enumerate tracked locations: scalar, non-escaping, non-External
-  // objects.
+  // objects. Globals come first, so the globals are locations
+  // [0, NumGlobals).
   const uint32_t NumObjects = AA.numObjects();
   std::vector<int32_t> LocOfObject(NumObjects, -1);
-  std::vector<bool> LocIsGlobal;
   for (uint32_t G = 0; G != M.globals().size(); ++G) {
     uint32_t Obj = AA.objectForGlobal(G);
-    if (M.globals()[G].SizeWords == 1 && !AA.objectEscapes(Obj)) {
+    if (M.globals()[G].SizeWords == 1 && !AA.objectEscapes(Obj))
       LocOfObject[Obj] = static_cast<int32_t>(NumTracked++);
-      LocIsGlobal.push_back(true);
-    }
   }
+  const uint32_t NumGlobals = NumTracked;
   for (uint32_t S = 0; S != F.frameSlots().size(); ++S) {
     uint32_t Obj = AA.objectForFrame(S);
-    if (F.frameSlots()[S].SizeWords == 1 && !AA.objectEscapes(Obj)) {
+    if (F.frameSlots()[S].SizeWords == 1 && !AA.objectEscapes(Obj))
       LocOfObject[Obj] = static_cast<int32_t>(NumTracked++);
-      LocIsGlobal.push_back(false);
-    }
   }
 
   NumTrackedLocations.add(NumTracked);
@@ -59,26 +56,26 @@ MemoryLiveness::MemoryLiveness(const IRModule &M, const IRFunction &F,
     return -1;
   };
 
-  // Backward bitvector dataflow.
-  std::vector<std::vector<bool>> LiveIn(F.numBlocks(),
-                                        std::vector<bool>(NumTracked,
-                                                          false));
-  std::vector<std::vector<bool>> LiveOut = LiveIn;
+  // Globals survive the activation, so they are live at exit; and a
+  // callee may read any global it names, so a call makes them all live.
+  BitSet Globals(NumTracked);
+  for (uint32_t Loc = 0; Loc != NumGlobals; ++Loc)
+    Globals.set(Loc);
 
-  // Exit liveness: globals survive the activation; frame slots do not.
-  std::vector<bool> ExitLive(NumTracked, false);
-  for (uint32_t Loc = 0; Loc != NumTracked; ++Loc)
-    ExitLive[Loc] = LocIsGlobal[Loc];
-
-  auto Transfer = [&](uint32_t Block, std::vector<bool> Live) {
-    const auto &Insts = F.block(Block)->insts();
+  // Per-block gen/kill, composed walking backward: a load generates its
+  // location, a store kills it (and cancels a later load's gen), a call
+  // generates every global.
+  const uint32_t NumBlocks = F.numBlocks();
+  std::vector<BitSet> Gen(NumBlocks, BitSet(NumTracked));
+  std::vector<BitSet> Kill(NumBlocks, BitSet(NumTracked));
+  for (const auto &B : F.blocks()) {
+    BitSet &G = Gen[B->id()];
+    BitSet &K = Kill[B->id()];
+    const auto &Insts = B->insts();
     for (uint32_t I = static_cast<uint32_t>(Insts.size()); I-- > 0;) {
       const Instruction &Inst = Insts[I];
       if (Inst.isCall()) {
-        // The callee may read any global it names.
-        for (uint32_t Loc = 0; Loc != NumTracked; ++Loc)
-          if (LocIsGlobal[Loc])
-            Live[Loc] = true;
+        G.unionWith(Globals);
         continue;
       }
       if (!Inst.isMemAccess())
@@ -86,52 +83,43 @@ MemoryLiveness::MemoryLiveness(const IRModule &M, const IRFunction &F,
       int32_t Loc = LocationOf(Inst);
       if (Loc < 0)
         continue;
-      if (Inst.isStore())
-        Live[Loc] = false;
-      else
-        Live[Loc] = true;
+      if (Inst.isStore()) {
+        G.reset(Loc);
+        K.set(Loc);
+      } else {
+        G.set(Loc);
+      }
     }
-    return Live;
-  };
+  }
 
+  // Backward bitvector dataflow. Both sets only grow from the empty
+  // start, so the meet is a union into LiveOut.
+  std::vector<BitSet> LiveIn(NumBlocks, BitSet(NumTracked));
+  std::vector<BitSet> LiveOut = LiveIn;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     const auto &Order = CFG.rpo();
     for (auto It = Order.rbegin(), E = Order.rend(); It != E; ++It) {
       uint32_t Block = *It;
-      std::vector<bool> Out(NumTracked, false);
+      BitSet &Out = LiveOut[Block];
       const auto &Succs = CFG.succs(Block);
-      if (Succs.empty()) {
-        Out = ExitLive;
-      } else {
-        for (uint32_t Succ : Succs)
-          for (uint32_t Loc = 0; Loc != NumTracked; ++Loc)
-            if (LiveIn[Succ][Loc])
-              Out[Loc] = true;
-      }
-      if (Out != LiveOut[Block]) {
-        LiveOut[Block] = Out;
-        Changed = true;
-      }
-      std::vector<bool> In = Transfer(Block, Out);
-      if (In != LiveIn[Block]) {
-        LiveIn[Block] = std::move(In);
-        Changed = true;
-      }
+      if (Succs.empty())
+        Changed |= Out.unionWith(Globals);
+      for (uint32_t Succ : Succs)
+        Changed |= Out.unionWith(LiveIn[Succ]);
+      Changed |= LiveIn[Block].assignTransfer(Gen[Block], Out, Kill[Block]);
     }
   }
 
   // Final pass: record per-instruction flags.
   for (const auto &B : F.blocks()) {
-    std::vector<bool> Live = LiveOut[B->id()];
+    BitSet Live = LiveOut[B->id()];
     const auto &Insts = B->insts();
     for (uint32_t I = static_cast<uint32_t>(Insts.size()); I-- > 0;) {
       const Instruction &Inst = Insts[I];
       if (Inst.isCall()) {
-        for (uint32_t Loc = 0; Loc != NumTracked; ++Loc)
-          if (LocIsGlobal[Loc])
-            Live[Loc] = true;
+        Live.unionWith(Globals);
         continue;
       }
       if (!Inst.isMemAccess())
@@ -142,11 +130,11 @@ MemoryLiveness::MemoryLiveness(const IRModule &M, const IRFunction &F,
       RefFlags &RF = Flags[B->id()][I];
       RF.Tracked = true;
       if (Inst.isStore()) {
-        RF.DeadStore = !Live[Loc];
-        Live[Loc] = false;
+        RF.DeadStore = !Live.test(Loc);
+        Live.reset(Loc);
       } else {
-        RF.LastRef = !Live[Loc];
-        Live[Loc] = true;
+        RF.LastRef = !Live.test(Loc);
+        Live.set(Loc);
       }
     }
   }

@@ -6,9 +6,16 @@
 
 #include "urcm/analysis/ReachingDefs.h"
 
+#include "urcm/support/Telemetry.h"
+
 using namespace urcm;
 
+URCM_STAT(NumReachingDefsRuns, "analysis.reachingdefs.runs",
+          "Reaching-definition problems solved");
+
 ReachingDefs::ReachingDefs(const IRFunction &F, const CFGInfo &CFG) {
+  telemetry::ScopedPhase Phase("analysis.reachingdefs");
+  NumReachingDefsRuns.add();
   const uint32_t NumBlocks = F.numBlocks();
   const uint32_t NumRegs = F.numRegs();
 
@@ -30,62 +37,52 @@ ReachingDefs::ReachingDefs(const IRFunction &F, const CFGInfo &CFG) {
       Defs.push_back(DefSite{D, B->id(), I});
     }
 
+  // Per-block transfer: Out = Gen U (In - Kill). Gen holds the last def
+  // of each register the block defines; Kill holds every def (parameter
+  // pseudo-defs included) of those registers. One pass over the defs,
+  // which are in block order: a block's defs are contiguous, and
+  // LastDefIn marks the registers already seen in the current block.
   const uint32_t NumDefs = static_cast<uint32_t>(Defs.size());
-  In.assign(NumBlocks, std::vector<bool>(NumDefs, false));
-  std::vector<std::vector<bool>> Out(NumBlocks,
-                                     std::vector<bool>(NumDefs, false));
-
-  // Per-block transfer: Out = Gen U (In - Kill). Compute Gen/Kill.
-  std::vector<std::vector<bool>> Gen(NumBlocks,
-                                     std::vector<bool>(NumDefs, false));
-  std::vector<std::vector<bool>> KillRegs(
-      NumBlocks, std::vector<bool>(NumRegs, false));
-  for (uint32_t DefId = 0; DefId != NumDefs; ++DefId) {
-    const DefSite &D = Defs[DefId];
-    if (D.isParam())
-      continue;
-    KillRegs[D.Block][D.Register] = true;
-  }
-  // Gen: the *last* def of each register in the block.
-  for (const auto &B : F.blocks()) {
-    std::vector<uint32_t> LastDef(NumRegs, ~0u);
-    for (uint32_t DefId = 0; DefId != NumDefs; ++DefId) {
-      const DefSite &D = Defs[DefId];
-      if (!D.isParam() && D.Block == B->id())
-        LastDef[D.Register] = DefId;
+  std::vector<BitSet> Gen(NumBlocks, BitSet(NumDefs));
+  std::vector<BitSet> Kill(NumBlocks, BitSet(NumDefs));
+  std::vector<uint32_t> LastDef(NumRegs);
+  std::vector<uint32_t> LastDefIn(NumRegs, ~0u);
+  std::vector<Reg> Defined;
+  for (uint32_t First = F.numParams(); First != NumDefs;) {
+    const uint32_t Block = Defs[First].Block;
+    uint32_t End = First;
+    Defined.clear();
+    for (; End != NumDefs && Defs[End].Block == Block; ++End) {
+      const Reg R = Defs[End].Register;
+      if (LastDefIn[R] != Block) {
+        LastDefIn[R] = Block;
+        Defined.push_back(R);
+      }
+      LastDef[R] = End;
     }
-    for (uint32_t R = 0; R != NumRegs; ++R)
-      if (LastDef[R] != ~0u)
-        Gen[B->id()][LastDef[R]] = true;
+    for (Reg R : Defined) {
+      Gen[Block].set(LastDef[R]);
+      for (uint32_t DefId : DefsOfReg[R])
+        Kill[Block].set(DefId);
+    }
+    First = End;
   }
 
-  // Entry generates the parameter pseudo-defs.
-  std::vector<bool> EntryIn(NumDefs, false);
+  // Every def set only grows from the empty start, so each meet is a
+  // union into In; the entry block also receives the parameter
+  // pseudo-defs.
+  In.assign(NumBlocks, BitSet(NumDefs));
+  std::vector<BitSet> Out(NumBlocks, BitSet(NumDefs));
   for (uint32_t P = 0; P != F.numParams(); ++P)
-    EntryIn[P] = true;
+    In[0].set(P);
 
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (uint32_t Block : CFG.rpo()) {
-      std::vector<bool> NewIn =
-          Block == 0 ? EntryIn : std::vector<bool>(NumDefs, false);
       for (uint32_t Pred : CFG.preds(Block))
-        for (uint32_t DefId = 0; DefId != NumDefs; ++DefId)
-          if (Out[Pred][DefId])
-            NewIn[DefId] = true;
-      if (NewIn != In[Block]) {
-        In[Block] = NewIn;
-        Changed = true;
-      }
-      std::vector<bool> NewOut = Gen[Block];
-      for (uint32_t DefId = 0; DefId != NumDefs; ++DefId)
-        if (In[Block][DefId] && !KillRegs[Block][Defs[DefId].Register])
-          NewOut[DefId] = true;
-      if (NewOut != Out[Block]) {
-        Out[Block] = NewOut;
-        Changed = true;
-      }
+        Changed |= In[Block].unionWith(Out[Pred]);
+      Changed |= Out[Block].assignTransfer(Gen[Block], In[Block], Kill[Block]);
     }
   }
 }
@@ -111,7 +108,7 @@ std::vector<uint32_t> ReachingDefs::reachingDefsAt(const IRFunction &F,
     return Result;
   }
   for (uint32_t DefId : DefsOfReg[R])
-    if (In[Block][DefId])
+    if (In[Block].test(DefId))
       Result.push_back(DefId);
   return Result;
 }

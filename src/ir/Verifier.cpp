@@ -204,93 +204,44 @@ private:
     }
   }
 
-  /// Forward dataflow: a register may only be used if it is assigned on
-  /// every path from entry. Parameters r0..numParams-1 start assigned.
+  /// A register may only be used if it is assigned on every path from
+  /// entry (definitelyAssignedIn).
   void checkDefiniteAssignment() {
     const uint32_t NumBlocks = F.numBlocks();
-    const uint32_t NumRegs = F.numRegs();
-    if (NumRegs == 0)
+    if (F.numRegs() == 0)
       return;
-
-    // DefinedOut[b] = set of regs definitely assigned at the end of b.
-    // Initialize to "all" (top) for a meet-over-paths intersection.
-    std::vector<std::vector<bool>> DefinedOut(
-        NumBlocks, std::vector<bool>(NumRegs, true));
-    std::vector<std::vector<uint32_t>> Preds(NumBlocks);
-    for (const auto &B : F.blocks())
-      for (uint32_t Succ : B->successors())
-        Preds[Succ].push_back(B->id());
-
-    std::deque<uint32_t> Work;
-    for (uint32_t BlockId = 0; BlockId != NumBlocks; ++BlockId)
-      Work.push_back(BlockId);
-
-    auto ComputeIn = [&](uint32_t BlockId) {
-      std::vector<bool> In(NumRegs, BlockId == 0);
-      if (BlockId == 0) {
-        // Entry: only parameters are assigned.
-        In.assign(NumRegs, false);
-        for (uint32_t P = 0; P != F.numParams(); ++P)
-          if (F.paramReg(P) < NumRegs)
-            In[F.paramReg(P)] = true;
-        return In;
-      }
-      if (Preds[BlockId].empty())
-        return In; // Unreachable block: nothing assigned.
-      In.assign(NumRegs, true);
-      for (uint32_t Pred : Preds[BlockId])
-        for (uint32_t R = 0; R != NumRegs; ++R)
-          In[R] = In[R] && DefinedOut[Pred][R];
-      return In;
-    };
-
-    while (!Work.empty()) {
-      uint32_t BlockId = Work.front();
-      Work.pop_front();
-      std::vector<bool> State = ComputeIn(BlockId);
-      for (const Instruction &I : F.block(BlockId)->insts())
-        if (I.Dst != NoReg)
-          State[I.Dst] = true;
-      if (State != DefinedOut[BlockId]) {
-        DefinedOut[BlockId] = State;
-        for (uint32_t Succ : F.block(BlockId)->successors())
-          Work.push_back(Succ);
-      }
-    }
+    std::vector<BitSet> Assigned = definitelyAssignedIn(F);
 
     // Reachability: unreachable blocks never execute, so their uses are
     // exempt from definite-assignment (the frontend replaces their
     // bodies, but synthetic IR may still contain them).
-    std::vector<bool> Reachable(NumBlocks, false);
+    BitSet Reachable(NumBlocks);
     {
       std::vector<uint32_t> WorkList{0};
-      Reachable[0] = true;
+      Reachable.set(0);
       while (!WorkList.empty()) {
         uint32_t Block = WorkList.back();
         WorkList.pop_back();
         for (uint32_t Succ : F.block(Block)->successors())
-          if (!Reachable[Succ]) {
-            Reachable[Succ] = true;
+          if (!Reachable.test(Succ)) {
+            Reachable.set(Succ);
             WorkList.push_back(Succ);
           }
       }
     }
 
-    // Final pass: flag uses of maybe-unassigned registers.
+    // Flag uses of maybe-unassigned registers.
     for (const auto &B : F.blocks()) {
-      if (!Reachable[B->id()])
+      if (!Reachable.test(B->id()))
         continue;
-      std::vector<bool> State = ComputeIn(B->id());
-      std::vector<Reg> Uses;
+      BitSet &State = Assigned[B->id()];
       for (const Instruction &I : B->insts()) {
-        Uses.clear();
-        I.appendUses(Uses);
-        for (Reg R : Uses)
-          if (!State[R])
-            error(formatString("r%u used before assignment in .%s", R,
-                               B->name().c_str()));
+        for (const Operand &O : I.Ops)
+          if (O.isReg() && !State.test(O.getReg()))
+            error(formatString("r%u used before assignment in .%s",
+                               O.getReg(), B->name().c_str()));
         if (I.Dst != NoReg)
-          State[I.Dst] = true;
+          State.set(I.Dst);
       }
     }
   }
@@ -307,6 +258,61 @@ bool urcm::verifyFunction(const IRModule &M, const IRFunction &F,
                           DiagnosticEngine &Diags) {
   Verifier V(M, F, Diags);
   return V.run();
+}
+
+std::vector<BitSet> urcm::definitelyAssignedIn(const IRFunction &F) {
+  const uint32_t NumBlocks = F.numBlocks();
+  const uint32_t NumRegs = F.numRegs();
+  std::vector<std::vector<uint32_t>> Succs(NumBlocks), Preds(NumBlocks);
+  std::vector<BitSet> Defs(NumBlocks, BitSet(NumRegs));
+  for (const auto &B : F.blocks()) {
+    Succs[B->id()] = B->successors();
+    for (uint32_t Succ : Succs[B->id()])
+      Preds[Succ].push_back(B->id());
+    for (const Instruction &I : B->insts())
+      if (I.Dst != NoReg)
+        Defs[B->id()].set(I.Dst);
+  }
+  BitSet Params(NumRegs);
+  for (uint32_t P = 0; P != F.numParams(); ++P)
+    if (F.paramReg(P) < NumRegs)
+      Params.set(F.paramReg(P));
+
+  // DefinedOut[b] = registers definitely assigned at the end of b,
+  // starting from "all" (top) for a meet-over-paths intersection.
+  std::vector<BitSet> DefinedOut(NumBlocks, BitSet(NumRegs, true));
+  auto ComputeIn = [&](uint32_t Block, BitSet &In) {
+    if (Block == 0) {
+      In.assign(Params);
+      return;
+    }
+    if (Preds[Block].empty()) {
+      In.clear(); // Unreachable block: nothing assigned.
+      return;
+    }
+    In.setAll();
+    for (uint32_t Pred : Preds[Block])
+      In.intersectWith(DefinedOut[Pred]);
+  };
+
+  std::deque<uint32_t> Work;
+  for (uint32_t Block = 0; Block != NumBlocks; ++Block)
+    Work.push_back(Block);
+  BitSet State(NumRegs);
+  while (!Work.empty()) {
+    uint32_t Block = Work.front();
+    Work.pop_front();
+    ComputeIn(Block, State);
+    State.unionWith(Defs[Block]);
+    if (DefinedOut[Block].assign(State))
+      for (uint32_t Succ : Succs[Block])
+        Work.push_back(Succ);
+  }
+
+  std::vector<BitSet> In(NumBlocks, BitSet(NumRegs));
+  for (uint32_t Block = 0; Block != NumBlocks; ++Block)
+    ComputeIn(Block, In[Block]);
+  return In;
 }
 
 bool urcm::verifyModule(const IRModule &M, DiagnosticEngine &Diags) {

@@ -12,10 +12,12 @@
 #include "urcm/analysis/ReachingDefs.h"
 #include "urcm/analysis/Webs.h"
 #include "urcm/pass/Analyses.h"
+#include "urcm/support/BitSet.h"
 #include "urcm/support/StringUtils.h"
 #include "urcm/support/Telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <map>
@@ -31,22 +33,35 @@ URCM_STAT(NumRAIterations, "regalloc.iterations",
 
 namespace {
 
-/// Triangular-matrix interference graph with adjacency lists.
+/// Interference graph: a bit matrix (one BitSet row per node) for edge
+/// queries plus adjacency lists in edge-insertion order.
 class InterferenceGraph {
 public:
-  explicit InterferenceGraph(uint32_t N)
-      : N(N), Bits(static_cast<size_t>(N) * N, false), Adj(N) {}
+  explicit InterferenceGraph(uint32_t N) : Rows(N, BitSet(N)), Adj(N) {}
 
   void addEdge(uint32_t A, uint32_t B) {
-    if (A == B || Bits[index(A, B)])
+    if (A == B || Rows[A].test(B))
       return;
-    Bits[index(A, B)] = true;
-    Bits[index(B, A)] = true;
-    Adj[A].push_back(B);
-    Adj[B].push_back(A);
+    link(A, B);
   }
+
+  /// Adds an edge from \p A to every member of \p Live except \p A
+  /// itself and \p Skip, in increasing order: one word operation per
+  /// 64 candidates, and only new neighbours are touched.
+  void addEdges(uint32_t A, const BitSet &Live, uint32_t Skip) {
+    const BitSet::Word *LiveW = Live.words();
+    const BitSet::Word *RowW = Rows[A].words();
+    for (size_t I = 0, E = Live.numWords(); I != E; ++I)
+      for (BitSet::Word New = LiveW[I] & ~RowW[I]; New; New &= New - 1) {
+        const uint32_t B = static_cast<uint32_t>(
+            I * BitSet::WordBits + std::countr_zero(New));
+        if (B != A && B != Skip)
+          link(A, B);
+      }
+  }
+
   bool interferes(uint32_t A, uint32_t B) const {
-    return A != B && Bits[index(A, B)];
+    return A != B && Rows[A].test(B);
   }
   const std::vector<uint32_t> &neighbors(uint32_t A) const { return Adj[A]; }
   uint32_t degree(uint32_t A) const {
@@ -54,11 +69,14 @@ public:
   }
 
 private:
-  size_t index(uint32_t A, uint32_t B) const {
-    return static_cast<size_t>(A) * N + B;
+  void link(uint32_t A, uint32_t B) {
+    Rows[A].set(B);
+    Rows[B].set(A);
+    Adj[A].push_back(B);
+    Adj[B].push_back(A);
   }
-  uint32_t N;
-  std::vector<bool> Bits;
+
+  std::vector<BitSet> Rows;
   std::vector<std::vector<uint32_t>> Adj;
 };
 
@@ -130,15 +148,7 @@ private:
     const WebAnalysis &WA = AM.get<WebsAnalysis>(F);
     const auto &Webs = WA.webs();
 
-    // Def-site (block, index) -> def id.
-    std::map<std::pair<uint32_t, uint32_t>, uint32_t> DefAt;
-    for (uint32_t DefId = 0; DefId != RD.defs().size(); ++DefId) {
-      const DefSite &D = RD.defs()[DefId];
-      if (!D.isParam())
-        DefAt[{D.Block, D.Index}] = DefId;
-    }
-
-    // Compute replacement operands before mutating anything.
+    // A web is a spill temp if any of its defs was one.
     std::vector<bool> NewIsSpillTemp(Webs.size(), false);
     for (uint32_t W = 0; W != Webs.size(); ++W)
       for (uint32_t DefId : Webs[W].DefIds) {
@@ -148,40 +158,26 @@ private:
           NewIsSpillTemp[W] = true;
       }
 
-    // Phase 1: resolve every register reference against the *unmutated*
-    // function; phase 2: apply. (Resolving in place would corrupt the
-    // block-prefix scans reachingDefsAt performs.)
-    struct Rewrite {
-      std::vector<Operand> Ops;
-      Reg Dst;
-    };
-    std::vector<std::vector<Rewrite>> Rewrites(F.numBlocks());
-    for (const auto &B : F.blocks()) {
-      auto &BlockRewrites = Rewrites[B->id()];
-      BlockRewrites.reserve(B->insts().size());
-      for (uint32_t I = 0; I != B->insts().size(); ++I) {
-        const Instruction &Inst = B->insts()[I];
-        Rewrite RW{Inst.Ops, Inst.Dst};
-        for (Operand &O : RW.Ops) {
+    // Every use's web was resolved by WebAnalysis, and def ids number
+    // instruction defs in program order after the parameters, so one
+    // walk in that order renames every operand in place.
+    const std::vector<uint32_t> &UseWebs = WA.useWebs();
+    size_t NextUse = 0;
+    uint32_t NextDef = F.numParams();
+    for (const auto &B : F.blocks())
+      for (Instruction &Inst : B->insts()) {
+        for (Operand &O : Inst.Ops) {
           if (!O.isReg())
             continue;
-          auto Reaching = RD.reachingDefsAt(F, B->id(), I, O.getReg());
-          assert(!Reaching.empty() && "use without reaching def");
-          O = Operand::reg(WA.webOfDef(Reaching[0]), O.getOffset());
+          const uint32_t W = UseWebs[NextUse++];
+          assert(W != ~0u && "use without reaching def");
+          O = Operand::reg(W, O.getOffset());
         }
-        if (Inst.Dst != NoReg) {
-          auto It = DefAt.find({B->id(), I});
-          assert(It != DefAt.end() && "unmapped definition site");
-          RW.Dst = WA.webOfDef(It->second);
-        }
-        BlockRewrites.push_back(std::move(RW));
+        if (Inst.Dst != NoReg)
+          Inst.Dst = WA.webOfDef(NextDef++);
       }
-    }
-    for (const auto &B : F.blocks())
-      for (uint32_t I = 0; I != B->insts().size(); ++I) {
-        B->insts()[I].Ops = std::move(Rewrites[B->id()][I].Ops);
-        B->insts()[I].Dst = Rewrites[B->id()][I].Dst;
-      }
+    assert(NextUse == UseWebs.size() && NextDef == RD.defs().size() &&
+           "use or def walk out of step with the analyses");
 
     // Parameter pseudo-defs are ids 0..numParams-1 in ReachingDefs order.
     for (uint32_t P = 0; P != F.numParams(); ++P)
@@ -210,20 +206,18 @@ private:
         IG.addEdge(EntryLive[A], EntryLive[B]);
 
     for (const auto &Blk : F.blocks()) {
-      LV.scanBlockBackward(
-          F, Blk->id(), [&](uint32_t Index, const std::vector<bool> &Live) {
-            const Instruction &Inst = Blk->insts()[Index];
-            if (Inst.Dst == NoReg)
-              return;
-            // Chaitin's copy rule: a move's source does not interfere
-            // with its destination.
-            Reg CopySrc = NoReg;
-            if (Inst.Op == Opcode::Mov && Inst.Ops[0].isReg())
-              CopySrc = Inst.Ops[0].getReg();
-            for (uint32_t R = 0; R != Live.size(); ++R)
-              if (Live[R] && R != Inst.Dst && R != CopySrc)
-                IG.addEdge(Inst.Dst, R);
-          });
+      LV.scanBlockBackward(F, Blk->id(),
+                           [&](uint32_t Index, const BitSet &Live) {
+                             const Instruction &Inst = Blk->insts()[Index];
+                             if (Inst.Dst == NoReg)
+                               return;
+                             // Chaitin's copy rule: a move's source does
+                             // not interfere with its destination.
+                             Reg CopySrc = NoReg;
+                             if (Inst.Op == Opcode::Mov && Inst.Ops[0].isReg())
+                               CopySrc = Inst.Ops[0].getReg();
+                             IG.addEdges(Inst.Dst, Live, CopySrc);
+                           });
     }
     return IG;
   }
@@ -363,7 +357,7 @@ private:
     for (const auto &B : F.blocks()) {
       std::vector<Instruction> NewInsts;
       NewInsts.reserve(B->insts().size() * 2);
-      for (Instruction Inst : B->insts()) {
+      for (Instruction &Inst : B->insts()) {
         // Reload each distinct spilled register used by Inst.
         std::map<Reg, Reg> TmpOf;
         for (Operand &O : Inst.Ops) {
@@ -432,7 +426,7 @@ private:
     for (const auto &B : F.blocks()) {
       std::vector<Instruction> NewInsts;
       NewInsts.reserve(B->insts().size());
-      for (Instruction Inst : B->insts()) {
+      for (Instruction &Inst : B->insts()) {
         for (Operand &O : Inst.Ops)
           if (O.isReg()) {
             assert(Color[O.getReg()] >= 0 && "uncolored register survived");
@@ -482,18 +476,6 @@ RegAllocStats urcm::allocateRegisters(IRModule &M, IRFunction &F,
                                       AnalysisManager &AM) {
   Allocator A(M, F, Options, AM);
   return A.run();
-}
-
-RegAllocStats urcm::allocateRegisters(IRModule &M, IRFunction &F,
-                                      const RegAllocOptions &Options) {
-  AnalysisManager AM(M);
-  return allocateRegisters(M, F, Options, AM);
-}
-
-RegAllocStats urcm::allocateRegisters(IRModule &M,
-                                      const RegAllocOptions &Options) {
-  AnalysisManager AM(M);
-  return allocateRegisters(M, Options, AM);
 }
 
 RegAllocStats urcm::allocateRegisters(IRModule &M,

@@ -230,13 +230,3 @@ LoopPromotionStats urcm::promoteLoopScalars(IRModule &M,
   }
   return Total;
 }
-
-LoopPromotionStats urcm::promoteLoopScalars(IRModule &M, IRFunction &F) {
-  AnalysisManager AM(M);
-  return promoteLoopScalars(M, F, AM);
-}
-
-LoopPromotionStats urcm::promoteLoopScalars(IRModule &M) {
-  AnalysisManager AM(M);
-  return promoteLoopScalars(M, AM);
-}

@@ -365,12 +365,6 @@ private:
 
 } // namespace
 
-ValueNumberingStats urcm::numberValues(IRModule &M, IRFunction &F) {
-  ModuleEscapeInfo ME(M);
-  AliasInfo AA(M, F, ME);
-  return numberValues(M, F, AA);
-}
-
 ValueNumberingStats urcm::numberValues(IRModule &M, IRFunction &F,
                                        const AliasInfo &AA) {
   ValueNumberingStats Stats;
@@ -378,14 +372,4 @@ ValueNumberingStats urcm::numberValues(IRModule &M, IRFunction &F,
   for (const auto &B : F.blocks())
     BN.run(*B);
   return Stats;
-}
-
-ValueNumberingStats urcm::numberValues(IRModule &M) {
-  ValueNumberingStats Total;
-  for (const auto &F : M.functions()) {
-    ValueNumberingStats S = numberValues(M, *F);
-    Total.RedundantComputations += S.RedundantComputations;
-    Total.ForwardedLoads += S.ForwardedLoads;
-  }
-  return Total;
 }

@@ -11,6 +11,7 @@
 
 #include "urcm/driver/Driver.h"
 #include "urcm/ir/IRParser.h"
+#include "urcm/pass/AnalysisManager.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -147,7 +148,8 @@ TEST(Interpreter, RunsPostAllocationIRToo) {
   InterpResult Before = interpretModule(*Module.IR);
   ASSERT_TRUE(Before.ok()) << Before.Error;
 
-  allocateRegisters(*Module.IR, RegAllocOptions());
+  AnalysisManager AM(*Module.IR);
+  allocateRegisters(*Module.IR, RegAllocOptions(), AM);
   InterpResult After = interpretModule(*Module.IR);
   ASSERT_TRUE(After.ok()) << After.Error;
   EXPECT_EQ(Before.Output, After.Output);
@@ -169,7 +171,8 @@ TEST(Interpreter, DifferentialAgainstMachineOnWorkloads) {
       InterpResult PreAlloc = interpretModule(*Module.IR);
       ASSERT_TRUE(PreAlloc.ok()) << W.Name << ": " << PreAlloc.Error;
 
-      allocateRegisters(*Module.IR, RegAllocOptions());
+      AnalysisManager AM(*Module.IR);
+      allocateRegisters(*Module.IR, RegAllocOptions(), AM);
       InterpResult PostAlloc = interpretModule(*Module.IR);
       ASSERT_TRUE(PostAlloc.ok()) << W.Name << ": " << PostAlloc.Error;
       EXPECT_EQ(PreAlloc.Output, PostAlloc.Output) << W.Name;
@@ -194,7 +197,8 @@ TEST(Interpreter, DifferentialWithSpillPressure) {
   ASSERT_TRUE(static_cast<bool>(Module));
   RegAllocOptions RA;
   RA.NumColors = 8;
-  allocateRegisters(*Module.IR, RA);
+  AnalysisManager AM(*Module.IR);
+  allocateRegisters(*Module.IR, RA, AM);
   InterpResult Interp = interpretModule(*Module.IR);
   ASSERT_TRUE(Interp.ok()) << Interp.Error;
   EXPECT_EQ(Interp.Output, (std::vector<int64_t>{92}));

@@ -11,6 +11,7 @@
 #include "urcm/driver/Driver.h"
 #include "urcm/ir/Interpreter.h"
 #include "urcm/ir/Verifier.h"
+#include "urcm/pass/AnalysisManager.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -256,10 +257,11 @@ TEST(IRParser, RoundTripStability) {
     };
 
     CheckRoundTrip(*Module.IR, "irgen");
-    runCleanupPipeline(*Module.IR, TransformOptions());
+    AnalysisManager AM(*Module.IR);
+    runCleanupPipeline(*Module.IR, TransformOptions(), AM);
     CheckRoundTrip(*Module.IR, "cleanup");
-    allocateRegisters(*Module.IR, RegAllocOptions());
-    applyUnifiedManagement(*Module.IR, UnifiedOptions::unified());
+    allocateRegisters(*Module.IR, RegAllocOptions(), AM);
+    applyUnifiedManagement(*Module.IR, UnifiedOptions::unified(), AM);
     CheckRoundTrip(*Module.IR, "allocated+unified");
   }
 }
@@ -271,8 +273,9 @@ TEST(IRParser, RoundTripEraMode) {
   Options.ScalarLocalsInMemory = true;
   CompiledModule Module = compileToIR(W->Source, Diags, Options);
   ASSERT_TRUE(static_cast<bool>(Module));
-  allocateRegisters(*Module.IR, RegAllocOptions());
-  applyUnifiedManagement(*Module.IR, UnifiedOptions::unified());
+  AnalysisManager AM(*Module.IR);
+  allocateRegisters(*Module.IR, RegAllocOptions(), AM);
+  applyUnifiedManagement(*Module.IR, UnifiedOptions::unified(), AM);
   std::string First = printIR(*Module.IR);
   DiagnosticEngine ParseDiags;
   auto Parsed = parseIR(First, ParseDiags);

@@ -9,6 +9,7 @@
 #include "urcm/driver/Driver.h"
 #include "urcm/ir/Interpreter.h"
 #include "urcm/ir/Verifier.h"
+#include "urcm/pass/AnalysisManager.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -28,7 +29,8 @@ struct Promoted {
     Module = compileToIR(Source, Diags, Options);
     EXPECT_TRUE(static_cast<bool>(Module)) << Diags.str();
     if (Module) {
-      Stats = promoteLoopScalars(*Module.IR);
+      AnalysisManager AM(*Module.IR);
+      Stats = promoteLoopScalars(*Module.IR, AM);
       DiagnosticEngine VerifyDiags;
       EXPECT_TRUE(verifyModule(*Module.IR, VerifyDiags))
           << VerifyDiags.str() << printIR(*Module.IR);

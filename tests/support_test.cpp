@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "urcm/support/BitSet.h"
 #include "urcm/support/Casting.h"
 #include "urcm/support/Diagnostics.h"
 #include "urcm/support/RNG.h"
@@ -20,6 +21,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <stdexcept>
 #include <sys/mman.h>
 #include <thread>
@@ -433,4 +435,121 @@ TEST(ZeroedWords, InterpreterReadsUnwrittenGlobalAsZero) {
   InterpResult R = interpretModule(*Module.IR);
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_EQ(R.Output, (std::vector<int64_t>{0, 7}));
+}
+
+namespace {
+
+/// Members of \p Bits by single-bit queries (independent of the word
+/// loops under test).
+std::set<size_t> members(const BitSet &Bits) {
+  std::set<size_t> Out;
+  for (size_t I = 0; I != Bits.size(); ++I)
+    if (Bits.test(I))
+      Out.insert(I);
+  return Out;
+}
+
+/// A pseudo-random subset of [0, Size).
+std::set<size_t> randomSubset(SplitMix64 &Rng, size_t Size) {
+  std::set<size_t> Out;
+  for (size_t I = 0; I != Size; ++I)
+    if (Rng.nextBelow(3) == 0)
+      Out.insert(I);
+  return Out;
+}
+
+BitSet fromSet(size_t Size, const std::set<size_t> &Members) {
+  BitSet Bits(Size);
+  for (size_t I : Members)
+    Bits.set(I);
+  return Bits;
+}
+
+} // namespace
+
+// Sizes around every word boundary and the inline/heap storage edge.
+constexpr size_t BitSetSizes[] = {0,  1,   2,   63,  64,  65, 127,
+                                  128, 129, 191, 192, 193, 640};
+
+TEST(BitSet, AllOnesStopsAtSize) {
+  for (size_t Size : BitSetSizes) {
+    BitSet Full(Size, true);
+    EXPECT_EQ(members(Full).size(), Size) << Size;
+    BitSet Cleared(Size);
+    EXPECT_TRUE(members(Cleared).empty()) << Size;
+    Cleared.setAll();
+    EXPECT_EQ(Cleared, Full) << Size;
+    Cleared.clear();
+    EXPECT_EQ(Cleared, BitSet(Size)) << Size;
+    // Intersecting with all ones changes nothing; uniting with all
+    // ones fills the set.
+    BitSet Some = fromSet(Size, Size ? std::set<size_t>{Size - 1}
+                                     : std::set<size_t>{});
+    EXPECT_FALSE(Some.intersectWith(Full)) << Size;
+    EXPECT_EQ(Some.unionWith(Full), Size > 1) << Size;
+    EXPECT_EQ(Some, Full) << Size;
+  }
+}
+
+TEST(BitSet, WordOperatorsMatchStdSet) {
+  SplitMix64 Rng(27);
+  for (size_t Size : BitSetSizes)
+    for (int Trial = 0; Trial != 20; ++Trial) {
+      const auto A = randomSubset(Rng, Size), B = randomSubset(Rng, Size),
+                 C = randomSubset(Rng, Size);
+      std::set<size_t> Union = A, Inter, Transfer = C;
+      Union.insert(B.begin(), B.end());
+      for (size_t I : A)
+        if (B.count(I))
+          Inter.insert(I);
+      for (size_t I : A)
+        if (!B.count(I))
+          Transfer.insert(I);
+
+      BitSet U = fromSet(Size, A);
+      EXPECT_EQ(U.unionWith(fromSet(Size, B)), Union != A);
+      EXPECT_EQ(members(U), Union);
+      BitSet I = fromSet(Size, A);
+      EXPECT_EQ(I.intersectWith(fromSet(Size, B)), Inter != A);
+      EXPECT_EQ(members(I), Inter);
+      // Transfer = Gen | (In & ~Kill) with Gen = C, In = A, Kill = B.
+      BitSet T = fromSet(Size, B);
+      EXPECT_EQ(T.assignTransfer(fromSet(Size, C), fromSet(Size, A),
+                                 fromSet(Size, B)),
+                Transfer != B);
+      EXPECT_EQ(members(T), Transfer);
+      BitSet Copy(Size);
+      EXPECT_EQ(Copy.assign(T), !Transfer.empty());
+      EXPECT_EQ(Copy, T);
+    }
+}
+
+TEST(BitSet, CopiesAndMovesAcrossInlineAndHeapStorage) {
+  SplitMix64 Rng(64);
+  for (size_t From : BitSetSizes)
+    for (size_t To : BitSetSizes) {
+      const auto Members = randomSubset(Rng, From);
+      const BitSet Source = fromSet(From, Members);
+      BitSet Assigned(To, true);
+      Assigned = Source;
+      EXPECT_EQ(Assigned, Source);
+      EXPECT_EQ(members(Assigned), Members);
+      BitSet Copy(Source);
+      BitSet Moved(std::move(Copy));
+      EXPECT_EQ(members(Moved), Members);
+      EXPECT_EQ(Copy.size(), 0u);
+      BitSet MoveAssigned(To, true);
+      MoveAssigned = std::move(Moved);
+      EXPECT_EQ(members(MoveAssigned), Members);
+      EXPECT_EQ(MoveAssigned.size(), From);
+      // The copy is independent of its source.
+      if (From != 0) {
+        Assigned.reset(0);
+        EXPECT_EQ(Source.test(0), Members.count(0) != 0);
+      }
+    }
+  std::vector<BitSet> Sets(3, BitSet(200, true));
+  Sets.resize(40, BitSet(200));
+  EXPECT_EQ(members(Sets[2]).size(), 200u);
+  EXPECT_TRUE(members(Sets[39]).empty());
 }

@@ -7,7 +7,10 @@
 #include "urcm/core/UnifiedManagement.h"
 
 #include "urcm/irgen/IRGen.h"
+#include "urcm/pass/AnalysisManager.h"
 #include "urcm/regalloc/RegAlloc.h"
+
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -15,8 +18,10 @@ using namespace urcm;
 
 namespace {
 
+/// A lowered, register-allocated module and its analysis cache.
 struct Prepared {
   CompiledModule Module;
+  std::unique_ptr<AnalysisManager> AM;
 
   Prepared(const std::string &Source, bool EraMode = false) {
     DiagnosticEngine Diags;
@@ -24,8 +29,14 @@ struct Prepared {
     Options.ScalarLocalsInMemory = EraMode;
     Module = compileToIR(Source, Diags, Options);
     EXPECT_TRUE(static_cast<bool>(Module)) << Diags.str();
-    if (Module)
-      allocateRegisters(*Module.IR, RegAllocOptions());
+    if (!Module)
+      return;
+    AM = std::make_unique<AnalysisManager>(*Module.IR);
+    allocateRegisters(*Module.IR, RegAllocOptions(), *AM);
+  }
+
+  ClassificationStats apply(const UnifiedOptions &Scheme) {
+    return applyUnifiedManagement(*Module.IR, Scheme, *AM);
   }
 };
 
@@ -58,15 +69,14 @@ void main() {
 
 TEST(Unified, ClassifiesEveryReference) {
   Prepared P(MixedProgram);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+  P.apply(UnifiedOptions::unified());
   for (const Instruction *I : memRefs(*P.Module.IR))
     EXPECT_NE(I->MemInfo.Class, RefClass::Unknown);
 }
 
 TEST(Unified, StaticStatsAddUp) {
   Prepared P(MixedProgram);
-  ClassificationStats S =
-      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+  ClassificationStats S = P.apply(UnifiedOptions::unified());
   EXPECT_EQ(S.totalRefs(), memRefs(*P.Module.IR).size());
   EXPECT_GT(S.UnambiguousRefs, 0u);
   EXPECT_GT(S.AmbiguousRefs, 0u);
@@ -75,8 +85,7 @@ TEST(Unified, StaticStatsAddUp) {
 
 TEST(Unified, ConventionalSchemeEmitsNoHints) {
   Prepared P(MixedProgram);
-  ClassificationStats S = applyUnifiedManagement(
-      *P.Module.IR, UnifiedOptions::conventional());
+  ClassificationStats S = P.apply(UnifiedOptions::conventional());
   EXPECT_EQ(S.BypassRefs, 0u);
   EXPECT_EQ(S.LastRefTags, 0u);
   for (const Instruction *I : memRefs(*P.Module.IR)) {
@@ -87,7 +96,7 @@ TEST(Unified, ConventionalSchemeEmitsNoHints) {
 
 TEST(Unified, BypassOnlyUnambiguous) {
   Prepared P(MixedProgram);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+  P.apply(UnifiedOptions::unified());
   for (const Instruction *I : memRefs(*P.Module.IR)) {
     if (I->MemInfo.Bypass)
       EXPECT_EQ(I->MemInfo.Class, RefClass::Unambiguous);
@@ -115,9 +124,10 @@ void main() {
   ASSERT_TRUE(static_cast<bool>(Module));
   RegAllocOptions RA;
   RA.NumColors = 8;
-  allocateRegisters(*Module.IR, RA);
+  AnalysisManager AM(*Module.IR);
+  allocateRegisters(*Module.IR, RA, AM);
   ClassificationStats S =
-      applyUnifiedManagement(*Module.IR, UnifiedOptions::unified());
+      applyUnifiedManagement(*Module.IR, UnifiedOptions::unified(), AM);
   EXPECT_GT(S.SpillRefs, 0u);
   for (const Instruction *I : memRefs(*Module.IR))
     if (I->MemInfo.Class == RefClass::Spill ||
@@ -127,8 +137,7 @@ void main() {
 
 TEST(Unified, DeadTagOnlySetsNoBypass) {
   Prepared P(MixedProgram, /*EraMode=*/true);
-  ClassificationStats S = applyUnifiedManagement(
-      *P.Module.IR, UnifiedOptions::deadTagOnly());
+  ClassificationStats S = P.apply(UnifiedOptions::deadTagOnly());
   EXPECT_EQ(S.BypassRefs, 0u);
   EXPECT_GT(S.LastRefTags + S.DeadStoreTags, 0u);
 }
@@ -136,10 +145,8 @@ TEST(Unified, DeadTagOnlySetsNoBypass) {
 TEST(Unified, EraModeRaisesUnambiguousShare) {
   Prepared Allocating(MixedProgram, /*EraMode=*/false);
   Prepared Era(MixedProgram, /*EraMode=*/true);
-  ClassificationStats SAlloc = applyUnifiedManagement(
-      *Allocating.Module.IR, UnifiedOptions::unified());
-  ClassificationStats SEra =
-      applyUnifiedManagement(*Era.Module.IR, UnifiedOptions::unified());
+  ClassificationStats SAlloc = Allocating.apply(UnifiedOptions::unified());
+  ClassificationStats SEra = Era.apply(UnifiedOptions::unified());
   EXPECT_GT(SEra.unambiguousFraction(), SAlloc.unambiguousFraction());
   // The paper's static measurement: 70-80% unambiguous in era code.
   EXPECT_GT(SEra.unambiguousFraction(), 0.5);
@@ -157,7 +164,7 @@ void main() {
 }
 )mc";
   Prepared P(HotGlobal);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::reuseAware());
+  P.apply(UnifiedOptions::reuseAware());
   const IRFunction *Tick = P.Module.IR->findFunction("tick");
   ASSERT_NE(Tick, nullptr);
   for (const auto &B : Tick->blocks())
@@ -168,7 +175,7 @@ void main() {
 
   // The blind policy bypasses it.
   Prepared P2(HotGlobal);
-  applyUnifiedManagement(*P2.Module.IR, UnifiedOptions::unified());
+  P2.apply(UnifiedOptions::unified());
   const IRFunction *Tick2 = P2.Module.IR->findFunction("tick");
   bool AnyBypass = false;
   for (const auto &B : Tick2->blocks())
@@ -181,10 +188,8 @@ void main() {
 TEST(Unified, IdempotentReapplication) {
   // Re-running the pass with the same options must not change anything.
   Prepared P(MixedProgram);
-  ClassificationStats First =
-      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
-  ClassificationStats Second =
-      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+  ClassificationStats First = P.apply(UnifiedOptions::unified());
+  ClassificationStats Second = P.apply(UnifiedOptions::unified());
   EXPECT_EQ(First.UnambiguousRefs, Second.UnambiguousRefs);
   EXPECT_EQ(First.AmbiguousRefs, Second.AmbiguousRefs);
   EXPECT_EQ(First.BypassRefs, Second.BypassRefs);
@@ -193,8 +198,8 @@ TEST(Unified, IdempotentReapplication) {
 
 TEST(Unified, SchemeSwitchOverwritesHints) {
   Prepared P(MixedProgram);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::conventional());
+  P.apply(UnifiedOptions::unified());
+  P.apply(UnifiedOptions::conventional());
   for (const Instruction *I : memRefs(*P.Module.IR)) {
     EXPECT_FALSE(I->MemInfo.Bypass);
     EXPECT_FALSE(I->MemInfo.LastRef);

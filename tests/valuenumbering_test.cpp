@@ -9,6 +9,7 @@
 #include "urcm/driver/Driver.h"
 #include "urcm/ir/Interpreter.h"
 #include "urcm/ir/Verifier.h"
+#include "urcm/pass/Analyses.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -26,7 +27,13 @@ struct Numbered {
     Module = compileToIR(Source, Diags);
     EXPECT_TRUE(static_cast<bool>(Module)) << Diags.str();
     if (Module) {
-      Stats = numberValues(*Module.IR);
+      for (const auto &F : Module.IR->functions()) {
+        AnalysisManager AM(*Module.IR);
+        ValueNumberingStats S =
+            numberValues(*Module.IR, *F, AM.get<AliasAnalysisInfo>(*F));
+        Stats.RedundantComputations += S.RedundantComputations;
+        Stats.ForwardedLoads += S.ForwardedLoads;
+      }
       DiagnosticEngine VerifyDiags;
       EXPECT_TRUE(verifyModule(*Module.IR, VerifyDiags))
           << VerifyDiags.str() << printIR(*Module.IR);

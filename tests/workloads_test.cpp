@@ -11,8 +11,11 @@
 #include "urcm/workloads/Workloads.h"
 
 #include "urcm/driver/Driver.h"
+#include "urcm/sim/TraceStore.h"
 
 #include <algorithm>
+#include <cinttypes>
+#include <fstream>
 #include <gtest/gtest.h>
 
 using namespace urcm;
@@ -196,4 +199,64 @@ TEST(Workloads, OutputsInvariantUnderRegisterPressure) {
         EXPECT_EQ(R.Output, Baseline) << W.Name << " colors=" << Colors;
     }
   }
+}
+
+TEST(Workloads, CompiledProgramsMatchGolden) {
+  // The compile fixed point: every workload under the Figure-5 unified
+  // and conventional schemes, the complete-unified system and the
+  // default options, pinned by content hash (traceContentHash at the
+  // default, paper geometry) and instruction count. Any change to an
+  // analysis, pass or code generator that moves one instruction or hint
+  // bit shows here. On a mismatch the computed lines are written to
+  // compiled_programs.txt.actual in the working directory.
+  CompileOptions Era;
+  Era.IRGen.ScalarLocalsInMemory = true;
+  CompileOptions Fig5Unified = Era;
+  Fig5Unified.Scheme = UnifiedOptions::unified();
+  CompileOptions Fig5Conventional = Era;
+  Fig5Conventional.Scheme = UnifiedOptions::conventional();
+  CompileOptions Complete;
+  Complete.PromoteLoopScalars = true;
+  Complete.Scheme = UnifiedOptions::reuseAware();
+  const std::pair<const char *, CompileOptions> Configs[] = {
+      {"fig5-unified", Fig5Unified},
+      {"fig5-conventional", Fig5Conventional},
+      {"complete-unified", Complete},
+      {"default", CompileOptions()}};
+
+  std::vector<const Workload *> All;
+  for (const Workload &W : paperWorkloads())
+    All.push_back(&W);
+  for (const Workload &W : extendedWorkloads())
+    All.push_back(&W);
+
+  std::vector<std::string> Lines;
+  for (const Workload *W : All)
+    for (const auto &[Name, Options] : Configs) {
+      DiagnosticEngine Diags;
+      CompileResult R = compileProgram(W->Source, Options, Diags);
+      ASSERT_TRUE(R.Ok) << W->Name << " " << Name << ": " << Diags.str();
+      char Buf[160];
+      std::snprintf(Buf, sizeof(Buf), "%s %s %016" PRIx64 " %zu",
+                    W->Name.c_str(), Name,
+                    traceContentHash(R.Program, SimConfig()),
+                    R.Program.Code.size());
+      Lines.push_back(Buf);
+    }
+
+  std::vector<std::string> Expected;
+  std::ifstream Golden(URCM_GOLDEN_DIR "/compiled_programs.txt");
+  ASSERT_TRUE(Golden) << "missing " URCM_GOLDEN_DIR "/compiled_programs.txt";
+  for (std::string Line; std::getline(Golden, Line);)
+    Expected.push_back(Line);
+  if (Lines == Expected)
+    return;
+  std::ofstream Out("compiled_programs.txt.actual");
+  for (const std::string &Line : Lines)
+    Out << Line << "\n";
+  ADD_FAILURE() << "compiled programs drifted from the golden file; "
+                << "computed lines written to compiled_programs.txt.actual";
+  for (size_t I = 0; I != std::min(Lines.size(), Expected.size()); ++I)
+    EXPECT_EQ(Lines[I], Expected[I]);
+  EXPECT_EQ(Lines.size(), Expected.size());
 }
