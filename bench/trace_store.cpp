@@ -6,21 +6,15 @@
 // record-once/serve-everywhere cycle it exists for: each paper workload
 // runs one fig5-shaped sweep COLD (live simulation, then the summary and
 // the point records written to the store) and then WARM (served from the
-// summary and the records; the Simulator is never invoked). The trace
-// codec is measured on its own: the workload's trace is streamed once
-// more into a file through the raw TraceStoreWriter::append API. Two
-// invariants are asserted on the reported numbers before any timing is
-// trusted:
+// summary and the records; the Simulator is never invoked). Warm
+// counters are asserted bit-identical to cold at every sweep point
+// before any timing is trusted.
 //
-//  * warm counters are bit-identical to cold at every sweep point;
-//  * the codec file is at most 1/3 of the raw 8-byte-per-event trace
-//    (the compression floor, checked per workload).
-//
-// Rows carry trace_events, raw vs codec-encoded bytes, the compress
-// ratio, the size of the engine's records-only file, and cold/warm wall
-// times with the warm speedup. Warm time is best of three (validation
-// and serving only); cold is a single run (a second cold run would be
-// served warm).
+// Rows carry trace_events (the data references the cold run traced),
+// their raw size at 8 bytes per event, the size of the engine's
+// records-only file, and cold/warm wall times with the warm speedup.
+// Warm time is best of three (validation and serving only); cold is a
+// single run (a second cold run would be served warm).
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,24 +46,9 @@ std::vector<SweepPoint> grid() {
 
 struct Measurement {
   uint64_t TraceEvents = 0;
-  uint64_t EncodedBytes = 0; ///< The raw-API file of the whole trace.
-  uint64_t StoreBytes = 0;   ///< The engine's records-only file.
+  uint64_t StoreBytes = 0; ///< The engine's records-only file.
   double ColdMs = 0;
   double WarmMs = 0;
-};
-
-/// Streams every trace chunk into a raw store writer.
-class AppendSink : public TraceSink {
-public:
-  explicit AppendSink(TraceStoreWriter &Writer) : Writer(Writer) {}
-  std::vector<TraceEvent> chunk(std::vector<TraceEvent> Chunk) override {
-    Writer.append(Chunk.data(), Chunk.size());
-    Chunk.clear();
-    return Chunk;
-  }
-
-private:
-  TraceStoreWriter &Writer;
 };
 
 double onceMs(const std::function<void()> &Fn) {
@@ -125,44 +104,9 @@ Measurement &measurement(const std::string &Name) {
   Out.StoreBytes =
       std::filesystem::file_size(traceStorePath(Dir.string(), Hash));
 
-  // The codec on the whole trace, through the raw writer API, in a
-  // directory of its own.
-  const std::string CodecDir = (Dir / "codec").string();
-  {
-    DiagnosticEngine D;
-    TraceStoreWriter Writer;
-    if (!Writer.open(CodecDir, Hash, D)) {
-      std::fprintf(stderr, "%s: %s", Name.c_str(), D.str().c_str());
-      std::abort();
-    }
-    AppendSink Sink(Writer);
-    SimConfig Streamed = Base;
-    Streamed.Sink = &Sink;
-    if (!Writer.commit(Producer(Streamed), D)) {
-      std::fprintf(stderr, "%s: %s", Name.c_str(), D.str().c_str());
-      std::abort();
-    }
-  }
-  const std::string Path = traceStorePath(CodecDir, Hash);
-  Out.EncodedBytes = std::filesystem::file_size(Path);
-  {
-    DiagnosticEngine D;
-    TraceStoreReader Reader;
-    if (Reader.open(Path, Hash, D) != TraceStoreReader::OpenStatus::Ok) {
-      std::fprintf(stderr, "%s: the codec file is not readable\n%s",
-                   Name.c_str(), D.str().c_str());
-      std::abort();
-    }
-    Out.TraceEvents = Reader.eventCount();
-  }
-  // The compression floor: encoded ≤ 1/3 of raw 8 B/event.
-  if (Out.EncodedBytes * 3 > Out.TraceEvents * 8) {
-    std::fprintf(stderr, "%s: encoded %llu B exceeds 1/3 of raw %llu B\n",
-                 Name.c_str(),
-                 static_cast<unsigned long long>(Out.EncodedBytes),
-                 static_cast<unsigned long long>(Out.TraceEvents * 8));
-    std::abort();
-  }
+  const CacheStats &Refs = Cold.base(Name).Cache;
+  Out.TraceEvents =
+      Refs.Reads + Refs.Writes + Refs.BypassReads + Refs.BypassWrites;
 
   Out.WarmMs = 1e300;
   for (int Rep = 0; Rep != 3; ++Rep) {
@@ -198,9 +142,6 @@ void rowFor(benchmark::State &State, const std::string &Name) {
   const double Raw = static_cast<double>(M.TraceEvents) * 8.0;
   State.counters["trace_events"] = static_cast<double>(M.TraceEvents);
   State.counters["raw_bytes"] = Raw;
-  State.counters["encoded_bytes"] = static_cast<double>(M.EncodedBytes);
-  State.counters["compress_ratio"] =
-      Raw == 0 ? 0 : static_cast<double>(M.EncodedBytes) / Raw;
   State.counters["store_bytes"] = static_cast<double>(M.StoreBytes);
   State.counters["cold_ms"] = M.ColdMs;
   State.counters["warm_ms"] = M.WarmMs;
@@ -211,23 +152,18 @@ void summary() {
   std::printf("\nPersistent trace store: record once (cold), serve "
               "everywhere (warm, best of 3; %zu-point grid)\n",
               grid().size());
-  std::printf("%-8s %10s %9s %9s %7s %8s %8s %8s %8s\n", "bench", "events",
-              "raw-KB", "enc-KB", "ratio", "store-B", "cold-ms", "warm-ms",
-              "speedup");
+  std::printf("%-8s %10s %9s %8s %8s %8s %8s\n", "bench", "events",
+              "raw-KB", "store-B", "cold-ms", "warm-ms", "speedup");
   for (const std::string &Name : workloadNames()) {
     Measurement &M = measurement(Name);
-    std::printf(
-        "%-8s %10llu %9.0f %9.0f %6.1f%% %8llu %8.1f %8.3f %7.0fx\n",
-        Name.c_str(), static_cast<unsigned long long>(M.TraceEvents),
-        static_cast<double>(M.TraceEvents) * 8.0 / 1024.0,
-        static_cast<double>(M.EncodedBytes) / 1024.0,
-        100.0 * static_cast<double>(M.EncodedBytes) /
-            (static_cast<double>(M.TraceEvents) * 8.0),
-        static_cast<unsigned long long>(M.StoreBytes), M.ColdMs, M.WarmMs,
-        M.ColdMs / M.WarmMs);
+    std::printf("%-8s %10llu %9.0f %8llu %8.1f %8.3f %7.0fx\n", Name.c_str(),
+                static_cast<unsigned long long>(M.TraceEvents),
+                static_cast<double>(M.TraceEvents) * 8.0 / 1024.0,
+                static_cast<unsigned long long>(M.StoreBytes), M.ColdMs,
+                M.WarmMs, M.ColdMs / M.WarmMs);
   }
   std::printf("(warm counters verified bit-identical to cold at every "
-              "point; the codec's size asserted <= 1/3 of raw)\n");
+              "point)\n");
 }
 
 } // namespace

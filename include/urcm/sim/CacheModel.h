@@ -641,6 +641,17 @@ CacheStats replayTrace(const std::vector<TraceEvent> &Trace,
 const char *replayConservationViolation(const CacheStats &S,
                                         const CacheConfig &Config);
 
+/// The attribution law: the rows of \p A, overflow row included, sum to
+/// the aggregate counters \p S of the same run — hits to ReadHits +
+/// WriteHits, misses to misses(), bypasses to BypassReads + BypassWrites
+/// + BypassHitMigrations, suppressed dead write-backs to
+/// DeadWriteBacksAvoided, and both evictions caused and evictions
+/// suffered to Evictions. Returns the first sum that disagrees, or null.
+/// Simulator::run checks every live run with a table and the sweep
+/// engine every replayed point with one.
+const char *attributionConservationViolation(const RefAttribution &A,
+                                             const CacheStats &S);
+
 } // namespace urcm
 
 #endif // URCM_SIM_CACHEMODEL_H

@@ -131,8 +131,9 @@ struct SimConfig {
                         /*Seed=*/0x1ce};
   /// When set, the data cache accumulates per-static-reference
   /// attribution (urcm/sim/RefAttribution.h) into this table (not
-  /// owned). Size it with RefAttribution(Prog.RefTable.size()). Null —
-  /// the default — keeps the hot paths attribution-free.
+  /// owned). Size it with RefAttribution(Prog.RefTable.size()) and pass
+  /// it zeroed: the run checks that its rows sum to the run's counters.
+  /// Null — the default — keeps the hot paths attribution-free.
   RefAttribution *Attribution = nullptr;
 };
 
@@ -199,7 +200,9 @@ public:
   /// the fly for SimEngine::Predecoded). A cache configuration no live
   /// run can build (liveCacheConfigError) is returned as the Error of a
   /// result that never ran; data-cache counters that break a
-  /// conservation law (replayConservationViolation) fail the run.
+  /// conservation law (replayConservationViolation), or an attribution
+  /// table whose rows do not sum to them
+  /// (attributionConservationViolation), fail the run.
   SimResult run(const MachineProgram &Prog);
 
   /// Runs an already-predecoded program (always the predecoded engine).

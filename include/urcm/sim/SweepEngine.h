@@ -190,9 +190,11 @@ public:
   /// are returned in the order of the constructor's Points.
   std::vector<CacheStats> finish();
 
-  /// The conservation law (see replayConservationViolation) the point
-  /// at \p PointIndex broke, or null. finish() checks every point and
-  /// counts them in the check.replay.* telemetry. Call after finish().
+  /// The conservation law (see replayConservationViolation, and
+  /// attributionConservationViolation for a point with a table) the
+  /// point at \p PointIndex broke, or null. finish() checks every point
+  /// and counts them in the check.replay.* telemetry. Call after
+  /// finish().
   const char *violatedLaw(size_t PointIndex) const;
 
   /// Moves out the attribution table of the point at \p PointIndex

@@ -1,4 +1,4 @@
-//===- urcm/sim/TraceStore.h - Persistent compressed trace store -*- C++ -*-===//
+//===- urcm/sim/TraceStore.h - Persistent trace store -----------*- C++ -*-===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
@@ -35,20 +35,13 @@
 /// hundred bytes per program. The summary records the data-cache policy
 /// and seed its cache row was measured under (see SummaryCachePolicy).
 /// Chunks are written only through the raw append() API, which the
-/// benchmark's store-codec rows measure.
+/// benchmark's store rows measure.
 ///
-/// Each chunk payload is self-contained: first a packed bit stream of 6
-/// bits per event (is-write, bypass, last-ref, a 2-bit delta-base
-/// selector, and a ref-predicted bit), then the varint stream. The
-/// encoder keeps a 4-entry ring of the most recent addresses
-/// (zero-initialized per chunk) and encodes each address as a zigzag
-/// delta against whichever entry gives the shortest varint. The
-/// ref-predicted bit carries the static reference id: set, the event's
-/// RefId is the predicted one (previous event's id plus one, or NoRefId
-/// while the previous event was unnumbered); clear, a zigzag varint of
-/// the difference from the prediction follows the address delta.
-/// Encoded size on the paper benchmarks runs well under 1/3 of the raw
-/// 8-byte-per-event form (asserted by bench/trace_store).
+/// A chunk payload is its events, eight little-endian bytes each:
+/// address u32 | is-write u8 (0 or 1) | hints u8 (bit 0 bypass, bit 1
+/// last-ref, the rest 0) | RefId u16. A payload whose size is not eight
+/// bytes per event, or an event with any other is-write or hint byte,
+/// is malformed.
 ///
 /// ## Invalidation and robustness
 ///
@@ -59,11 +52,8 @@
 /// back to live simulation. open() validates the *whole* file up front
 /// (magic, version, the header's constant words, hash, every chunk CRC,
 /// summary CRC, footer counts, exact end-of-file), so every byte of a
-/// file is covered by a check. The CRC folds 64 bytes per step with
-/// carry-less multiplies where the CPU has PCLMULQDQ and runs
-/// slicing-by-8 tables elsewhere (see detail::crc32), and the chunk
-/// CRCs run in batches across a thread pool after a sequential walk of
-/// the chunk headers. Validation failures are reported through
+/// file is covered by a check; the chunks are checked in one serial
+/// pass, frame by frame. Validation failures are reported through
 /// DiagnosticEngine — never asserted — and decode stays bounds-checked
 /// even after a successful open (a file mutated mid-read produces a
 /// clean failure, not UB).
@@ -89,8 +79,6 @@
 #include <vector>
 
 namespace urcm {
-
-class ThreadPool;
 
 /// Fingerprint of everything that determines a recorded trace *and* the
 /// trace-free SimResult summary stored beside it: the full machine
@@ -136,7 +124,7 @@ struct StoredPoint {
 };
 
 /// Records one store file into a store directory. Lifecycle: open()
-/// creates the directory (if needed) and a temp file; append() encodes
+/// creates the directory (if needed) and a temp file; append() buffers
 /// trace events (any batch sizes — the writer re-chunks internally, so
 /// the file layout is independent of the caller's batching; the sweep
 /// engine appends none); commit() writes the summary and footer and
@@ -150,8 +138,7 @@ public:
   TraceStoreWriter &operator=(const TraceStoreWriter &) = delete;
   ~TraceStoreWriter();
 
-  /// Events per encoded chunk (64K events = 512 KB raw): the decode
-  /// granularity.
+  /// Events per chunk (64K events = 512 KB): the decode granularity.
   static constexpr uint32_t ChunkEvents = 1u << 16;
 
   /// Creates \p Dir if missing and opens a temp file for the trace of
@@ -161,7 +148,7 @@ public:
   bool open(const std::string &Dir, uint64_t ContentHash,
             DiagnosticEngine &Diags);
 
-  /// Encodes and buffers the next \p Count events of the trace.
+  /// Buffers the next \p Count events of the trace.
   void append(const TraceEvent *Events, size_t Count);
 
   /// Flushes the final chunk, writes the summary (\p Summary's Trace
@@ -185,7 +172,7 @@ public:
   void discard();
 
 private:
-  bool flushChunk(); ///< Encodes and writes Pending; false on I/O error.
+  bool flushChunk(); ///< Writes Pending as a chunk; false on I/O error.
   bool commitSummary(const SimResult &Summary,
                      const std::optional<SummaryCachePolicy> &Measured,
                      const std::vector<StoredPoint> &Points,
@@ -229,16 +216,12 @@ public:
   /// treats it as a plain cache miss). A path that is not a regular
   /// file (a FIFO, a directory) is rejected before anything is read.
   ///
-  /// Chunks are validated in two phases. A sequential walk reads every
-  /// chunk header and checks its bounds and that its payload ends inside
-  /// the file, stopping at the first structural error. The payloads it
-  /// framed are then CRC-checked in batches on \p Pool (null:
-  /// ThreadPool::global(); the caller works too, and a call from inside
-  /// a pool task is safe), each worker reading into one bounded buffer.
-  /// The first failure in file order is the one reported, so the
-  /// diagnostic never depends on the pool's width or scheduling.
+  /// Chunks are validated in one pass in file order: each frame's
+  /// bounds, that its payload ends inside the file and holds eight
+  /// bytes per event, then its CRC. The first failure is the one
+  /// reported. open() does not decode the events; next() does.
   OpenStatus open(const std::string &Path, uint64_t ExpectHash,
-                  DiagnosticEngine &Diags, ThreadPool *Pool = nullptr);
+                  DiagnosticEngine &Diags);
 
   /// The recorded trace-free SimResult. Valid after OpenStatus::Ok.
   const SimResult &summary() const { return Summary; }
@@ -270,10 +253,6 @@ public:
   /// Repositions next() at the first chunk (for a second pass).
   void rewind();
 
-  /// Decodes the whole trace into \p Trace (replaced; reserved to the
-  /// footer's event count). Returns false on decode failure.
-  bool readAll(std::vector<TraceEvent> &Trace);
-
 private:
   std::FILE *File = nullptr;
   SimResult Summary;
@@ -281,7 +260,6 @@ private:
   std::vector<StoredPoint> Points;
   uint64_t TotalEvents = 0;
   uint64_t ChunkCount = 0;
-  long ChunksBegin = 0;
   uint64_t ChunksSeen = 0;
   bool Failed = false;
   std::vector<uint8_t> Payload; ///< Reused read/decode scratch.
@@ -290,33 +268,19 @@ private:
 namespace detail {
 
 /// Chunk payload codec, exposed for tests: encodes \p Count events into
-/// \p Out (replaced), and decodes exactly \p Count events from a
-/// payload. decodeChunkPayload returns false if the payload is
-/// malformed (short streams, varint overruns) — bounds-checked
-/// throughout.
+/// \p Out (replaced), eight bytes each, and decodes exactly \p Count
+/// events from a payload. decodeChunkPayload returns false if the
+/// payload is malformed: its size is not eight bytes per event, or an
+/// event's is-write byte is not 0 or 1 or its hint byte has a bit above
+/// bit 1 set.
 void encodeChunkPayload(const TraceEvent *Events, size_t Count,
                         std::vector<uint8_t> &Out);
 bool decodeChunkPayload(const uint8_t *Payload, size_t PayloadBytes,
                         size_t Count, std::vector<TraceEvent> &Out);
 
-/// CRC-32 (IEEE 802.3, reflected) of \p Bytes: crc32Folded when
-/// crc32FoldedAvailable(), else crc32Table. The choice is made once per
-/// process. Counts the bytes each path checked in
-/// `sim.store.crc.clmul-bytes` and `sim.store.crc.table-bytes`.
+/// CRC-32 (IEEE 802.3, reflected) of \p Bytes, eight bytes per step
+/// (slicing-by-8). Counts the bytes in `sim.store.crc-bytes`.
 uint32_t crc32(const uint8_t *Bytes, size_t Count);
-
-/// The same CRC, eight bytes per step (slicing-by-8): the path on every
-/// host, and the oracle for the folded one.
-uint32_t crc32Table(const uint8_t *Bytes, size_t Count);
-
-/// The same CRC by carry-less-multiply folding (PCLMULQDQ), 64 bytes per
-/// step, with the last Count % 16 bytes (and any buffer under 64 bytes)
-/// on the table loop. Call it only when crc32FoldedAvailable().
-uint32_t crc32Folded(const uint8_t *Bytes, size_t Count);
-
-/// True if this build targets x86-64 and the CPU has PCLMULQDQ and
-/// SSE4.1.
-bool crc32FoldedAvailable();
 
 } // namespace detail
 

@@ -53,14 +53,16 @@ public:
   void producerDone() { Full.close(); }
 
   /// Consumer side: pops the next chunk into \p Chunk (its previous
-  /// contents are recycled to the producer). False at end of stream.
+  /// contents are recycled to the producer). False at end of stream. A
+  /// pop that finds the queue empty runs under a trace.consumer-wait
+  /// span, so the wait is not billed to the replay that consumes.
   bool next(std::vector<TraceEvent> &Chunk) {
     if (!Chunk.empty()) {
       Chunk.clear();
       Free.tryPush(std::move(Chunk));
       Chunk = std::vector<TraceEvent>();
     }
-    return Full.pop(Chunk);
+    return Full.empty() ? waitNext(Chunk) : Full.pop(Chunk);
   }
 
   /// Total events streamed so far (consumer side: stable after the
@@ -81,12 +83,20 @@ public:
   /// telemetry is enabled (stable after the stream ends).
   uint64_t producerWaitNs() const { return WaitNs; }
 
+  /// Nanoseconds the consumer spent in pops that found the queue empty,
+  /// measured while telemetry is enabled (stable after the stream ends).
+  uint64_t consumerWaitNs() const { return PopWaitNs; }
+
 private:
+  /// next()'s pop when the queue is empty: timed, under its own span.
+  bool waitNext(std::vector<TraceEvent> &Chunk);
+
   SPSCQueue<std::vector<TraceEvent>> Full;
   SPSCQueue<std::vector<TraceEvent>> Free;
   uint64_t Events = 0;
   uint64_t Chunks = 0;
   uint64_t WaitNs = 0;
+  uint64_t PopWaitNs = 0;
 };
 
 /// Runs \p Produce — a closure that must pass \p Config (sink included)

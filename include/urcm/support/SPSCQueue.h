@@ -150,6 +150,14 @@ public:
            Capacity;
   }
 
+  /// Consumer side: true when pop() would block now (or, once closed,
+  /// return false). Only the consumer pops, so a queue it finds
+  /// non-empty stays so until its next pop.
+  bool empty() const {
+    return Head.load(std::memory_order_relaxed) ==
+           Tail.load(std::memory_order_seq_cst);
+  }
+
   /// Times push() found the queue full and had to block.
   uint64_t pushWaits() const {
     return PushWaits.load(std::memory_order_relaxed);

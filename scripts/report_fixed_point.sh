@@ -9,11 +9,11 @@
 # decoded, no replay) and that every served point obeyed the replay
 # conservation laws (check.replay.points == 54,
 # check.replay.violations == 0), so a warm report that silently falls
-# back to decode and replay fails; its CRC counters
-# (sim.store.crc.clmul-bytes + sim.store.crc.table-bytes) must be
-# nonzero and at most sim.store.bytes-read, and its store layer must
-# carry the validation: at least 24 sweep.store-serve spans (a validate
-# span and a serve span per stored experiment, plus one per CRC batch).
+# back to decode and replay fails; its CRC counter
+# (sim.store.crc-bytes) must be nonzero and at most
+# sim.store.bytes-read, and its store layer must carry the validation:
+# at least 24 sweep.store-serve spans (a validate span and a serve span
+# per stored experiment).
 # The work is pinned too, so a redundant simulation or replay fails the
 # check: the recording pass stores exactly 12 files (two simulations
 # per workload) of under 1 MB in total (summaries and point records
@@ -108,8 +108,7 @@ if c.get("check.replay.points", 0) != 54:
              % c.get("check.replay.points", 0))
 if c.get("check.replay.violations", 0) != 0:
     sys.exit("replayed counters broke a conservation law")
-crc = (c.get("sim.store.crc.clmul-bytes", 0)
-       + c.get("sim.store.crc.table-bytes", 0))
+crc = c.get("sim.store.crc-bytes", 0)
 if not 0 < crc <= c.get("sim.store.bytes-read", 0):
     sys.exit("warm report CRC-checked %d bytes of %d read"
              % (crc, c.get("sim.store.bytes-read", 0)))

@@ -163,3 +163,24 @@ const char *urcm::replayConservationViolation(const CacheStats &S,
     return "DeadWriteBacksAvoided <= DeadFrees";
   return nullptr;
 }
+
+const char *urcm::attributionConservationViolation(const RefAttribution &A,
+                                                   const CacheStats &S) {
+  RefCounters Sum;
+  for (uint32_t Ref = 0; Ref <= A.numRefs(); ++Ref)
+    Sum += A.row(Ref);
+  if (Sum.Hits != S.ReadHits + S.WriteHits)
+    return "attributed Hits == ReadHits + WriteHits";
+  if (Sum.Misses != S.misses())
+    return "attributed Misses == misses";
+  if (Sum.Bypasses != S.BypassReads + S.BypassWrites + S.BypassHitMigrations)
+    return "attributed Bypasses == BypassReads + BypassWrites + "
+           "BypassHitMigrations";
+  if (Sum.DeadWriteBacksSuppressed != S.DeadWriteBacksAvoided)
+    return "attributed DeadWriteBacksSuppressed == DeadWriteBacksAvoided";
+  if (Sum.EvictionsCaused != S.Evictions)
+    return "attributed EvictionsCaused == Evictions";
+  if (Sum.EvictionsSuffered != S.Evictions)
+    return "attributed EvictionsSuffered == Evictions";
+  return nullptr;
+}

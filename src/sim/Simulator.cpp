@@ -453,11 +453,14 @@ namespace {
 
 /// Checks one finished simulation's data-cache counters against the
 /// conservation laws — on the fast path and the generic model alike —
-/// and folds the run into the counters. A broken law is a cache-model
+/// and, when the run filled an attribution table, the attribution law;
+/// then folds the run into the counters. A broken law is a cache-model
 /// bug, so it fails the run, naming the law; the check runs whether or
 /// not telemetry is on.
 void finishRun(SimResult &Result, const SimConfig &Config) {
   const char *Law = replayConservationViolation(Result.Cache, Config.Cache);
+  if (!Law && Config.Attribution)
+    Law = attributionConservationViolation(*Config.Attribution, Result.Cache);
   if (Law) {
     std::string Message =
         std::string("data-cache counters break conservation law '") + Law +

@@ -485,10 +485,13 @@ std::vector<CacheStats> SweepPointStream::finish() {
     if (S.EventsKept + Reads + Writes != S.EventsIn)
       I.Violated[Pt] = "kept + dropped reads + dropped writes == events in";
   }
-  for (size_t Pt = 0; Pt != Out.size(); ++Pt)
+  for (size_t Pt = 0; Pt != Out.size(); ++Pt) {
     if (!I.Violated[Pt])
       I.Violated[Pt] =
           replayConservationViolation(Out[Pt], I.Points[Pt].Config);
+    if (!I.Violated[Pt] && I.Points[Pt].wantsAttribution())
+      I.Violated[Pt] = attributionConservationViolation(I.Attrib[Pt], Out[Pt]);
+  }
   for (const FilterStage &S : I.Stages) {
     NumFilterEventsIn.add(S.EventsIn);
     NumFilterEventsKept.add(S.EventsKept);
@@ -712,7 +715,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
   {
     // Validation is store work, billed to the store layer.
     telemetry::ScopedPhase Validate("sweep.store-serve", "validate");
-    Status = Reader.open(Path, E.ContentHash, OpenDiags, Pool);
+    Status = Reader.open(Path, E.ContentHash, OpenDiags);
   }
   forwardStoreDiags(OpenDiags);
   if (Status != TraceStoreReader::OpenStatus::Ok)

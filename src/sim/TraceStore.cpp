@@ -1,45 +1,23 @@
-//===- TraceStore.cpp - Persistent compressed trace store ----------------------===//
+//===- TraceStore.cpp - Persistent trace store ----------------------------===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
 // See the header for the container format. Implementation notes:
 //
-//  * The codec is deliberately boring: a packed 6-bit-per-event flag
-//    stream (is-write, bypass, last-ref, 2-bit delta-base selector,
-//    ref-predicted) followed by a byte-aligned varint stream of zigzag
-//    LEB128 address deltas against a 4-entry recent-address ring. Real
-//    traces interleave stack, global and array streams; the ring lets
-//    each stream delta against its own last address (usually a 1-byte
-//    varint) instead of paying a 3-byte varint at every region switch.
-//    The ref-predicted bit (v2) carries the static reference id: set,
-//    the event's RefId is the predicted one — previous RefId plus one,
-//    or NoRefId while the previous was NoRefId — which makes both
-//    straight-line code (ids are numbered in code order) and unnumbered
-//    traces free; clear, a zigzag varint of (RefId - predicted) follows
-//    the event's address delta in the varint stream. Both streams are
-//    byte-aligned and chunk-self-contained (ring and RefId predictor
-//    reset per chunk), so any chunk decodes independently of the rest
-//    of the file.
-//
 //  * The sweep engine writes no chunks (format v5): its files hold the
 //    header, the summary with its point records, and the footer. The
-//    codec and the chunk framing serve the raw writer/reader API alone.
+//    chunk framing serves the raw writer/reader API alone, and a chunk
+//    payload is the events themselves, eight bytes each.
 //
 //  * Validation is front-loaded: TraceStoreReader::open checks the whole
 //    file (CRCs included) before reporting Ok, so a reader never serves
 //    a prefix of a file that turns out corrupt. After open, decode stays
 //    bounds-checked anyway (the file could change under us); failures
-//    turn into failed(), never UB. Chunk validation runs in two
-//    phases: a sequential walk of the chunk headers (bounds and
-//    framing, nothing allocated from a length it has not bounded), then
-//    the payload CRCs in 256 KB batches across the thread pool, one
-//    pread per batch. The first failure in file order is reported, so
-//    the diagnostic is the one a sequential walk gives. The file is
-//    read, not mapped: mapped page-cache pages count in the process's
-//    resident set, and a file truncated under a mapping raises SIGBUS
-//    instead of a diagnostic. The CRC is a carry-less-multiply fold
-//    (PCLMULQDQ, 64 bytes per step) where the CPU has it, chosen once per
-//    process, and slicing-by-8 tables elsewhere and as its test oracle.
+//    turn into failed(), never UB. The chunks are checked in one serial
+//    pass: each frame's bounds, then its payload's CRC, stopping at the
+//    first failure in file order. The file is read, not mapped: mapped
+//    page-cache pages count in the process's resident set, and a file
+//    truncated under a mapping raises SIGBUS instead of a diagnostic.
 //    The header's constant words are checked too, so every byte of a
 //    file is covered by a check.
 //
@@ -52,7 +30,6 @@
 #include "urcm/sim/TraceStore.h"
 
 #include "urcm/support/Telemetry.h"
-#include "urcm/support/ThreadPool.h"
 
 #include <algorithm>
 #include <array>
@@ -63,33 +40,17 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h> // getpid (temp-file uniqueness), pread.
-
-// The carry-less-multiply CRC needs x86-64 and a compiler that can
-// target PCLMULQDQ per function; crc32 picks it at run time when the CPU
-// has it.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define URCM_CRC_CLMUL 1
-#include <immintrin.h>
-#else
-#define URCM_CRC_CLMUL 0
-#endif
+#include <unistd.h> // getpid (temp-file uniqueness).
 
 using namespace urcm;
 
 URCM_STAT(NumStoreBytesWritten, "sim.store.bytes-written",
-          "Encoded bytes written to published store files");
+          "Bytes written to published store files");
 URCM_STAT(NumStoreBytesRead, "sim.store.bytes-read",
           "Store file bytes read and validated");
 URCM_STAT(StoreDecodeNs, "sim.store.decode-ns",
           "Nanoseconds spent decoding store chunks into trace events");
-URCM_STAT(NumCrcClmulBytes, "sim.store.crc.clmul-bytes",
-          "Bytes CRC-checked by the carry-less-multiply fold");
-URCM_STAT(NumCrcTableBytes, "sim.store.crc.table-bytes",
-          "Bytes CRC-checked by the slicing-by-8 table loop");
-URCM_HISTOGRAM(StoreCompressRatio, "sim.store.compress-ratio",
-               "Encoded size as a percent of the raw 8-byte-per-event "
-               "trace, per committed store file");
+URCM_STAT(NumCrcBytes, "sim.store.crc-bytes", "Bytes CRC-checked");
 
 //===----------------------------------------------------------------------===//
 // Primitive codecs.
@@ -99,8 +60,8 @@ namespace {
 
 constexpr char HeaderMagic[8] = {'U', 'R', 'C', 'M', 'T', 'R', 'C', '\x01'};
 constexpr char FooterMagic[8] = {'U', 'R', 'C', 'M', 'E', 'N', 'D', '\x01'};
-// v2: the per-event flag stream grew from 5 to 6 bits to carry the
-// static reference id (attribution profiler). v3: the summary records
+// v2: chunk payloads carry the static reference id (attribution
+// profiler). v3: the summary records
 // the data-cache policy and seed its cache row was measured under. v4:
 // the summary ends with one record per replayed sweep point. v5: the
 // sweep engine writes no chunks; an older reader must reject such a
@@ -123,15 +84,6 @@ uint64_t zigzag(int64_t V) {
 
 int64_t unzigzag(uint64_t Z) {
   return static_cast<int64_t>((Z >> 1) ^ (~(Z & 1) + 1));
-}
-
-size_t varintLen(uint64_t V) {
-  size_t Len = 1;
-  while (V >= 0x80) {
-    V >>= 7;
-    ++Len;
-  }
-  return Len;
 }
 
 void appendVarint(std::vector<uint8_t> &Out, uint64_t V) {
@@ -188,10 +140,6 @@ uint64_t readLE64(const uint8_t *P) {
          static_cast<uint64_t>(readLE32(P + 4)) << 32;
 }
 
-} // namespace
-
-namespace {
-
 /// Slicing-by-8 tables for the IEEE 802.3 reflected polynomial. T[0] is
 /// the classic byte-at-a-time table; T[K][B] is the CRC contribution of
 /// byte B followed by K zero bytes, so eight lookups advance the CRC over
@@ -214,9 +162,11 @@ constexpr CrcTables makeCrcTables() {
 
 constexpr CrcTables CrcSlices = makeCrcTables();
 
-/// Advances the raw (pre-inverted) CRC register \p C over \p Count
-/// bytes, eight bytes per step.
-uint32_t crcTableUpdate(uint32_t C, const uint8_t *Bytes, size_t Count) {
+} // namespace
+
+uint32_t urcm::detail::crc32(const uint8_t *Bytes, size_t Count) {
+  NumCrcBytes.add(Count);
+  uint32_t C = 0xFFFFFFFFu;
   for (; Count >= 8; Bytes += 8, Count -= 8) {
     const uint32_t Lo = readLE32(Bytes) ^ C;
     const uint32_t Hi = readLE32(Bytes + 4);
@@ -227,232 +177,66 @@ uint32_t crcTableUpdate(uint32_t C, const uint8_t *Bytes, size_t Count) {
   }
   for (; Count != 0; ++Bytes, --Count)
     C = CrcSlices[0][(C ^ *Bytes) & 0xFF] ^ (C >> 8);
-  return C;
-}
-
-/// The length of the prefix of a \p Count-byte buffer the carry-less
-/// fold consumes: whole 16-byte blocks, and none below the 64 bytes
-/// that seed its four accumulators. The table loop finishes the rest.
-size_t foldedPrefix(size_t Count) {
-  return Count < 64 ? 0 : Count & ~size_t(15);
-}
-
-#if URCM_CRC_CLMUL
-/// Multiplies the two 64-bit halves of \p X by those of \p K and adds
-/// the products to \p Next: \p X carried forward over the distance \p K
-/// encodes. (A lambda would not inherit the target attribute.)
-__attribute__((target("pclmul,sse4.1"))) inline __m128i
-fold(__m128i X, __m128i K, __m128i Next) {
-  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(X, K, 0x00),
-                                     _mm_clmulepi64_si128(X, K, 0x11)),
-                       Next);
-}
-
-/// Carry-less-multiply CRC folding (Gopal et al., "Fast CRC Computation
-/// for Generic Polynomials Using PCLMULQDQ", Intel 2009), in the
-/// bit-reflected domain of the IEEE polynomial. Advances the raw CRC
-/// register \p C over \p Count bytes, a multiple of 16 and at least 64.
-///
-/// Four 128-bit accumulators each take every fourth 16-byte block: one
-/// step multiplies an accumulator's two 64-bit halves by x^(512+32) and
-/// x^(512-32) mod P (the distance of 64 bytes) and XORs in the next
-/// block. The four are then folded into one at a distance of 16 bytes,
-/// the remaining 16-byte blocks are folded in one by one, the 128-bit
-/// remainder is folded to 64 bits, and a Barrett step reduces it to the
-/// 32-bit register. Each fold constant is the reflected residue shifted
-/// left by one, as the reflected product of two 64-bit operands lands
-/// one bit lower than the unreflected one.
-__attribute__((target("pclmul,sse4.1"))) uint32_t
-crcFoldUpdate(uint32_t C, const uint8_t *Bytes, size_t Count) {
-  // x^(4*128+32) mod P and x^(4*128-32) mod P: fold across 64 bytes.
-  const __m128i Fold64 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
-  // x^(128+32) mod P and x^(128-32) mod P: fold across 16 bytes.
-  const __m128i Fold16 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
-  // x^64 mod P: fold 32 bits across 8 bytes.
-  const __m128i Fold8 = _mm_set_epi64x(0, 0x163cd6124);
-  // P itself and the Barrett quotient floor(x^64 / P), both reflected.
-  const __m128i Barrett = _mm_set_epi64x(0x1f7011641, 0x1db710641);
-  const __m128i Low32 = _mm_setr_epi32(~0, 0, ~0, 0);
-  auto Load = [](const uint8_t *P) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(P));
-  };
-
-  __m128i X0 =
-      _mm_xor_si128(Load(Bytes), _mm_cvtsi32_si128(static_cast<int>(C)));
-  __m128i X1 = Load(Bytes + 16);
-  __m128i X2 = Load(Bytes + 32);
-  __m128i X3 = Load(Bytes + 48);
-  for (Bytes += 64, Count -= 64; Count >= 64; Bytes += 64, Count -= 64) {
-    X0 = fold(X0, Fold64, Load(Bytes));
-    X1 = fold(X1, Fold64, Load(Bytes + 16));
-    X2 = fold(X2, Fold64, Load(Bytes + 32));
-    X3 = fold(X3, Fold64, Load(Bytes + 48));
-  }
-  __m128i X = fold(fold(fold(X0, Fold16, X1), Fold16, X2), Fold16, X3);
-  for (; Count != 0; Bytes += 16, Count -= 16)
-    X = fold(X, Fold16, Load(Bytes));
-
-  // 128 -> 96 bits: the low half times x^(128-32) plus the high half.
-  X = _mm_xor_si128(_mm_clmulepi64_si128(X, Fold16, 0x10),
-                    _mm_srli_si128(X, 8));
-  // 96 -> 64 bits: the low 32 bits times x^64 plus the rest.
-  X = _mm_xor_si128(
-      _mm_clmulepi64_si128(_mm_and_si128(X, Low32), Fold8, 0x00),
-      _mm_srli_si128(X, 4));
-  // Barrett, 64 -> 32 bits: the quotient T = (low 32 bits) *
-  // floor(x^64 / P), then subtract T * P; the register is left in bits
-  // 32..63.
-  __m128i T = _mm_clmulepi64_si128(_mm_and_si128(X, Low32), Barrett, 0x10);
-  T = _mm_clmulepi64_si128(_mm_and_si128(T, Low32), Barrett, 0x00);
-  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(X, T), 1));
-}
-#endif
-
-} // namespace
-
-uint32_t urcm::detail::crc32Table(const uint8_t *Bytes, size_t Count) {
-  return ~crcTableUpdate(0xFFFFFFFFu, Bytes, Count);
-}
-
-bool urcm::detail::crc32FoldedAvailable() {
-#if URCM_CRC_CLMUL
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("pclmul") &&
-         __builtin_cpu_supports("sse4.1");
-#else
-  return false;
-#endif
-}
-
-uint32_t urcm::detail::crc32Folded(const uint8_t *Bytes, size_t Count) {
-#if URCM_CRC_CLMUL
-  const size_t Folded = foldedPrefix(Count);
-  const uint32_t C = Folded != 0
-                         ? crcFoldUpdate(0xFFFFFFFFu, Bytes, Folded)
-                         : 0xFFFFFFFFu;
-  return ~crcTableUpdate(C, Bytes + Folded, Count - Folded);
-#else
-  return crc32Table(Bytes, Count);
-#endif
-}
-
-uint32_t urcm::detail::crc32(const uint8_t *Bytes, size_t Count) {
-  static const bool UseFolded = crc32FoldedAvailable();
-  if (!UseFolded) {
-    NumCrcTableBytes.add(Count);
-    return crc32Table(Bytes, Count);
-  }
-  const size_t Folded = foldedPrefix(Count);
-  NumCrcClmulBytes.add(Folded);
-  NumCrcTableBytes.add(Count - Folded);
-  return crc32Folded(Bytes, Count);
+  return ~C;
 }
 
 //===----------------------------------------------------------------------===//
 // Chunk payload codec.
 //===----------------------------------------------------------------------===//
 
-/// The RefId the codec predicts after seeing \p Prev: code-order
-/// numbering makes "previous plus one" the straight-line common case,
-/// and an unnumbered (NoRefId) event predicts another unnumbered one so
-/// hint-free traces stay free of per-event ref bytes.
-static uint16_t predictRefId(uint16_t Prev) {
-  return Prev == MemRefInfo::NoRefId
-             ? MemRefInfo::NoRefId
-             : static_cast<uint16_t>(Prev + 1);
-}
+namespace {
+
+/// Bytes of one event in a chunk payload.
+constexpr size_t EventBytes = 8;
+
+/// Hint-byte bits of an event; the other six must be clear.
+constexpr uint8_t BypassBit = 1, LastRefBit = 2;
+
+} // namespace
 
 void urcm::detail::encodeChunkPayload(const TraceEvent *Events,
                                       size_t Count,
                                       std::vector<uint8_t> &Out) {
-  const size_t BitBytes = (Count * 6 + 7) / 8;
-  Out.clear();
-  Out.resize(BitBytes, 0);
-  Out.reserve(BitBytes + Count * 2); // Typical: ~1-2 byte varints.
-  uint32_t Ring[4] = {0, 0, 0, 0};
-  unsigned RingPos = 0;
-  uint16_t PrevRef = MemRefInfo::NoRefId;
-  for (size_t I = 0; I != Count; ++I) {
+  Out.resize(Count * EventBytes);
+  uint8_t *P = Out.data();
+  for (size_t I = 0; I != Count; ++I, P += EventBytes) {
     const TraceEvent &E = Events[I];
-    unsigned BestSel = 0;
-    size_t BestLen = ~size_t(0);
-    uint64_t BestZig = 0;
-    for (unsigned S = 0; S != 4; ++S) {
-      uint64_t Zig = zigzag(static_cast<int64_t>(E.Addr) -
-                            static_cast<int64_t>(Ring[S]));
-      size_t Len = varintLen(Zig);
-      if (Len < BestLen) {
-        BestLen = Len;
-        BestSel = S;
-        BestZig = Zig;
-      }
-    }
-    const uint16_t Predicted = predictRefId(PrevRef);
-    const uint32_t Bits =
-        (E.IsWrite ? 1u : 0u) | (E.Info.Bypass ? 2u : 0u) |
-        (E.Info.LastRef ? 4u : 0u) | (BestSel << 3) |
-        (E.RefId == Predicted ? 32u : 0u);
-    const size_t BitPos = I * 6;
-    Out[BitPos >> 3] |= static_cast<uint8_t>(Bits << (BitPos & 7));
-    if ((BitPos & 7) > 2)
-      Out[(BitPos >> 3) + 1] |=
-          static_cast<uint8_t>(Bits >> (8 - (BitPos & 7)));
-    appendVarint(Out, BestZig);
-    if (E.RefId != Predicted)
-      appendVarint(Out, zigzag(static_cast<int64_t>(E.RefId) -
-                               static_cast<int64_t>(Predicted)));
-    PrevRef = E.RefId;
-    Ring[RingPos] = E.Addr;
-    RingPos = (RingPos + 1) & 3;
+    P[0] = static_cast<uint8_t>(E.Addr);
+    P[1] = static_cast<uint8_t>(E.Addr >> 8);
+    P[2] = static_cast<uint8_t>(E.Addr >> 16);
+    P[3] = static_cast<uint8_t>(E.Addr >> 24);
+    P[4] = E.IsWrite ? 1 : 0;
+    P[5] = static_cast<uint8_t>((E.Info.Bypass ? BypassBit : 0) |
+                                (E.Info.LastRef ? LastRefBit : 0));
+    P[6] = static_cast<uint8_t>(E.RefId);
+    P[7] = static_cast<uint8_t>(E.RefId >> 8);
   }
 }
 
 bool urcm::detail::decodeChunkPayload(const uint8_t *Payload,
                                       size_t PayloadBytes, size_t Count,
                                       std::vector<TraceEvent> &Out) {
-  const size_t BitBytes = (Count * 6 + 7) / 8;
-  if (PayloadBytes < BitBytes)
-    return false;
-  const uint8_t *Varints = Payload + BitBytes;
-  const size_t VarintBytes = PayloadBytes - BitBytes;
-  size_t VPos = 0;
   Out.clear();
-  Out.reserve(Count);
-  uint32_t Ring[4] = {0, 0, 0, 0};
-  unsigned RingPos = 0;
-  uint16_t PrevRef = MemRefInfo::NoRefId;
-  for (size_t I = 0; I != Count; ++I) {
-    const size_t BitPos = I * 6;
-    uint32_t Bits = Payload[BitPos >> 3] >> (BitPos & 7);
-    if ((BitPos & 7) > 2)
-      Bits |= static_cast<uint32_t>(Payload[(BitPos >> 3) + 1])
-              << (8 - (BitPos & 7));
-    Bits &= 63;
-    uint64_t Zig;
-    if (!readVarint(Varints, VarintBytes, VPos, Zig))
+  if (PayloadBytes % EventBytes != 0 || PayloadBytes / EventBytes != Count)
+    return false;
+  Out.resize(Count);
+  const uint8_t *P = Payload;
+  for (size_t I = 0; I != Count; ++I, P += EventBytes) {
+    // Only bytes the encoder writes are accepted: consumers compare
+    // events as raw words, so a stray bit would make an event that
+    // equals no recorded one.
+    if (P[4] > 1 || (P[5] & ~(BypassBit | LastRefBit)) != 0) {
+      Out.clear();
       return false;
-    const uint32_t Addr = static_cast<uint32_t>(
-        static_cast<int64_t>(Ring[(Bits >> 3) & 3]) + unzigzag(Zig));
-    const uint16_t Predicted = predictRefId(PrevRef);
-    uint16_t RefId = Predicted;
-    if (!(Bits & 32)) {
-      if (!readVarint(Varints, VarintBytes, VPos, Zig))
-        return false;
-      RefId = static_cast<uint16_t>(static_cast<int64_t>(Predicted) +
-                                    unzigzag(Zig));
     }
-    TraceEvent E;
-    E.Addr = Addr;
-    E.IsWrite = (Bits & 1) != 0;
-    E.Info.Bypass = (Bits & 2) != 0;
-    E.Info.LastRef = (Bits & 4) != 0;
-    E.RefId = RefId;
-    Out.push_back(E);
-    PrevRef = RefId;
-    Ring[RingPos] = Addr;
-    RingPos = (RingPos + 1) & 3;
+    TraceEvent &E = Out[I];
+    E.Addr = readLE32(P);
+    E.IsWrite = P[4] != 0;
+    E.Info = TraceEvent::Hints((P[5] & BypassBit) != 0,
+                               (P[5] & LastRefBit) != 0);
+    E.RefId = static_cast<uint16_t>(P[6] | P[7] << 8);
   }
-  return VPos == VarintBytes; // Trailing bytes mean a malformed payload.
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -893,9 +677,6 @@ bool TraceStoreWriter::commitSummary(
   }
   TempPath.clear();
   NumStoreBytesWritten.add(BytesWritten);
-  if (Events != 0)
-    StoreCompressRatio.record(BytesWritten * 100 /
-                              (Events * sizeof(TraceEvent)));
   return true;
 }
 
@@ -926,78 +707,18 @@ bool readExact(std::FILE *File, void *Out, size_t Size) {
   return std::fread(Out, 1, Size, File) == Size;
 }
 
-/// Reads exactly \p Size bytes at \p Offset; false on a short read.
-bool preadExact(int Fd, uint8_t *Out, size_t Size, uint64_t Offset) {
-  while (Size != 0) {
-    const ssize_t N = ::pread(Fd, Out, Size, static_cast<off_t>(Offset));
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return false;
-    Out += N;
-    Size -= static_cast<size_t>(N);
-    Offset += static_cast<uint64_t>(N);
-  }
-  return true;
-}
+/// Bytes of the file header; the first chunk starts right after it.
+constexpr long HeaderBytes = 32;
 
 /// Bytes of framing in front of every chunk payload: length, event
 /// count, CRC.
 constexpr uint64_t ChunkHeaderBytes = 12;
 
-/// The span a validation batch reads with one pread: whole chunks,
-/// closed once the next would take it past this (a single larger chunk
-/// is a batch of its own). Small enough that a batch stays in L2 between
-/// the read copy and the CRC pass.
-constexpr uint64_t ValidateBatchBytes = 256u << 10;
-
-/// A run of consecutive chunks, headers included, found by the framing
-/// walk and CRC-checked as one unit.
-struct ChunkBatch {
-  uint64_t Offset = 0; ///< File offset of the first chunk's header.
-  uint64_t Bytes = 0;  ///< Through the end of the last chunk's payload.
-  uint64_t FirstChunk = 0;
-  uint64_t Chunks = 0;
-};
-
-/// The first chunk of a batch that failed its check, if any.
-struct BatchFault {
-  static constexpr uint64_t None = ~uint64_t(0);
-  uint64_t Chunk = None;
-  bool CrcMismatch = false; ///< Otherwise the bytes changed since the walk.
-};
-
-/// Reads \p B into \p Buffer and checks each payload against the CRC in
-/// its header. The framing walk already bounded every header, so a
-/// re-read that disagrees with it means the file changed in between.
-BatchFault checkBatch(int Fd, const ChunkBatch &B,
-                      std::vector<uint8_t> &Buffer) {
-  Buffer.resize(B.Bytes);
-  if (!preadExact(Fd, Buffer.data(), B.Bytes, B.Offset))
-    return {B.FirstChunk, false};
-  uint64_t Pos = 0;
-  for (uint64_t C = 0; C != B.Chunks; ++C) {
-    if (B.Bytes - Pos < ChunkHeaderBytes)
-      return {B.FirstChunk + C, false};
-    const uint32_t PayloadBytes = readLE32(Buffer.data() + Pos);
-    const uint32_t Crc = readLE32(Buffer.data() + Pos + 8);
-    Pos += ChunkHeaderBytes;
-    if (PayloadBytes > B.Bytes - Pos)
-      return {B.FirstChunk + C, false};
-    if (detail::crc32(Buffer.data() + Pos, PayloadBytes) != Crc)
-      return {B.FirstChunk + C, true};
-    Pos += PayloadBytes;
-  }
-  if (Pos != B.Bytes)
-    return {B.FirstChunk + B.Chunks - 1, false};
-  return {};
-}
-
 } // namespace
 
 TraceStoreReader::OpenStatus
 TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
-                       DiagnosticEngine &Diags, ThreadPool *Pool) {
+                       DiagnosticEngine &Diags) {
   if (File) {
     std::fclose(File);
     File = nullptr;
@@ -1039,7 +760,7 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
   ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) & ~O_NONBLOCK);
   const uint64_t FileSize = static_cast<uint64_t>(St.st_size);
 
-  uint8_t Header[32];
+  uint8_t Header[HeaderBytes];
   if (!readExact(File, Header, sizeof(Header)))
     return Reject("truncated header");
   if (std::memcmp(Header, HeaderMagic, 8) != 0)
@@ -1062,76 +783,43 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
   if (readLE32(Header + 28) != 0)
     return Reject("nonzero reserved header word " +
                   std::to_string(readLE32(Header + 28)));
-  ChunksBegin = static_cast<long>(sizeof(Header));
 
   // Validate every chunk before serving anything: corruption discovered
   // mid-replay cannot be recovered from without restarting the replay
-  // consumers. Phase 1 walks the framing alone, reading each header and
-  // seeking past its payload, and stops at the first structural error;
-  // a length running past the end of the file is caught here, before
-  // anything is allocated for it.
+  // consumers. One pass in file order checks each frame's bounds, that
+  // its payload ends inside the file (so a corrupt length is caught
+  // before anything is allocated for it) and holds eight bytes per
+  // event, then the payload's CRC; the first failure is the one
+  // reported.
   uint64_t SeenEvents = 0, SeenChunks = 0;
-  std::vector<ChunkBatch> Batches;
-  const char *Structural = nullptr;
-  for (uint64_t At = sizeof(Header);;) {
-    uint8_t Word[4];
-    if (!readExact(File, Word, 4)) {
-      Structural = "truncated chunk stream";
-      break;
-    }
-    const uint32_t PayloadBytes = readLE32(Word);
+  for (uint64_t At = sizeof(Header);; ++SeenChunks) {
+    uint8_t Frame[ChunkHeaderBytes];
+    if (!readExact(File, Frame, 4))
+      return Reject("truncated chunk stream");
+    const uint32_t PayloadBytes = readLE32(Frame);
     if (PayloadBytes == ChunkSentinel)
       break;
-    uint8_t Rest[8];
-    if (!readExact(File, Rest, 8)) {
-      Structural = "truncated chunk header";
-      break;
-    }
-    const uint32_t Count = readLE32(Rest);
-    if (PayloadBytes > MaxChunkPayloadBytes || Count > MaxChunkEvents) {
-      Structural = "implausible chunk size (corrupt length field)";
-      break;
-    }
+    if (!readExact(File, Frame + 4, 8))
+      return Reject("truncated chunk header");
+    const uint32_t Count = readLE32(Frame + 4);
+    if (PayloadBytes > MaxChunkPayloadBytes || Count > MaxChunkEvents)
+      return Reject("implausible chunk size (corrupt length field)");
     const uint64_t Span = ChunkHeaderBytes + PayloadBytes;
-    if (At > FileSize || FileSize - At < Span ||
-        ::fseeko(File, static_cast<off_t>(At + Span), SEEK_SET) != 0) {
-      Structural = "truncated chunk payload";
-      break;
-    }
-    if (Batches.empty() || Batches.back().Bytes + Span > ValidateBatchBytes)
-      Batches.push_back({At, 0, SeenChunks, 0});
-    Batches.back().Bytes += Span;
-    ++Batches.back().Chunks;
+    if (At > FileSize || FileSize - At < Span)
+      return Reject("truncated chunk payload");
+    const std::string Chunk = "chunk " + std::to_string(SeenChunks);
+    if (PayloadBytes != uint64_t(Count) * EventBytes)
+      return Reject(Chunk + " holds " + std::to_string(PayloadBytes) +
+                    " bytes for " + std::to_string(Count) +
+                    " events (expected 8 per event)");
+    Payload.resize(PayloadBytes);
+    if (!readExact(File, Payload.data(), PayloadBytes))
+      return Reject("truncated chunk payload");
+    if (detail::crc32(Payload.data(), PayloadBytes) != readLE32(Frame + 8))
+      return Reject(Chunk + " CRC mismatch");
     At += Span;
     SeenEvents += Count;
-    ++SeenChunks;
   }
-
-  // Phase 2 CRCs the payloads the walk framed, batch by batch on the
-  // pool; each participating thread claims batches and reads them into
-  // one buffer of its own. The first failure in file order wins (the
-  // lowest bad chunk, else the walk's structural error), so the
-  // diagnostic is the sequential walk's whatever the pool width or
-  // scheduling.
-  std::vector<BatchFault> Faults(Batches.size());
-  ThreadPool &Workers = Pool ? *Pool : ThreadPool::global();
-  std::atomic<size_t> NextBatch{0};
-  Workers.parallelFor(
-      std::min<size_t>(Batches.size(), Workers.size() + 1), [&](size_t) {
-        std::vector<uint8_t> Buffer;
-        for (size_t B = NextBatch.fetch_add(1); B < Batches.size();
-             B = NextBatch.fetch_add(1)) {
-          telemetry::ScopedPhase Validate("sweep.store-serve", "validate");
-          Faults[B] = checkBatch(Fd, Batches[B], Buffer);
-        }
-      });
-  for (const BatchFault &F : Faults)
-    if (F.Chunk != BatchFault::None)
-      return Reject("chunk " + std::to_string(F.Chunk) +
-                    (F.CrcMismatch ? " CRC mismatch"
-                                   : " changed during validation"));
-  if (Structural)
-    return Reject(Structural);
 
   uint8_t Word[4];
   if (!readExact(File, Word, 4))
@@ -1169,7 +857,7 @@ TraceStoreReader::open(const std::string &Path, uint64_t ExpectHash,
     return Reject("trailing bytes after footer");
 
   NumStoreBytesRead.add(static_cast<uint64_t>(std::ftell(File)));
-  if (std::fseek(File, ChunksBegin, SEEK_SET) != 0)
+  if (std::fseek(File, HeaderBytes, SEEK_SET) != 0)
     return Reject("seek failed");
   return OpenStatus::Ok;
 }
@@ -1214,16 +902,6 @@ bool TraceStoreReader::next(std::vector<TraceEvent> &Chunk) {
 void TraceStoreReader::rewind() {
   if (!File)
     return;
-  Failed = std::fseek(File, ChunksBegin, SEEK_SET) != 0;
+  Failed = std::fseek(File, HeaderBytes, SEEK_SET) != 0;
   ChunksSeen = 0;
-}
-
-bool TraceStoreReader::readAll(std::vector<TraceEvent> &Trace) {
-  rewind();
-  Trace.clear();
-  Trace.reserve(TotalEvents);
-  std::vector<TraceEvent> Chunk;
-  while (next(Chunk))
-    Trace.insert(Trace.end(), Chunk.begin(), Chunk.end());
-  return !Failed && ChunksSeen == ChunkCount;
 }

@@ -20,6 +20,8 @@ URCM_STAT(NumConsumerStalls, "trace.consumer-stalls",
           "Consumer blocked on an empty chunk queue");
 URCM_STAT(ProducerWaitNs, "trace.producer-wait-ns",
           "Nanoseconds the producer blocked on a full chunk queue");
+URCM_STAT(ConsumerWaitNs, "trace.consumer-wait-ns",
+          "Nanoseconds the consumer waited on an empty chunk queue");
 
 std::vector<TraceEvent>
 StreamedTrace::chunk(std::vector<TraceEvent> Chunk) {
@@ -37,6 +39,15 @@ StreamedTrace::chunk(std::vector<TraceEvent> Chunk) {
   std::vector<TraceEvent> Recycled;
   Free.tryPop(Recycled); // Empty fresh buffer if none drained yet.
   return Recycled;
+}
+
+bool StreamedTrace::waitNext(std::vector<TraceEvent> &Chunk) {
+  telemetry::ScopedPhase Wait("trace.consumer-wait");
+  const uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
+  const bool Got = Full.pop(Chunk);
+  if (T0)
+    PopWaitNs += telemetry::nowNanos() - T0;
+  return Got;
 }
 
 SimResult urcm::streamTrace(
@@ -80,6 +91,7 @@ SimResult urcm::streamTrace(
     NumProducerStalls.add(Stream.producerStalls());
     NumConsumerStalls.add(Stream.consumerStalls());
     ProducerWaitNs.add(Stream.producerWaitNs());
+    ConsumerWaitNs.add(Stream.consumerWaitNs());
   }
   if (EventCount)
     *EventCount = Stream.eventCount();

@@ -28,6 +28,7 @@
 #include "urcm/sim/SweepEngine.h"
 #include "urcm/sim/TraceStore.h"
 #include "urcm/support/RNG.h"
+#include "urcm/support/Telemetry.h"
 #include "urcm/support/ThreadPool.h"
 #include "urcm/workloads/Workloads.h"
 
@@ -123,6 +124,7 @@ std::vector<SweepPoint> attributingPoints(uint32_t NumRefs) {
 struct StreamRun {
   std::vector<CacheStats> Stats;
   std::vector<RefAttribution> Attrib;
+  std::vector<const char *> Laws; ///< SweepPointStream::violatedLaw.
 };
 
 StreamRun runStream(const std::vector<TraceEvent> &Trace,
@@ -134,8 +136,10 @@ StreamRun runStream(const std::vector<TraceEvent> &Trace,
   Stream.feed(Trace.data(), Trace.size());
   StreamRun R;
   R.Stats = Stream.finish();
-  for (size_t I = 0; I != Points.size(); ++I)
+  for (size_t I = 0; I != Points.size(); ++I) {
     R.Attrib.push_back(Stream.takeAttribution(I));
+    R.Laws.push_back(Stream.violatedLaw(I));
+  }
   return R;
 }
 
@@ -203,6 +207,43 @@ TEST(RefAttribution, RowsSumToAggregateStats) {
     EXPECT_EQ(sumField(A, &RefCounters::EvictionsCaused),
               sumField(A, &RefCounters::EvictionsSuffered))
         << "point " << I;
+  }
+}
+
+TEST(RefAttribution, ConservationLawCatchesATamperedRow) {
+  // attributionConservationViolation holds for every kernel family, and
+  // one count moved in one row, the overflow row included, breaks it.
+  constexpr uint16_t NumRefs = 23;
+  const std::vector<TraceEvent> Trace = numberedTrace(7, 40000, NumRefs);
+  const std::vector<SweepPoint> Points = attributingPoints(NumRefs);
+  const StreamRun R = runStream(Trace, Points);
+  const struct {
+    uint64_t RefCounters::*Field;
+    const char *Law;
+  } Fields[] = {
+      {&RefCounters::Hits, "attributed Hits"},
+      {&RefCounters::Misses, "attributed Misses"},
+      {&RefCounters::Bypasses, "attributed Bypasses"},
+      {&RefCounters::DeadWriteBacksSuppressed,
+       "attributed DeadWriteBacksSuppressed"},
+      {&RefCounters::EvictionsCaused, "attributed EvictionsCaused"},
+      {&RefCounters::EvictionsSuffered, "attributed EvictionsSuffered"},
+  };
+  for (size_t I = 0; I != Points.size(); ++I) {
+    EXPECT_EQ(R.Laws[I], nullptr) << "point " << I << ": " << R.Laws[I];
+    EXPECT_EQ(attributionConservationViolation(R.Attrib[I], R.Stats[I]),
+              nullptr)
+        << "point " << I;
+    for (const auto &F : Fields)
+      for (uint32_t Row : {3u, uint32_t(NumRefs)}) {
+        RefAttribution Tampered = R.Attrib[I];
+        ++(Tampered.row(Row).*F.Field);
+        const char *Law =
+            attributionConservationViolation(Tampered, R.Stats[I]);
+        ASSERT_NE(Law, nullptr) << "point " << I << " row " << Row;
+        EXPECT_EQ(std::string(Law).rfind(F.Law, 0), 0u)
+            << "point " << I << " row " << Row << ": " << Law;
+      }
   }
 }
 
@@ -345,6 +386,36 @@ TEST(RefAttribution, LiveSimulatorMatchesEngineReplay) {
   const std::vector<RefAttribution> Replayed =
       engineAttribution(Prog, Points, 7, "", Pool);
   EXPECT_EQ(Replayed[0], Live);
+}
+
+TEST(RefAttribution, LiveRunWithATamperedTableFails) {
+  // A live run checks its table against its counters: a table handed in
+  // with one count already in a row fails the run, naming the law, and
+  // counts in check.live.violations.
+  const Workload *W = findWorkload("Queen");
+  ASSERT_NE(W, nullptr);
+  std::shared_ptr<MachineProgram> Prog = compileEraUnified(*W);
+  RefAttribution Attr(static_cast<uint32_t>(Prog->RefTable.size()));
+  Attr.row(0).Misses = 1;
+  SimConfig Sim;
+  Sim.Cache = config(128, 2);
+  Sim.Attribution = &Attr;
+  telemetry::setEnabled(true);
+  telemetry::reset();
+  SimResult R = Simulator(Sim).run(*Prog);
+  const std::string JSON = telemetry::snapshotJSON();
+  telemetry::setEnabled(false);
+  telemetry::reset();
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("conservation law 'attributed Misses == misses'"),
+            std::string::npos)
+      << R.Error;
+  EXPECT_NE(JSON.find("\"check.live.violations\": 1"), std::string::npos);
+
+  // The same run with a zeroed table passes.
+  Attr = RefAttribution(static_cast<uint32_t>(Prog->RefTable.size()));
+  SimResult Clean = Simulator(Sim).run(*Prog);
+  EXPECT_TRUE(Clean.ok()) << Clean.Error;
 }
 
 //===----------------------------------------------------------------------===//

@@ -1129,6 +1129,40 @@ TEST(Streaming, ProducerWaitIsBilledToItsOwnSpan) {
   EXPECT_LE(WaitNs, SpanNs);
 }
 
+TEST(Streaming, ConsumerWaitIsBilledToItsOwnSpan) {
+  // A producer that sleeps before simulating: the consumer must find the
+  // queue empty, and every such pop falls inside a trace.consumer-wait
+  // span whose time trace.consumer-wait-ns counts.
+  TelemetryGuard Guard;
+  CompileOptions O;
+  SimConfig Sim;
+  Sim.Cache = config(64, 2);
+  Sim.TraceChunkEvents = 64;
+  const Workload *W = findWorkload("Queen");
+  SimResult R = streamTrace(
+      Sim,
+      [&](const SimConfig &Cfg) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        DiagnosticEngine Diags;
+        return compileAndRun(W->Source, O, Cfg, Diags);
+      },
+      [&](const TraceEvent *, size_t) {},
+      /*QueueDepth=*/4);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  const uint64_t Stalls = counterValue("trace.consumer-stalls");
+  const uint64_t WaitNs = counterValue("trace.consumer-wait-ns");
+  uint64_t Spans = 0, SpanNs = 0;
+  for (const telemetry::PhaseTotals &T : telemetry::phaseTotals())
+    if (T.Name == "trace.consumer-wait") {
+      Spans = T.Count;
+      SpanNs = T.TotalNs;
+    }
+  EXPECT_GE(Stalls, 1u);
+  EXPECT_GE(Spans, Stalls);
+  EXPECT_GT(WaitNs, 0u);
+  EXPECT_LE(WaitNs, SpanNs);
+}
+
 TEST(Streaming, ConsumerExceptionPropagatesWithoutDeadlock) {
   CompileOptions O;
   SimConfig Sim;

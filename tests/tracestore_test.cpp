@@ -4,8 +4,8 @@
 //
 // The trace store's contract has three legs, each pinned here:
 //
-//  1. fidelity — encode→decode is bit-identical for any trace (fuzzed
-//     hint bits, odd chunk sizes, adversarial address patterns), and a
+//  1. fidelity — write→read is bit-identical for any trace (fuzzed
+//     hint bits, odd chunk sizes, extreme addresses), and a
 //     sweep served warm from the store produces counters bit-identical
 //     to the cold live run, for every replay worker count;
 //  2. robustness — corrupt, truncated, stale or foreign files are
@@ -54,10 +54,8 @@ bool operator==(const TraceEvent &A, const TraceEvent &B) {
 
 /// A deterministic trace with locality, writes, and hint bits on a
 /// fraction of events; interleaves a "stack" region and a far "global"
-/// region the way real traces do (the codec's multi-base delta ring
-/// exists for exactly this shape). Reference ids mix the patterns the
-/// v2 ref-predicted bit keys on: straight-line runs (Prev+1), back
-/// jumps (loops), and unnumbered (NoRefId) stretches.
+/// region the way real traces do. Reference ids mix straight-line runs
+/// (Prev+1), back jumps (loops), and unnumbered (NoRefId) stretches.
 std::vector<TraceEvent> hintedTrace(uint64_t Seed, size_t N) {
   SplitMix64 Rng(Seed);
   std::vector<TraceEvent> Trace;
@@ -77,7 +75,7 @@ std::vector<TraceEvent> hintedTrace(uint64_t Seed, size_t N) {
     E.Info.Bypass = Rng.nextBelow(10) == 0;
     E.Info.LastRef = !E.Info.Bypass && Rng.nextBelow(13) == 0;
     if (Roll < 70)
-      Ref = static_cast<uint16_t>(Ref + 1); // Straight-line: predicted.
+      Ref = static_cast<uint16_t>(Ref + 1); // Straight-line.
     else if (Roll < 85)
       Ref = static_cast<uint16_t>(Rng.nextBelow(300)); // Branch target.
     E.RefId = Roll < 95 ? Ref : MemRefInfo::NoRefId;
@@ -103,6 +101,17 @@ struct ScratchDir {
   std::string str() const { return Path.string(); }
 };
 
+/// Decodes every chunk of the opened \p Reader from the first into
+/// \p Trace; false if a chunk fails to decode.
+bool readAllEvents(TraceStoreReader &Reader, std::vector<TraceEvent> &Trace) {
+  Reader.rewind();
+  Trace.clear();
+  std::vector<TraceEvent> Chunk;
+  while (Reader.next(Chunk))
+    Trace.insert(Trace.end(), Chunk.begin(), Chunk.end());
+  return !Reader.failed() && Trace.size() == Reader.eventCount();
+}
+
 /// Round-trips \p Trace through a store file written in \p BatchSize
 /// batches and returns the decoded trace.
 std::vector<TraceEvent> roundTrip(const std::vector<TraceEvent> &Trace,
@@ -125,7 +134,7 @@ std::vector<TraceEvent> roundTrip(const std::vector<TraceEvent> &Trace,
       << Diags.str();
   EXPECT_EQ(Reader.eventCount(), Trace.size());
   std::vector<TraceEvent> Decoded;
-  EXPECT_TRUE(Reader.readAll(Decoded));
+  EXPECT_TRUE(readAllEvents(Reader, Decoded));
   return Decoded;
 }
 
@@ -189,63 +198,40 @@ TEST(TraceStoreCrc, KnownAnswer) {
 
 TEST(TraceStoreCrc, MatchesBitwiseReference) {
   // Every length 0..320 at every start offset 0..15 walks the table
-  // loop's eight-byte steps and byte tail, and the fold's 64-byte loop,
-  // its 16-byte folds and every tail under 16, at every alignment.
-  const bool Folded = detail::crc32FoldedAvailable();
+  // loop's eight-byte steps and every byte tail, at every alignment.
   const std::vector<uint8_t> Small = randomBytes(3, 320 + 16);
   for (size_t Offset = 0; Offset != 16; ++Offset)
     for (size_t Len = 0; Len <= 320; ++Len) {
       const uint8_t *Bytes = Small.data() + Offset;
-      const uint32_t Want = bitwiseCrc32(Bytes, Len);
-      ASSERT_EQ(detail::crc32Table(Bytes, Len), Want)
-          << "table, offset " << Offset << " length " << Len;
-      if (Folded) {
-        ASSERT_EQ(detail::crc32Folded(Bytes, Len), Want)
-            << "folded, offset " << Offset << " length " << Len;
-      }
-      ASSERT_EQ(detail::crc32(Bytes, Len), Want)
-          << "dispatched, offset " << Offset << " length " << Len;
+      ASSERT_EQ(detail::crc32(Bytes, Len), bitwiseCrc32(Bytes, Len))
+          << "offset " << Offset << " length " << Len;
     }
   const std::vector<uint8_t> Big = randomBytes(0xC4C, 1u << 20);
-  const uint32_t Want = bitwiseCrc32(Big.data(), Big.size());
-  EXPECT_EQ(detail::crc32Table(Big.data(), Big.size()), Want);
-  if (Folded) {
-    EXPECT_EQ(detail::crc32Folded(Big.data(), Big.size()), Want);
-  }
-  EXPECT_EQ(detail::crc32(Big.data(), Big.size()), Want);
+  EXPECT_EQ(detail::crc32(Big.data(), Big.size()),
+            bitwiseCrc32(Big.data(), Big.size()));
 }
 
-TEST(TraceStoreCrc, CountersSplitEveryByteBetweenThePaths) {
-  // One call raises clmul-bytes + table-bytes by exactly its length,
-  // and the fold checks bytes only where it is available.
+TEST(TraceStoreCrc, CounterCountsEveryByte) {
   TelemetryGuard Guard;
   const std::vector<uint8_t> Bytes = randomBytes(11, 1000);
+  uint64_t Want = 0;
   for (size_t Len : {size_t(0), size_t(13), size_t(64), size_t(1000)}) {
-    const uint64_t Clmul = counterValue("sim.store.crc.clmul-bytes");
-    const uint64_t Table = counterValue("sim.store.crc.table-bytes");
     detail::crc32(Bytes.data(), Len);
-    const uint64_t ClmulDelta =
-        counterValue("sim.store.crc.clmul-bytes") - Clmul;
-    const uint64_t TableDelta =
-        counterValue("sim.store.crc.table-bytes") - Table;
-    EXPECT_EQ(ClmulDelta + TableDelta, Len) << "length " << Len;
-    if (!detail::crc32FoldedAvailable()) {
-      EXPECT_EQ(ClmulDelta, 0u) << "length " << Len;
-    }
-  }
-  if (detail::crc32FoldedAvailable()) {
-    EXPECT_GT(counterValue("sim.store.crc.clmul-bytes"), 0u);
+    Want += Len;
+    EXPECT_EQ(counterValue("sim.store.crc-bytes"), Want) << "length " << Len;
   }
 }
 
 TEST(TraceStoreCodec, RoundTripFuzzedPayloads) {
-  // Chunk payloads at sizes that stress the 5-bit packing (every bit
-  // phase) and the varint stream, including empty and single-event.
+  // Chunk payloads of fuzzed events at assorted sizes, including empty
+  // and single-event, are eight bytes per event and decode to the
+  // events encoded.
   for (size_t N : {size_t(0), size_t(1), size_t(2), size_t(3), size_t(7),
                    size_t(8), size_t(63), size_t(1000), size_t(65537)}) {
     std::vector<TraceEvent> Trace = hintedTrace(N * 31 + 5, N);
     std::vector<uint8_t> Encoded;
     detail::encodeChunkPayload(Trace.data(), Trace.size(), Encoded);
+    ASSERT_EQ(Encoded.size(), 8 * N);
     std::vector<TraceEvent> Decoded;
     ASSERT_TRUE(detail::decodeChunkPayload(Encoded.data(), Encoded.size(),
                                            Trace.size(), Decoded))
@@ -257,8 +243,8 @@ TEST(TraceStoreCodec, RoundTripFuzzedPayloads) {
 }
 
 TEST(TraceStoreCodec, ExtremeAddressDeltas) {
-  // Alternating far-apart addresses (worst case for delta coding) and
-  // the u32 extremes must still round-trip exactly.
+  // Alternating far-apart addresses, the u32 extremes and every RefId
+  // byte pattern round-trip exactly, little-endian in the payload.
   std::vector<TraceEvent> Trace;
   for (uint32_t I = 0; I != 100; ++I) {
     TraceEvent E;
@@ -266,10 +252,14 @@ TEST(TraceStoreCodec, ExtremeAddressDeltas) {
     E.IsWrite = I % 3 == 0;
     E.Info.Bypass = I % 5 == 0;
     E.Info.LastRef = I % 7 == 0;
+    E.RefId = static_cast<uint16_t>(0xFFFF - I * 0x0101);
     Trace.push_back(E);
   }
   std::vector<uint8_t> Encoded;
   detail::encodeChunkPayload(Trace.data(), Trace.size(), Encoded);
+  // Event 1: address 0xFFFFFFFE, a read, no hints, RefId 0xFEFE.
+  EXPECT_EQ(std::vector<uint8_t>(Encoded.begin() + 8, Encoded.begin() + 16),
+            (std::vector<uint8_t>{0xFE, 0xFF, 0xFF, 0xFF, 0, 0, 0xFE, 0xFE}));
   std::vector<TraceEvent> Decoded;
   ASSERT_TRUE(detail::decodeChunkPayload(Encoded.data(), Encoded.size(),
                                          Trace.size(), Decoded));
@@ -282,18 +272,39 @@ TEST(TraceStoreCodec, RejectsMalformedPayloads) {
   std::vector<uint8_t> Encoded;
   detail::encodeChunkPayload(Trace.data(), Trace.size(), Encoded);
   std::vector<TraceEvent> Decoded;
-  // Truncations at every prefix length must fail cleanly, never read
-  // out of bounds (ASan-checked in the sanitizer presets).
+  // A payload that is not eight bytes per event fails cleanly, never
+  // reading out of bounds (ASan-checked in the sanitizer presets):
+  // every truncation, and trailing bytes.
   for (size_t Cut = 0; Cut != Encoded.size(); ++Cut)
     EXPECT_FALSE(detail::decodeChunkPayload(Encoded.data(), Cut,
                                             Trace.size(), Decoded))
         << "prefix " << Cut;
-  // Trailing garbage is malformed too: the event count says when to
-  // stop, so spare bytes mean the payload is not what was encoded.
   std::vector<uint8_t> Long = Encoded;
   Long.push_back(0x00);
   EXPECT_FALSE(detail::decodeChunkPayload(Long.data(), Long.size(),
                                           Trace.size(), Decoded));
+  // The right size for one event fewer or more is still wrong.
+  EXPECT_FALSE(detail::decodeChunkPayload(Encoded.data(), Encoded.size(),
+                                          Trace.size() - 1, Decoded));
+  // An is-write byte other than 0 or 1, or a hint byte with any of bits
+  // 2-7 set, would decode to an event no recording produces.
+  for (unsigned Byte = 2; Byte != 256; ++Byte) {
+    std::vector<uint8_t> M = Encoded;
+    M[8 * 17 + 4] = static_cast<uint8_t>(Byte);
+    EXPECT_FALSE(detail::decodeChunkPayload(M.data(), M.size(),
+                                            Trace.size(), Decoded))
+        << "is-write byte " << Byte;
+  }
+  for (unsigned Bit = 2; Bit != 8; ++Bit) {
+    std::vector<uint8_t> M = Encoded;
+    M[8 * 17 + 5] |= static_cast<uint8_t>(1u << Bit);
+    EXPECT_FALSE(detail::decodeChunkPayload(M.data(), M.size(),
+                                            Trace.size(), Decoded))
+        << "hint bit " << Bit;
+  }
+  // The unmodified payload still decodes.
+  EXPECT_TRUE(detail::decodeChunkPayload(Encoded.data(), Encoded.size(),
+                                         Trace.size(), Decoded));
 }
 
 TEST(TraceStoreFile, RoundTripAcrossBatchAndChunkBoundaries) {
@@ -476,7 +487,7 @@ TEST(TraceStoreFile, PointRecordsRoundTripEveryPolicyAndWritePolicy) {
     EXPECT_EQ(Read[I].Stats, Points[I].Stats) << I;
   }
   std::vector<TraceEvent> Decoded;
-  EXPECT_TRUE(Reader.readAll(Decoded));
+  EXPECT_TRUE(readAllEvents(Reader, Decoded));
   EXPECT_EQ(Decoded.size(), 500u);
 
   // A file without records reads back an empty list.
@@ -530,7 +541,7 @@ TEST(TraceStoreFile, RejectsMalformedPointRecords) {
 
 TEST(TraceStoreFile, StreamedDecodeMatchesReadAll) {
   // Chunk-by-chunk decode with next(), after a rewind, yields the trace
-  // readAll() decodes, in order.
+  // a first full pass decodes, in order.
   ScratchDir Dir("streamed");
   std::vector<TraceEvent> Trace = hintedTrace(77, 150000);
   DiagnosticEngine Diags;
@@ -545,7 +556,7 @@ TEST(TraceStoreFile, StreamedDecodeMatchesReadAll) {
   ASSERT_EQ(Reader.open(traceStorePath(Dir.str(), 7), 7, Diags),
             TraceStoreReader::OpenStatus::Ok);
   std::vector<TraceEvent> All;
-  ASSERT_TRUE(Reader.readAll(All));
+  ASSERT_TRUE(readAllEvents(Reader, All));
   Reader.rewind();
   std::vector<TraceEvent> Streamed, Chunk;
   size_t Chunks = 0;
@@ -653,7 +664,7 @@ TEST(TraceStoreFile, RejectsCorruptionCleanly) {
   TraceStoreReader R;
   ASSERT_EQ(R.open(Path, 1234, D), TraceStoreReader::OpenStatus::Ok);
   std::vector<TraceEvent> Decoded;
-  ASSERT_TRUE(R.readAll(Decoded));
+  ASSERT_TRUE(readAllEvents(R, Decoded));
   ASSERT_EQ(Decoded.size(), Trace.size());
 }
 
@@ -763,6 +774,12 @@ std::vector<FileCase> pinnedCases(const MultiChunkFile &F) {
         M[F.payload(7, 5000)] ^= 0x80;
         M.resize(F.payload(8, 50));
       });
+  Add("event count of chunk 4 off by one, bad CRC in chunk 6",
+      "chunk 4 holds 524288 bytes for 65537 events (expected 8 per event)",
+      [&](std::vector<char> &M) {
+        storeLE32(M, F.Chunks[4] + 4, loadLE32(M, F.Chunks[4] + 4) + 1);
+        M[F.payload(6, 3)] ^= 0x01;
+      });
   Add("bad summary CRC", "summary CRC mismatch",
       [&](std::vector<char> &M) { M[F.Sentinel + 8] ^= 0x04; });
   return Cases;
@@ -792,70 +809,33 @@ TEST(TraceStoreFile, PinnedDiagnosticsOfMultiChunkFiles) {
   }
 }
 
-/// Everything open() reports about a file.
-struct OpenOutcome {
-  TraceStoreReader::OpenStatus Status = TraceStoreReader::OpenStatus::Ok;
-  std::string Diags;
-  SimResult Summary;
-  std::vector<StoredPoint> Points;
-  uint64_t Events = 0;
-};
-
-OpenOutcome openOutcome(const std::string &Path, uint64_t Hash,
-                        ThreadPool *Pool) {
-  OpenOutcome O;
+TEST(TraceStoreFile, BadEventUnderAValidCrcFailsOnDecode) {
+  // open() checks framing and CRCs, not event contents: a file whose
+  // CRC was recomputed over an is-write byte of 2 opens, and next()
+  // then fails cleanly on that chunk.
+  ScratchDir Dir("bad_event");
+  const MultiChunkFile F(Dir.str());
+  std::vector<char> M = F.Bytes;
+  M[F.payload(1, 8 * 5 + 4)] = 2;
+  const uint32_t PayloadBytes = loadLE32(M, F.Chunks[1]);
+  storeLE32(M, F.Chunks[1] + 8,
+            detail::crc32(reinterpret_cast<const uint8_t *>(M.data()) +
+                              F.payload(1, 0),
+                          PayloadBytes));
+  writeBytes(F.Path, M);
   DiagnosticEngine D;
   TraceStoreReader R;
-  O.Status = R.open(Path, Hash, D, Pool);
-  O.Diags = D.str();
-  if (O.Status == TraceStoreReader::OpenStatus::Ok) {
-    O.Summary = R.summary();
-    O.Points = R.storedPoints();
-    O.Events = R.eventCount();
-  }
-  return O;
-}
-
-void expectSameOutcome(const OpenOutcome &A, const OpenOutcome &B,
-                       const std::string &What) {
-  EXPECT_EQ(A.Status, B.Status) << What;
-  EXPECT_EQ(A.Diags, B.Diags) << What;
-  EXPECT_EQ(A.Events, B.Events) << What;
-  EXPECT_EQ(A.Summary.Halted, B.Summary.Halted) << What;
-  EXPECT_EQ(A.Summary.Steps, B.Summary.Steps) << What;
-  EXPECT_EQ(A.Summary.Output, B.Summary.Output) << What;
-  EXPECT_EQ(A.Summary.Cache, B.Summary.Cache) << What;
-  ASSERT_EQ(A.Points.size(), B.Points.size()) << What;
-  for (size_t I = 0; I != A.Points.size(); ++I) {
-    EXPECT_EQ(A.Points[I].Config, B.Points[I].Config) << What;
-    EXPECT_EQ(A.Points[I].IgnoreHints, B.Points[I].IgnoreHints) << What;
-    EXPECT_EQ(A.Points[I].Stats, B.Points[I].Stats) << What;
-  }
-}
-
-TEST(TraceStoreFile, OpenIsIndependentOfPoolWidth) {
-  // Every pinned file, valid and corrupt, opened on a one-worker pool, a
-  // four-worker pool, and from inside tasks of a busy pool (a nested
-  // parallelFor) reads back the same status, contents and diagnostic.
-  ScratchDir Dir("poolwidth");
-  const MultiChunkFile F(Dir.str());
-  ThreadPool One(1), Four(4);
-  for (const FileCase &C : pinnedCases(F)) {
-    writeBytes(F.Path, C.Bytes);
-    const OpenOutcome Ref = openOutcome(F.Path, MultiChunkFile::Hash, &One);
-    EXPECT_EQ(Ref.Status, C.Why.empty()
-                              ? TraceStoreReader::OpenStatus::Ok
-                              : TraceStoreReader::OpenStatus::Invalid)
-        << C.Name;
-    expectSameOutcome(Ref, openOutcome(F.Path, MultiChunkFile::Hash, &Four),
-                      std::string(C.Name) + ", four workers");
-    std::vector<OpenOutcome> Nested(4);
-    Four.parallelFor(Nested.size(), [&](size_t I) {
-      Nested[I] = openOutcome(F.Path, MultiChunkFile::Hash, &Four);
-    });
-    for (const OpenOutcome &O : Nested)
-      expectSameOutcome(Ref, O, std::string(C.Name) + ", nested");
-  }
+  ASSERT_EQ(R.open(F.Path, MultiChunkFile::Hash, D),
+            TraceStoreReader::OpenStatus::Ok)
+      << D.str();
+  std::vector<TraceEvent> Chunk;
+  ASSERT_TRUE(R.next(Chunk));
+  EXPECT_EQ(Chunk.size(), TraceStoreWriter::ChunkEvents);
+  EXPECT_FALSE(R.next(Chunk));
+  EXPECT_TRUE(R.failed());
+  EXPECT_TRUE(Chunk.empty());
+  EXPECT_FALSE(R.next(Chunk)); // Stays failed.
+  EXPECT_FALSE(D.hasErrors()) << D.str();
 }
 
 TEST(TraceContentHash, TracksTraceAffectingInputsOnly) {
